@@ -30,6 +30,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: The modules whose ``__all__`` constitutes the documented public API.
 PUBLIC_MODULES = [
+    "repro.core.streams",
+    "repro.data.flat",
     "repro.simulation.runner",
     "repro.simulation.events",
     "repro.experiments.orchestrator",

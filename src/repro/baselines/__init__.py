@@ -1,8 +1,8 @@
 """Reference algorithms the paper compares against (Sec. VI-B).
 
 All baselines share the :class:`~repro.core.base.DecentralizedAlgorithm`
-infrastructure (identical initial model, same per-agent batch samplers, same
-clipping and Gaussian-noise mechanisms, same mixing matrix), so differences
+infrastructure (identical initial model, same batch and noise streams, same
+clipping and Gaussian mechanism, same mixing matrix), so differences
 in the experiment results come from the algorithmic updates only.
 
 * :class:`DPDPSGD` — differentially private decentralized parallel SGD, the

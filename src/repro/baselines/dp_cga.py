@@ -152,8 +152,8 @@ class DPCGA(DecentralizedAlgorithm):
         gamma = self.config.learning_rate
         alpha = self.config.momentum
 
-        # Local gradients, privatized in agent order (first draw per agent,
-        # matching the loop backend's per-agent noise streams).  The streamed
+        # Local gradients, privatized in agent order (noise slot 0 per agent,
+        # as in the loop backend).  The streamed
         # pipeline evaluates them block by block into a reusable scratch
         # (bit-identical; see the base class); cross-gradients below stream
         # through evaluator-aligned chunks inside fleet_cross_gradients.

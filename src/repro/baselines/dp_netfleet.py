@@ -128,15 +128,15 @@ class DPNetFleet(DecentralizedAlgorithm):
 
     def _perturbed_local_gradient(self, agent: int, params: np.ndarray) -> np.ndarray:
         """A fresh clipped + noised local gradient at the given parameters."""
-        batch = self.samplers[agent].next_batch()
+        batch = self.draw_batch(agent)
         gradient = self.local_gradient(agent, params, batch)
         return self.privatize(agent, gradient)
 
     def _fresh_fleet_gradients(self, param_rows: np.ndarray) -> np.ndarray:
         """One fresh perturbed gradient per agent at the given parameter rows.
 
-        Draws batches and noise in agent order, matching the per-agent
-        sampler and mechanism streams the loop backend consumes.
+        Every active agent draws its next batch and noise slot of the
+        round, exactly as the loop backend's per-agent calls do.
         """
         gradients = self.fleet_gradients(param_rows, self.draw_batches())
         return self.privatize_rows(gradients)

@@ -80,6 +80,7 @@ def _result_payload(result: BenchResult) -> Dict[str, object]:
         "mean_seconds": result.mean_seconds,
         "std_seconds": result.std_seconds,
         "rss_peak_bytes": result.rss_peak_bytes,
+        "rss_scope": result.rss_scope,
         "repeats": result.repeats,
         "warmup": result.warmup,
         "metrics": result.metrics,

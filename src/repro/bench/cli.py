@@ -161,7 +161,7 @@ def _print_result(result: BenchResult) -> None:
     print(f"[{result.name}] best {result.best_seconds:.5f}s over "
           f"{result.repeats} repeat(s) (mean {result.mean_seconds:.5f}s "
           f"± {result.std_seconds:.5f}s, peak RSS "
-          f"{_format_rss(result.rss_peak_bytes)})")
+          f"{_format_rss(result.rss_peak_bytes)}, {result.rss_scope}-scoped)")
     for key in sorted(result.metrics):
         print(f"    {key:<28s} {result.metrics[key]:.6g}")
     for key in sorted(result.notes):

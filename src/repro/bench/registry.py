@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.bench.guard import FloorDecision, arm_floor, check_memory
-from repro.bench.timer import Measurement, Timer
+from repro.bench.timer import Measurement, Timer, reset_peak_rss
 
 __all__ = [
     "FloorSpec",
@@ -136,6 +136,9 @@ class BenchResult:
     skipped: bool = False
     skip_reason: Optional[str] = None
     notes: Dict[str, str] = field(default_factory=dict)
+    #: ``"suite"``: the peak RSS was reset before this suite; ``"process"``:
+    #: it is the process high-water mark, including earlier suites.
+    rss_scope: str = "process"
 
     @property
     def floored(self) -> bool:
@@ -224,7 +227,7 @@ def run_benchmark(
                 skipped=True,
                 skip_reason=decision.reason,
             )
-    measurement = Measurement()
+    measurement = Measurement(rss_scope="suite" if reset_peak_rss() else "process")
     metrics: Dict[str, float] = {}
     bench.setup()
     try:
@@ -245,6 +248,7 @@ def run_benchmark(
         mean_seconds=measurement.mean_seconds,
         std_seconds=measurement.std_seconds,
         rss_peak_bytes=measurement.rss_peak_bytes,
+        rss_scope=measurement.rss_scope,
         repeats=repeats,
         warmup=warmup,
         metrics=metrics,

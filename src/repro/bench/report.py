@@ -37,6 +37,14 @@ def _mib(value: Optional[float]) -> str:
     return "-" if value is None else f"{value / (1024 * 1024):.0f} MiB"
 
 
+def _suite_rss(suite: Dict[str, object]) -> str:
+    """A suite's peak RSS, marked ``(process)`` unless reset before the suite."""
+    value = _mib(suite.get("rss_peak_bytes"))  # type: ignore[arg-type]
+    if value == "-" or suite.get("rss_scope") == "suite":
+        return value
+    return f"{value} (process)"
+
+
 def _metric_value(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return f"{int(value):,}"
@@ -73,7 +81,9 @@ def render_markdown(artifact: Dict[str, object], source_name: str) -> str:
         "",
         "`best` is the minimum over the suite's repeats (the least noisy",
         "estimator on a time-shared machine); floored suites participate in the",
-        "`repro-bench compare` fail gate.",
+        "`repro-bench compare` fail gate.  A peak RSS marked `(process)` is the",
+        "process high-water mark, which includes every suite run before it;",
+        "unmarked values were reset before the suite.",
         "",
         "| Suite | Best | Mean ± std | Repeats | Peak RSS | Floored |",
         "| --- | ---: | ---: | ---: | ---: | :---: |",
@@ -91,7 +101,7 @@ def render_markdown(artifact: Dict[str, object], source_name: str) -> str:
         lines.append(
             f"| `{name}` | {_seconds(suite.get('best_seconds'))} | "
             f"{mean} ± {std} | {suite.get('repeats', '-')} | "
-            f"{_mib(suite.get('rss_peak_bytes'))} | "
+            f"{_suite_rss(suite)} | "
             f"{'yes' if suite.get('floor') is not None else 'no'} |"
         )
 

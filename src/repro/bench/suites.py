@@ -22,7 +22,7 @@ Each suite packages one hot path of the system behind the
 * ``checkpoint/roundtrip`` — ``state_dict`` → save → load → restore;
 * ``game/shapley-mc`` — the vectorized Monte-Carlo Shapley estimator plus
   the fleet-scale prefix walk (axiom-checked in-sweep);
-* ``privacy/noise-rows`` — batched per-owner Gaussian noise rows;
+* ``privacy/noise-rows`` — counter-based Gaussian noise rows for a fleet;
 * ``attacks/inversion-fleet`` — fleet gradient inversion vs the sequential
   per-victim loop (bit-identity checked);
 * ``attacks/membership`` — fleet membership-loss scoring vs per-row calls
@@ -396,8 +396,8 @@ class StreamedRoundSuite(Benchmark):
     drawing, stacked gradient passes, per-agent clip + Gaussian noise, codec
     and gossip — through the streamed pipeline (``block_rows`` +
     ``storage="memmap"``), on a CSR ring with one shared data shard and a
-    small linear model so the per-agent bookkeeping (samplers, mechanisms,
-    RNG streams) dominates exactly as it does at fleet scale.
+    small linear model so the per-agent work (batch draws and gathers,
+    noise rows, gossip rows) dominates exactly as it does at fleet scale.
 
     Metrics per ``N`` in ``REPRO_BENCH_ROUND_AGENTS``:
 
@@ -446,11 +446,11 @@ class StreamedRoundSuite(Benchmark):
     def point_memory_bytes(self, num_agents: int) -> int:
         """Steady-state estimate for one sweep point.
 
-        Dominated by the per-agent Python objects (~1 kB each for
-        ``BatchSampler``, ``GaussianMechanism`` and the agent RNG, plus the
-        network mailbox and the 3-entry CSR row); the memmap-backed fleet
-        buffers (state, momentum, gradient and gossip scratch) stay resident
-        as dirty page cache until writeback, so they count too.
+        A conservative per-agent allowance covers the per-agent entries
+        (the shard list, flat-shard bounds, the round's batch index rows,
+        the network mailbox and the 3-entry CSR row); the memmap-backed
+        fleet buffers (state, momentum, gradient and gossip scratch) stay
+        resident as dirty page cache until writeback, so they count too.
         """
         dimension = (
             self.NUM_FEATURES * self.NUM_CLASSES + self.NUM_CLASSES
@@ -1287,7 +1287,12 @@ class MonteCarloShapleySuite(Benchmark):
 # ---------------------------------------------------------------------------
 @benchmark
 class NoiseRowsSuite(Benchmark):
-    """Batched row-wise clip + Gaussian noise at fleet width."""
+    """Row-wise clip + Gaussian noise at fleet width, as one round draws it.
+
+    Times the counter-based noise draw of one row per agent
+    (:meth:`~repro.core.streams.FleetStreams.normal_rows`, one Philox call
+    plus Box–Muller for the whole block) added to a clipped stack.
+    """
 
     name = "privacy/noise-rows"
     description = "batched Gaussian noise rows (the per-round privatize path)"
@@ -1302,24 +1307,22 @@ class NoiseRowsSuite(Benchmark):
         return {"agents": self.agents, "dimension": self.dimension}
 
     def setup(self) -> None:
-        from repro.privacy.mechanisms import GaussianMechanism
+        from repro.privacy.mechanisms import clip_rows_by_l2_norm
 
         matrix = np.random.default_rng(0).normal(size=(self.agents, self.dimension))
-        clipper = GaussianMechanism(
-            sigma=0.0, rng=np.random.default_rng(0), clip_threshold=1.0
-        )
-        self._matrix = np.stack([clipper.clip(row) for row in matrix])
+        self._matrix = clip_rows_by_l2_norm(matrix, 1.0)
 
     def run(self) -> Dict[str, float]:
-        from repro.privacy.mechanisms import GaussianMechanism
+        from repro.core.streams import FleetStreams
 
         clipped = self._matrix
         assert clipped is not None
-        mechanism = GaussianMechanism(
-            sigma=0.5, rng=np.random.default_rng(0), clip_threshold=1.0
-        )
+        streams = FleetStreams(0)
+        agents = np.arange(self.agents)
         started = time.perf_counter()
-        mechanism.add_noise_rows(clipped)
+        clipped + 0.5 * streams.normal_rows(
+            0, agents, np.zeros(self.agents, dtype=np.int64), self.dimension
+        )
         batched_s = time.perf_counter() - started
         return {
             "batched_s": batched_s,

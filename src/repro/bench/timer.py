@@ -3,9 +3,12 @@
 Every suite measures through the same :class:`Timer` so artifacts are
 comparable across suites and across runs: wall-clock via
 ``time.perf_counter`` (monotonic, highest available resolution) and memory
-via the process peak RSS (``resource.getrusage`` — stdlib, no external
-profiler).  The harness runs each suite ``repeats`` times and reports the
-*minimum* wall-clock alongside mean±std: the minimum is the least noisy
+via the peak RSS (``VmHWM`` from ``/proc/self/status``, else
+``resource.getrusage`` — stdlib, no external profiler).  On Linux the
+high-water mark is reset before each suite (:func:`reset_peak_rss`), so a
+suite's peak is its own, not that of the largest suite before it.  The
+harness runs each suite ``repeats`` times and reports the *minimum*
+wall-clock alongside mean±std: the minimum is the least noisy
 estimator of the true cost on a time-shared machine (every perturbation —
 scheduler preemption, cache eviction, GC — only ever adds time).
 """
@@ -21,18 +24,48 @@ try:  # pragma: no cover - resource is POSIX-only
 except ImportError:  # pragma: no cover - Windows fallback
     resource = None  # type: ignore[assignment]
 
-__all__ = ["Timer", "Measurement", "peak_rss_bytes"]
+__all__ = ["Timer", "Measurement", "peak_rss_bytes", "reset_peak_rss"]
+
+_CLEAR_REFS = "/proc/self/clear_refs"
+_STATUS = "/proc/self/status"
+
+
+def reset_peak_rss() -> bool:
+    """Reset this process's RSS high-water mark to its current RSS.
+
+    Writes ``5`` to ``/proc/self/clear_refs`` (Linux >= 4.0), which resets
+    ``VmHWM``.  Returns ``False`` where that is unavailable; the peak then
+    stays process-scoped (it includes everything allocated before).
+    """
+    try:
+        with open(_CLEAR_REFS, "w") as handle:
+            handle.write("5")
+    except OSError:
+        return False
+    return True
+
+
+def _vm_hwm_bytes() -> Optional[int]:
+    try:
+        with open(_STATUS) as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
 
 
 def peak_rss_bytes() -> Optional[int]:
     """Peak resident-set size of this process in bytes (``None`` if unknown).
 
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalise to
-    bytes.  The value is a high-water mark, so a suite's reading includes
-    everything the process allocated before it — artifacts therefore store
-    it per run, where it answers "how much memory does the whole suite
-    need", not per-suite deltas.
+    Reads ``VmHWM`` (which :func:`reset_peak_rss` resets) where ``/proc`` is
+    available, else ``ru_maxrss``, which is kilobytes on Linux and bytes on
+    macOS and never resets.
     """
+    hwm = _vm_hwm_bytes()
+    if hwm is not None:
+        return hwm
     if resource is None:
         return None
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -45,10 +78,15 @@ def peak_rss_bytes() -> Optional[int]:
 
 @dataclass
 class Measurement:
-    """Repeated wall-clock samples of one operation, plus the RSS high-water mark."""
+    """Repeated wall-clock samples of one operation, plus the RSS high-water mark.
+
+    ``rss_scope`` is ``"suite"`` when the high-water mark was reset before
+    the measured suite, else ``"process"``.
+    """
 
     wall_seconds: List[float] = field(default_factory=list)
     rss_peak_bytes: Optional[int] = None
+    rss_scope: str = "process"
 
     @property
     def repeats(self) -> int:

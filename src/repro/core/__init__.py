@@ -1,8 +1,9 @@
 """Core package: the PDSL algorithm and the shared decentralized-algorithm base.
 
 * :class:`DecentralizedAlgorithm` — shared infrastructure (per-agent parameter
-  vectors, batch samplers, DP mechanisms, the message-passing network, gossip
-  averaging, evaluation helpers) used by PDSL and every baseline;
+  vectors, counter-based batch and DP-noise streams, the message-passing
+  network, gossip averaging, evaluation helpers) used by PDSL and every
+  baseline;
 * :class:`PDSL` — Algorithm 1 of the paper;
 * :class:`PDSLConfig` and friends — experiment configuration dataclasses;
 * :func:`validation_characteristic` — the Shapley characteristic function of

@@ -2,8 +2,8 @@
 
 :class:`DecentralizedAlgorithm` owns everything PDSL and the baselines have in
 common: the fleet's parameters as one ``(num_agents, dimension)`` state
-matrix (every row initialised to the same point ``x^[0]``), per-agent
-mini-batch samplers and DP mechanisms, the message-passing
+matrix (every row initialised to the same point ``x^[0]``), the fleet's
+counter-based batch and DP-noise streams, the message-passing
 :class:`~repro.simulation.network.Network`, gossip averaging with the
 topology's mixing matrix, and the evaluation helpers used by the experiment
 runner (average training loss, test accuracy, consensus distance).
@@ -29,10 +29,17 @@ Two execution engines share that state (selected by
   O(nnz d) CSR, bit-identical either way), gradients are evaluated with
   stacked forward/backward passes where the model allows it
   (:meth:`fleet_gradients`), and clipping + Gaussian noise are applied
-  row-wise (:meth:`privatize_rows`, one batched draw per owner agent).
-  Per-agent random streams are consumed in the same order as the loop
-  backend, so the two engines produce the same trajectory for a fixed seed
-  (up to floating-point associativity).
+  row-wise (:meth:`privatize_rows`).
+
+Randomness comes from keyed counter-based streams
+(:class:`~repro.core.streams.FleetStreams`): an agent's ``k``-th batch or
+noise draw of round ``t`` is a pure function of ``(seed, t, k, agent)``, so
+both engines, any row blocking and any set of inactive agents see the same
+draws, and a fleet-wide draw is one vectorized call per row block.  The
+local datasets are stored once, concatenated
+(:class:`~repro.data.flat.FlatShards`), so batches are index rows into one
+array.  The two engines therefore produce the same trajectory for a fixed
+seed (up to floating-point associativity).
 
 Subclasses implement :meth:`_step_loop` (and usually
 :meth:`_step_vectorized`), each executing one communication round for all
@@ -49,13 +56,14 @@ from repro.compression.codecs import CompressedPayload, make_codec
 from repro.compression.config import CompressionConfig
 from repro.compression.state import CompressionState
 from repro.core.config import AlgorithmConfig
+from repro.core.streams import FleetStreams
 from repro.data.dataset import Dataset
-from repro.data.loaders import BatchSampler
+from repro.data.flat import Batch, FlatShards, FleetBatches
 from repro.nn.batched import StackedSequential, supports_stacked
 from repro.nn.layers import Dropout
 from repro.nn.model import Model
 from repro.privacy.accountant import PrivacyAccountant
-from repro.privacy.mechanisms import GaussianMechanism, clip_by_l2_norm, clip_rows_by_l2_norm
+from repro.privacy.mechanisms import clip_by_l2_norm, clip_rows_by_l2_norm
 from repro.sharding import FleetState, RoundScheduler, resolve_block_rows, row_blocks
 from repro.simulation.metrics import consensus_distance
 from repro.simulation.network import Network
@@ -69,8 +77,6 @@ from repro.topology.schedule import (
 )
 
 __all__ = ["AgentRows", "DecentralizedAlgorithm"]
-
-Batch = Tuple[np.ndarray, np.ndarray]
 
 
 class AgentRows:
@@ -112,45 +118,6 @@ class AgentRows:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AgentRows(shape={self._matrix.shape})"
-
-
-class LazySeededRngs:
-    """Per-agent generators materialised on first access.
-
-    Behaves like the eager ``List[np.random.Generator]`` it replaces
-    (indexing, iteration, ``len``) but only constructs a generator when an
-    agent's stream is actually drawn from.  Each generator is seeded
-    independently from its entry of the pre-split seed array, so laziness
-    cannot change any stream — construction consumes no randomness.
-    Iteration (e.g. ``state_dict`` capturing every stream position)
-    materialises all of them.
-    """
-
-    def __init__(self, seeds: np.ndarray) -> None:
-        self._seeds = np.asarray(seeds)
-        self._rngs: Dict[int, np.random.Generator] = {}
-
-    def __len__(self) -> int:
-        return int(self._seeds.shape[0])
-
-    def __getitem__(self, index: int) -> np.random.Generator:
-        index = int(index)
-        if index < 0:
-            index += len(self)
-        rng = self._rngs.get(index)
-        if rng is None:
-            rng = np.random.default_rng(int(self._seeds[index]))
-            self._rngs[index] = rng
-        return rng
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LazySeededRngs({len(self)} streams, "
-            f"{len(self._rngs)} materialised)"
-        )
 
 
 class DecentralizedAlgorithm:
@@ -305,9 +272,15 @@ class DecentralizedAlgorithm:
         self._all_active = True
         self.pending_events: List[TopologyEvent] = []
 
-        root_rng = np.random.default_rng(config.seed)
-        child_seeds = root_rng.integers(0, 2**63 - 1, size=3 * self.num_agents + 2)
-        self._rng = np.random.default_rng(int(child_seeds[-1]))
+        # Every training draw is addressed by (step, slot, agent) in the
+        # run's keyed streams; ``_draw_step`` is the step being executed and
+        # the two counters hold each agent's draws so far in it (the slot of
+        # its next draw), reset at the start of every round.
+        self.streams = FleetStreams(config.seed)
+        self.flat_shards = FlatShards.from_datasets(self.shards)
+        self._draw_step = 0
+        self._batch_draws = np.zeros(self.num_agents, dtype=np.int64)
+        self._noise_draws = np.zeros(self.num_agents, dtype=np.int64)
         self.network = Network(self.num_agents)
         self.accountant = PrivacyAccountant()
 
@@ -341,28 +314,6 @@ class DecentralizedAlgorithm:
         layers = getattr(model, "layers", None)
         self._model_is_stochastic = layers is None or any(
             isinstance(layer, Dropout) and layer.rate > 0.0 for layer in layers
-        )
-        self.samplers: List[BatchSampler] = [
-            BatchSampler(
-                shards[i], config.batch_size, np.random.default_rng(int(child_seeds[i]))
-            )
-            for i in range(self.num_agents)
-        ]
-        self.mechanisms: List[GaussianMechanism] = [
-            GaussianMechanism(
-                sigma=self.sigma,
-                clip_threshold=config.clip_threshold,
-                rng=np.random.default_rng(int(child_seeds[self.num_agents + i])),
-            )
-            for i in range(self.num_agents)
-        ]
-        # A dedicated per-agent generator for algorithm-level randomness
-        # (e.g. Shapley permutations) so it does not perturb the DP noise
-        # stream.  Materialised lazily: a Generator costs ~1 kB, and the
-        # algorithms that never draw agent-level randomness (DP-DPSGD,
-        # D-MSGD, ...) should not pay a gigabyte for a million of them.
-        self.agent_rngs = LazySeededRngs(
-            child_seeds[2 * self.num_agents : 3 * self.num_agents]
         )
         self.rounds_completed = 0
 
@@ -473,6 +424,9 @@ class DecentralizedAlgorithm:
 
     def step(self, round_index: int) -> None:
         """Execute one synchronous communication round for every agent."""
+        self._draw_step = int(round_index)
+        self._batch_draws[:] = 0
+        self._noise_draws[:] = 0
         self._begin_round(round_index)
         if self._use_vectorized():
             self._step_vectorized(round_index)
@@ -536,12 +490,11 @@ class DecentralizedAlgorithm:
     # the stacked passes, applies clip+noise, updates momentum/state and
     # stages its gossip payload — never materialising more than a handful of
     # block-sized transients plus the reusable fleet-shaped scratch buffers.
-    # Every per-agent random stream (sampler, mechanism, codec) is an
-    # independent generator consumed exactly once per round per agent, and
-    # all whole-fleet kernels used here are row-wise (or row-blocked with
-    # unchanged accumulation order), so the streamed round is bit-identical
-    # to the historical one-shot round — including under a parallel
-    # ``RoundScheduler``, because blocks own disjoint rows and streams.
+    # Every batch and noise draw is addressed by (round, slot, agent), each
+    # codec stream is per-agent, and all whole-fleet kernels used here are
+    # row-wise (or row-blocked with unchanged accumulation order), so the
+    # streamed round is bit-identical to the one-shot round — including
+    # under a parallel ``RoundScheduler``, because blocks own disjoint rows.
 
     @property
     def _streamed(self) -> bool:
@@ -606,39 +559,38 @@ class DecentralizedAlgorithm:
         start: int,
         stop: int,
         param_rows: Optional[np.ndarray] = None,
-        batches_out: Optional[List[Optional[Batch]]] = None,
+        batches_out: Optional[FleetBatches] = None,
     ) -> np.ndarray:
         """Draw, evaluate and privatize one row block's local gradients.
 
         The blocked twin of ``privatize_rows(fleet_gradients(state,
         draw_batches()))``: agents ``start..stop`` draw their round batch
-        from their own samplers (inactive agents draw nothing and contribute
-        zero rows), gradients are evaluated at ``param_rows`` (default: the
-        corresponding state rows) with the stacked passes, and clip+noise
-        uses each row's own mechanism stream — all bit-identical to the
-        whole-fleet calls because every kernel involved is per-row and every
-        stream is per-agent.
+        (inactive agents draw nothing and contribute zero rows), gradients
+        are evaluated at ``param_rows`` (default: the corresponding state
+        rows) with the stacked passes, and clip+noise draws each row's noise
+        at its own agent's address — all bit-identical to the whole-fleet
+        calls because every kernel involved is per-row and every draw is
+        addressed by agent.  ``batches_out`` (a fleet-length
+        :class:`~repro.data.flat.FleetBatches`) receives the block's batches.
         """
-        batches: List[Optional[Batch]] = [
-            self.samplers[i].next_batch() if self.active_mask[i] else None
-            for i in range(start, stop)
-        ]
+        batches = self._draw_rows(start, stop)
         if batches_out is not None:
-            batches_out[start:stop] = batches
+            batches_out.index[start:stop] = batches.index
+            batches_out.sizes[start:stop] = batches.sizes
         rows = self.state[start:stop] if param_rows is None else param_rows
         gradients = self.fleet_gradients(rows, batches)
-        return self.privatize_rows(gradients, agents=range(start, stop))
+        return self.privatize_rows(gradients, agents=np.arange(start, stop))
 
-    def _streamed_local_perturbed(
-        self,
-    ) -> Tuple[List[Optional[Batch]], np.ndarray]:
+    def _streamed_local_perturbed(self) -> Tuple[FleetBatches, np.ndarray]:
         """Blocked phase 1: every agent's perturbed local gradient.
 
         Returns the drawn batches (kept for algorithms that re-evaluate at
         neighbour models, e.g. cross-gradients) and a fleet-shaped float64
         scratch holding each agent's clipped-and-noised local gradient.
         """
-        batches: List[Optional[Batch]] = [None] * self.num_agents
+        batches = FleetBatches.empty(
+            self.flat_shards, self.num_agents, self.config.batch_size
+        )
         out = self._round_scratch("own_perturbed", np.float64)
 
         def run(start: int, stop: int) -> None:
@@ -770,48 +722,46 @@ class DecentralizedAlgorithm:
         return grad
 
     def fleet_gradients(
-        self, param_rows: np.ndarray, batches: Sequence[Batch]
+        self, param_rows: np.ndarray, batches: FleetBatches
     ) -> np.ndarray:
         """Row ``k``'s gradient at ``param_rows[k]`` evaluated on ``batches[k]``.
 
         Uses stacked forward/backward passes when the model supports them
-        (linear classifiers and MLPs); rows are grouped by batch shape so
+        (linear classifiers and MLPs); rows are grouped by batch length so
         ragged batches (agents whose shard is smaller than the configured
         batch size) only exclude themselves from a stack, not the whole
         fleet.  Models without stacked support (CNNs) fall back to one
         :meth:`Model.loss_and_gradient` call per row.  ``param_rows`` may
         contain arbitrary rows (e.g. the neighbour models of every directed
-        edge for cross-gradients), not just the fleet state.  A ``None``
-        batch (an inactive agent, see :meth:`draw_batches`) contributes a
-        zero row and no forward/backward pass.
+        edge for cross-gradients), not just the fleet state; ``batches``
+        holds one row per parameter row (see :meth:`draw_batches` and
+        :meth:`~repro.data.flat.FleetBatches.take`).  A row that drew
+        nothing (an inactive agent) contributes a zero row and no
+        forward/backward pass.
         """
         param_rows = np.asarray(param_rows, dtype=self._grad_dtype)
-        present = [k for k, batch in enumerate(batches) if batch is not None]
         grads = np.zeros((len(batches), self.dimension), dtype=self._grad_dtype)
         if self._stacked is None:
-            for k in present:
-                inputs, labels = batches[k]
-                grads[k] = self.model.loss_and_gradient(
-                    inputs, labels, params=param_rows[k]
-                )[1]
+            for k, batch in enumerate(batches):
+                if batch is not None:
+                    grads[k] = self.model.loss_and_gradient(
+                        batch[0], batch[1], params=param_rows[k]
+                    )[1]
             return grads
-        for rows, inputs, labels in self._stack_groups(
-            [batches[k] for k in present]
-        ):
-            owners = [present[r] for r in rows]
-            if owners == list(range(grads.shape[0])):
-                # One dense group covering every row in order (the common
-                # case inside a streamed block): write gradients straight
-                # into the output buffer, skipping the fancy-index gather of
-                # param_rows and the scatter copy of the results.
+        for rows, inputs, labels in batches.groups():
+            if len(rows) == grads.shape[0]:
+                # One group covering every row (rows ascend, so in order —
+                # the common case inside a streamed block): write gradients
+                # straight into the output buffer, skipping the fancy-index
+                # gather of param_rows and the scatter copy of the results.
                 self._stacked.loss_and_gradients(
                     param_rows, inputs, labels, out=grads
                 )
             else:
                 _, group_grads = self._stacked.loss_and_gradients(
-                    param_rows[owners], inputs, labels
+                    param_rows[rows], inputs, labels
                 )
-                grads[owners] = group_grads
+                grads[rows] = group_grads
         return grads
 
     @staticmethod
@@ -834,14 +784,87 @@ class DecentralizedAlgorithm:
                 np.stack([batches[k][1] for k in rows], axis=0),
             )
 
-    def privatize(self, agent: int, gradient: np.ndarray) -> np.ndarray:
-        """Clip to ``C`` and add ``N(0, sigma^2 I)`` noise (Algorithm 1 lines 3–4, 9–10)."""
-        return self.mechanisms[agent].privatize(gradient)
+    def _claim_slots(self, counts: np.ndarray, agents: np.ndarray) -> np.ndarray:
+        """Slot of each row's draw: its agent's draws so far this step, in row order.
+
+        ``counts`` (one of the per-step draw counters) is advanced by each
+        agent's number of rows, so an agent's ``k``-th draw of a step gets
+        slot ``k`` however its draws are split across calls.
+        """
+        if agents.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        order = np.argsort(agents, kind="stable")
+        ordered = agents[order]
+        first = np.ones(agents.size, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        positions = np.arange(agents.size)
+        rank = np.empty(agents.size, dtype=np.int64)
+        rank[order] = positions - np.maximum.accumulate(np.where(first, positions, 0))
+        slots = counts[agents] + rank
+        if first.all():
+            counts[agents] += 1
+        else:
+            np.add.at(counts, agents, 1)
+        return slots
+
+    def _draw_rows(
+        self, start: int, stop: int, step: Optional[int] = None
+    ) -> FleetBatches:
+        """Batches of agents ``start..stop`` (inactive agents draw nothing).
+
+        ``step`` overrides the round address and draws at slot 0 (the async
+        engine keys an agent's local steps by its own step count); otherwise
+        every active agent draws its next slot of the current round.
+        """
+        agents = np.arange(start, stop)
+        if not self._all_active:
+            agents = agents[self.active_mask[start:stop]]
+        if step is None:
+            step = self._draw_step
+            slots = self._claim_slots(self._batch_draws, agents)
+        else:
+            slots = np.zeros(agents.size, dtype=np.int64)
+        batch_size = self.config.batch_size
+        words = self.streams.row_words("batch", step, agents, slots, batch_size)
+        batches = FleetBatches.empty(self.flat_shards, stop - start, batch_size)
+        index, sizes = self.flat_shards.sample(words, agents, batch_size)
+        batches.index[agents - start] = index
+        batches.sizes[agents - start] = sizes
+        return batches
+
+    def draw_batch(self, agent: int, step: Optional[int] = None) -> Optional[Batch]:
+        """One mini-batch of ``agent``, ``None`` if it is inactive (see :meth:`_draw_rows`)."""
+        return self._draw_rows(agent, agent + 1, step)[0]
+
+    def _noise_rows(
+        self, agents: np.ndarray, step: Optional[int] = None
+    ) -> np.ndarray:
+        """``N(0, sigma^2 I)`` rows, one per entry of ``agents`` (see :meth:`_draw_rows`)."""
+        if step is None:
+            step = self._draw_step
+            slots = self._claim_slots(self._noise_draws, agents)
+        else:
+            slots = np.zeros(agents.size, dtype=np.int64)
+        return self.sigma * self.streams.normal_rows(step, agents, slots, self.dimension)
+
+    def privatize(
+        self, agent: int, gradient: np.ndarray, step: Optional[int] = None
+    ) -> np.ndarray:
+        """Clip to ``C`` and add ``N(0, sigma^2 I)`` noise (Algorithm 1 lines 3–4, 9–10).
+
+        The noise is the agent's next draw of the round (or of its local
+        step ``step`` in async mode), identical to the row
+        :meth:`privatize_rows` gives the same draw.
+        """
+        clipped = clip_by_l2_norm(gradient, self.config.clip_threshold)
+        if self.sigma == 0.0:
+            return clipped
+        return clipped + self._noise_rows(np.array([agent]), step)[0]
 
     def privatize_rows(
         self, rows: np.ndarray, agents: Optional[Sequence[int]] = None
     ) -> np.ndarray:
-        """Row-wise clip + Gaussian noise, drawing from each owner agent's stream.
+        """Row-wise clip + Gaussian noise, each row noised at its owner's address.
 
         Parameters
         ----------
@@ -849,9 +872,10 @@ class DecentralizedAlgorithm:
             ``(M, dimension)`` stack of gradients to privatize.
         agents:
             The agent that owns (and therefore noises) each row; defaults to
-            ``0..num_agents-1`` (one row per agent).  Rows owned by the same
+            ``0..num_agents-1`` (one row per agent).  An agent's rows take
+            its next noise slots in row order, so rows owned by the same
             agent must appear in the order the loop backend would privatize
-            them, so both backends consume identical noise streams.
+            them for both backends to draw identical noise.
         """
         rows = np.asarray(rows)
         if self._block_rows is None:
@@ -866,42 +890,36 @@ class DecentralizedAlgorithm:
                 clipped[start:stop] = clip_rows_by_l2_norm(
                     rows[start:stop], self.config.clip_threshold
                 )
-        owners = range(self.num_agents) if agents is None else agents
+        owners = (
+            np.arange(self.num_agents)
+            if agents is None
+            else np.asarray(agents, dtype=np.int64).reshape(-1)
+        )
         if len(owners) != clipped.shape[0]:
             raise ValueError(
                 f"got {clipped.shape[0]} gradient rows for {len(owners)} owner agents"
             )
         if self.sigma > 0.0:
-            # One batched draw per owner instead of one mechanism call per
-            # row: rows are grouped by owner preserving their order, and
-            # Generator.normal fills arrays sequentially, so each agent's
-            # stream is consumed exactly as the per-row loop would — while
-            # skipping the Python-level call churn that dominates at
-            # N >= 1024 (each agent owns one local-gradient row plus one
-            # row per neighbour in the cross-gradient stacks).
-            rows_by_owner: Dict[int, List[int]] = {}
-            for row, agent in enumerate(owners):
-                rows_by_owner.setdefault(int(agent), []).append(row)
-            for agent, owned_rows in rows_by_owner.items():
-                if not self.active_mask[agent]:
-                    # Inactive owners contribute zero rows and draw no
-                    # noise, mirroring the loop engine which never reaches
-                    # their privatize call.
-                    continue
-                index = np.asarray(owned_rows, dtype=np.intp)
-                clipped[index] = self.mechanisms[agent].add_noise_rows(clipped[index])
+            # Inactive owners contribute zero rows and draw no noise,
+            # mirroring the loop engine which never reaches their privatize
+            # call.
+            if self._all_active:
+                clipped += self._noise_rows(owners)
+            else:
+                live = np.flatnonzero(self.active_mask[owners])
+                clipped[live] += self._noise_rows(owners[live])
         return clipped
 
     def fleet_cross_gradients(
-        self, batches: Sequence[Batch]
+        self, batches: FleetBatches
     ) -> Tuple[np.ndarray, Dict[Tuple[int, int], int]]:
         """Perturbed cross-gradients for every directed pair, plus a row index.
 
         Row ``pair_rows[(i, j)]`` holds the clipped-and-noised gradient of
         agent ``j``'s model evaluated on agent ``i``'s batch (the
         cross-gradient ``g_{i,j}`` of eq. 12).  Pairs are grouped by
-        evaluator with owners ascending, so each evaluator's noise draws
-        follow its own-gradient draw in exactly the loop backend's order —
+        evaluator with owners ascending, so each evaluator's noise slots
+        follow its own-gradient slot in exactly the loop backend's order —
         callers must privatize local gradients (one row per agent, agent
         order) *before* calling this.
         """
@@ -911,9 +929,9 @@ class DecentralizedAlgorithm:
         if self._streamed and pairs:
             # Streamed twin: evaluate the pair rows in evaluator-aligned
             # chunks of ~block_rows rows.  Each evaluator's rows stay inside
-            # one chunk in their one-shot order, so its mechanism stream is
-            # consumed by the same batched draws — bit-identical to the
-            # one-shot call, under any chunking and any block schedule.
+            # one chunk in their one-shot order, so it claims the same noise
+            # slots as in the one-shot call — bit-identical under any
+            # chunking and any block schedule.
             cross_perturbed = np.empty(
                 (len(pairs), self.dimension), dtype=self._grad_dtype
             )
@@ -922,8 +940,7 @@ class DecentralizedAlgorithm:
                 chunk_owners = owners[start:stop]
                 chunk_evaluators = evaluators[start:stop]
                 gradients = self.fleet_gradients(
-                    self.state[chunk_owners],
-                    [batches[i] for i in chunk_evaluators],
+                    self.state[chunk_owners], batches.take(chunk_evaluators)
                 )
                 cross_perturbed[start:stop] = self.privatize_rows(
                     gradients, agents=chunk_evaluators
@@ -935,9 +952,7 @@ class DecentralizedAlgorithm:
                 serial=self._stacked is None,
             )
         else:
-            cross = self.fleet_gradients(
-                self.state[owners], [batches[i] for i in evaluators]
-            )
+            cross = self.fleet_gradients(self.state[owners], batches.take(evaluators))
             cross_perturbed = self.privatize_rows(cross, agents=evaluators)
         pair_rows = {pair: row for row, pair in enumerate(pairs)}
         return cross_perturbed, pair_rows
@@ -947,8 +962,8 @@ class DecentralizedAlgorithm:
 
         Chunks hold at least ``_stream_rows`` rows (except the last) and
         never split one evaluator's rows across chunks, which is what makes
-        the chunked cross-gradient noise draws identical to the one-shot
-        batched draw per evaluator.
+        the chunked cross-gradient noise slots identical to the one-shot
+        call's, even when chunks run in parallel.
         """
         chunks: List[Tuple[int, int]] = []
         start = 0
@@ -1139,18 +1154,27 @@ class DecentralizedAlgorithm:
             for sender, payload in received.items()
         }
 
-    def draw_batches(self) -> List[Optional[Batch]]:
+    def draw_batches(self) -> FleetBatches:
         """One fresh mini-batch per *active* agent for the current round.
 
-        Inactive agents (churned out or straggling) get ``None`` and their
-        sampler streams are not consumed — identically under both engines,
-        so loop/vectorized trajectory equivalence extends to dynamic
-        schedules.
+        A single vectorized draw over the whole fleet.  Inactive agents
+        (churned out or straggling) read back as ``None`` and claim no
+        slot — identically under both engines, so loop/vectorized
+        trajectory equivalence extends to dynamic schedules.
         """
-        return [
-            self.samplers[i].next_batch() if self.active_mask[i] else None
-            for i in range(self.num_agents)
-        ]
+        return self._draw_rows(0, self.num_agents)
+
+    def agent_rng(self, agent: int, step: Optional[int] = None) -> np.random.Generator:
+        """A generator for ``agent``'s algorithm-level randomness in one round.
+
+        Built on demand at the ``("agent", step, agent)`` address (``step``
+        defaults to the current round), e.g. for PDSL's Shapley permutations
+        and validation batches, so it is independent of the batch and noise
+        draws and needs no checkpoint state.  Each call restarts the same
+        stream: build it once per round.
+        """
+        step = self._draw_step if step is None else step
+        return self.streams.generator("agent", step, agent)
 
     # ------------------------------------------------------------------
     # State accessors and evaluation
@@ -1233,19 +1257,21 @@ class DecentralizedAlgorithm:
     #: Bump when the state-dict layout changes so old checkpoints fail with a
     #: clear error instead of silently restoring garbage.
     #: Format 2 added the gossip-compression state (error-feedback residuals
-    #: and sparsifier streams) and the network's byte counters.
-    STATE_FORMAT = 2
+    #: and sparsifier streams) and the network's byte counters.  Format 3
+    #: replaced the per-agent generator states with the counter-based
+    #: streams, whose position is ``(stream_seed, rounds_completed)``.
+    STATE_FORMAT = 3
 
     def state_dict(self, copy: bool = True) -> Dict[str, object]:
         """Everything needed to resume this run **bit-identically**.
 
-        Captures the fleet matrices (parameters, momentum), the position of
-        every per-agent random stream (batch samplers, DP noise mechanisms,
-        algorithm-level generators), the privacy accountant's events, the
-        network's round counter and traffic totals, and the round count —
-        which *is* the :class:`~repro.topology.schedule.TopologySchedule`
-        position, because schedules are pure functions of ``(seed, round)``
-        and recompute any round's graph exactly.  Subclasses contribute
+        Captures the fleet matrices (parameters, momentum), the privacy
+        accountant's events, the network's round counter and traffic
+        totals, the stream seed and the round count.  The round count is
+        the position of every training stream (batch, noise and agent
+        draws are addressed by round, see :mod:`repro.core.streams`) and of
+        the :class:`~repro.topology.schedule.TopologySchedule`, because
+        schedules are pure functions of ``(seed, round)`` too.  Subclasses contribute
         their own matrices through :meth:`_extra_state`.
 
         Call only at a round boundary (between :meth:`run_round` calls):
@@ -1265,14 +1291,7 @@ class DecentralizedAlgorithm:
             "rounds_completed": self.rounds_completed,
             "state": self.state.copy() if copy else self.state,
             "momentum_state": self.momentum_state.copy() if copy else self.momentum_state,
-            "rng_state": self._rng.bit_generator.state,
-            "sampler_states": [sampler.state_dict() for sampler in self.samplers],
-            "mechanism_rng_states": [
-                mechanism.rng.bit_generator.state for mechanism in self.mechanisms
-            ],
-            "agent_rng_states": [
-                generator.bit_generator.state for generator in self.agent_rngs
-            ],
+            "stream_seed": self.streams.seed,
             "accountant_events": self.accountant.state_dict(),
             "network": self.network.state_dict(),
             "pending_events": [
@@ -1294,7 +1313,7 @@ class DecentralizedAlgorithm:
         produced the payload (same model, topology/schedule, shards and
         config — in the experiment layer, the same spec): this method
         restores *state*, not *structure*, and validates the identity checks
-        it can (algorithm name, fleet shape, stream counts).  After the call
+        it can (algorithm name, fleet shape, stream seed).  After the call
         the next :meth:`run_round` continues the interrupted trajectory bit
         for bit.
         """
@@ -1303,6 +1322,13 @@ class DecentralizedAlgorithm:
             raise ValueError(
                 f"checkpoint state format {fmt!r} does not match this code's "
                 f"format {self.STATE_FORMAT}"
+                + (
+                    " (format 2 checkpoints hold per-agent generator states, "
+                    "which the counter-based streams of format 3 replace; "
+                    "restart the run from round 0)"
+                    if fmt == 2
+                    else ""
+                )
             )
         if payload["algorithm"] != self.name:
             raise ValueError(
@@ -1318,15 +1344,11 @@ class DecentralizedAlgorithm:
                 f"{payload['dimension']}) does not match this algorithm's "
                 f"({self.num_agents}, {self.dimension})"
             )
-        for key, expected in (
-            ("sampler_states", len(self.samplers)),
-            ("mechanism_rng_states", len(self.mechanisms)),
-            ("agent_rng_states", len(self.agent_rngs)),
-        ):
-            if len(payload[key]) != expected:
-                raise ValueError(
-                    f"checkpoint has {len(payload[key])} {key}, expected {expected}"
-                )
+        if payload["stream_seed"] != self.streams.seed:
+            raise ValueError(
+                f"checkpoint was written with stream seed "
+                f"{payload['stream_seed']}, this algorithm uses {self.streams.seed}"
+            )
         if self._pinned:
             # Pinned storage: stream the payload matrices straight into the
             # memmap backings (the setters cast block by block) instead of
@@ -1338,15 +1360,6 @@ class DecentralizedAlgorithm:
         else:
             self.state = self._as_state_matrix(payload["state"])
             self.momentum_state = self._as_state_matrix(payload["momentum_state"])
-        self._rng.bit_generator.state = payload["rng_state"]
-        for sampler, sampler_state in zip(self.samplers, payload["sampler_states"]):
-            sampler.load_state_dict(sampler_state)
-        for mechanism, rng_state in zip(
-            self.mechanisms, payload["mechanism_rng_states"]
-        ):
-            mechanism.rng.bit_generator.state = rng_state
-        for generator, rng_state in zip(self.agent_rngs, payload["agent_rng_states"]):
-            generator.bit_generator.state = rng_state
         self.accountant.load_state_dict(payload["accountant_events"])
         self.network.load_state_dict(payload["network"])
         self.pending_events = [
@@ -1369,6 +1382,9 @@ class DecentralizedAlgorithm:
                 )
             self._compression_state.load_state_dict(compression)
         self.rounds_completed = int(payload["rounds_completed"])
+        self._draw_step = self.rounds_completed
+        self._batch_draws[:] = 0
+        self._noise_draws[:] = 0
         # Per-round participation state is refreshed by _begin_round before
         # the next round touches it; reset to the static default meanwhile.
         self.active_mask = np.ones(self.num_agents, dtype=bool)
@@ -1379,7 +1395,7 @@ class DecentralizedAlgorithm:
     def _extra_state(self, copy: bool = True) -> Dict[str, object]:
         """Subclass hook: algorithm-specific resumable state.
 
-        The base class covers parameters, momentum and every stream; an
+        The base class covers parameters, momentum and the stream position; an
         algorithm with additional per-agent matrices (e.g. DP-NET-FLEET's
         gradient-tracking variables) returns them here — as copies by
         default, as views with ``copy=False`` (out-of-core checkpointing,

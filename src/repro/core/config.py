@@ -54,7 +54,7 @@ class AlgorithmConfig:
         gossip step as a single ``W @ X`` multiply with batched gradient and
         clip+noise paths; ``"loop"`` steps agents one at a time through the
         message-passing :class:`~repro.simulation.network.Network`.  Both
-        backends consume identical per-agent random streams, so a fixed seed
+        backends draw identical per-agent batches and noise, so a fixed seed
         yields the same trajectory (up to floating-point associativity)
         under either engine.  Algorithms automatically fall back to the loop
         backend when the network injects message drops (which only exist as

@@ -25,9 +25,9 @@ Both execution backends run the same four phases.  The vectorized engine
 computes all local gradients and all per-edge cross-gradients with stacked
 forward/backward passes and performs phase 4 as two ``W @ X`` multiplies;
 phase 3's Shapley games remain per-agent (they are inherently sequential
-coalition evaluations) but consume exactly the same per-agent random streams
-as the loop backend, so both backends follow the same trajectory for a fixed
-seed.
+coalition evaluations) but draw from the same per-``(agent, round)``
+generators as the loop backend, so both backends follow the same trajectory
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class PDSL(DecentralizedAlgorithm):
 
     def _extra_state(self, copy: bool = True) -> Dict[str, object]:
         # The Shapley diagnostics do not influence the trajectory (the
-        # permutation streams live in agent_rngs, captured by the base
-        # class), but a resumed run should report the same "most recent
+        # permutation streams are addressed by (agent, round), see
+        # agent_rng), but a resumed run should report the same "most recent
         # weights" an uninterrupted one would.  The per-agent dicts are
         # small, so ``copy`` has no out-of-core significance here.
         return {
@@ -107,20 +107,19 @@ class PDSL(DecentralizedAlgorithm):
         self, agent: int, candidate_updates: Dict[int, np.ndarray]
     ) -> Dict[int, float]:
         """Shapley value of every neighbour's candidate update (Algorithm 2 or eq. 18)."""
+        rng = self.agent_rng(agent)
         characteristic = make_update_characteristic(
             model=self.model,
             candidate_updates=candidate_updates,
             validation=self.validation,
             metric=self.config.characteristic_metric,
             validation_batch_size=self.config.validation_batch_size,
-            rng=self.agent_rngs[agent],
+            rng=rng,
         )
         game = CooperativeGame(list(candidate_updates.keys()), characteristic)
         if self.config.shapley_permutations == 0:
             return exact_shapley(game)
-        return monte_carlo_shapley(
-            game, self.config.shapley_permutations, self.agent_rngs[agent]
-        )
+        return monte_carlo_shapley(game, self.config.shapley_permutations, rng)
 
     def _aggregate_returned(
         self, agent: int, returned: Dict[int, np.ndarray]
@@ -239,10 +238,11 @@ class PDSL(DecentralizedAlgorithm):
         gamma = self.config.learning_rate
         alpha = self.config.momentum
 
-        # Phase 1 — all local gradients, privatized in agent order (first
-        # noise draw per agent, as in the loop backend).  The streamed
+        # Phase 1 — all local gradients, privatized in agent order (noise
+        # slot 0 per agent, as in the loop backend).  The streamed
         # pipeline evaluates them block by block into a reusable scratch
-        # (bit-identical: every stream is per-agent, every kernel row-wise);
+        # (bit-identical: every draw is addressed by agent, every kernel
+        # row-wise);
         # the one-shot path uses a single stacked pass.
         if self._streamed:
             batches, own_perturbed = self._streamed_local_perturbed()

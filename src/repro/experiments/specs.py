@@ -25,8 +25,8 @@ import json
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.compression.config import validate_compression
-from repro.simulation.events.traces import validate_time_model
+from repro.compression.config import CompressionConfig, validate_compression
+from repro.simulation.events import check_async_mode, validate_time_model
 from repro.topology.schedule import validate_dynamics
 
 __all__ = [
@@ -107,7 +107,7 @@ class ExperimentSpec:
     (bit-identical to one-shot; ``None`` keeps the one-shot path).
     ``block_workers`` executes independent row blocks of a streamed round on
     a thread pool (1 = serial, the bit-identical default; parallel execution
-    is numerically identical — disjoint rows, pre-split RNG streams), and
+    is numerically identical — disjoint rows, addressed RNG streams), and
     ``storage`` selects where the fleet matrices live (``"ram"`` or
     ``"memmap"`` for disk-backed out-of-core state).
 
@@ -187,6 +187,14 @@ class ExperimentSpec:
                     "cluster_size applies only with topology='hierarchical'"
                 )
         validate_time_model(self.time_model, num_agents=self.num_agents)
+        if self.time_model and self.time_model.get("async", False):
+            compression = CompressionConfig(**dict(self.compression or {}))
+            check_async_mode(
+                static_schedule=not self.dynamics
+                and compression.peer_selection != "shift_one",
+                identity_codec=compression.is_identity,
+                communication_interval=compression.communication_interval,
+            )
 
     def with_updates(self, **kwargs) -> "ExperimentSpec":
         from dataclasses import replace

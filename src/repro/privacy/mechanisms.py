@@ -1,14 +1,14 @@
 """Gradient clipping and the Gaussian mechanism (Definitions 1–2, eqs. 10–14).
 
-Two granularities are provided: the per-vector helpers used by the loop
-backend (:func:`clip_by_l2_norm`, :meth:`GaussianMechanism.privatize`) and
-the row-stack helpers used by the vectorized engine
-(:func:`clip_rows_by_l2_norm`, :meth:`GaussianMechanism.add_noise_rows`).
-Noise stays per-*mechanism* even on the vectorized path — each row of a
-fleet stack belongs to a different agent's mechanism and must consume that
-agent's random stream — but all of one agent's rows are drawn in a single
-batched ``normal`` call, which fills the array sequentially and therefore
-consumes the stream exactly like the equivalent per-row draws.
+Two granularities are provided: per-vector helpers
+(:func:`clip_by_l2_norm`, :meth:`GaussianMechanism.privatize`) and
+row-stack helpers (:func:`clip_rows_by_l2_norm`,
+:meth:`GaussianMechanism.add_noise_rows`, one batched ``normal`` call for a
+whole stack).  The training engines clip with these functions but draw
+their noise from the fleet's counter-based streams
+(:meth:`repro.core.base.DecentralizedAlgorithm.privatize_rows`); a
+:class:`GaussianMechanism` with its own generator serves single-query uses
+such as the privacy attacks and the privacy frontier.
 """
 
 from __future__ import annotations

@@ -20,7 +20,11 @@ experiment harness; ``RunSession`` records simulated wall-clock and fleet
 utilization into :class:`~repro.simulation.metrics.TrainingHistory`.
 """
 
-from repro.simulation.events.engine import AsyncEngine, engine_from_time_model
+from repro.simulation.events.engine import (
+    AsyncEngine,
+    check_async_mode,
+    engine_from_time_model,
+)
 from repro.simulation.events.queue import (
     PRIORITY_ARRIVAL,
     PRIORITY_BARRIER,
@@ -42,6 +46,7 @@ from repro.simulation.events.traces import (
 
 __all__ = [
     "AsyncEngine",
+    "check_async_mode",
     "engine_from_time_model",
     "PRIORITY_ARRIVAL",
     "PRIORITY_BARRIER",

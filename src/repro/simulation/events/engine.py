@@ -26,10 +26,10 @@ latency counters per arrival.
 
 **Async mode** (``async_mode=True``) replaces the global round with genuine
 event-driven execution: each agent trains on its own clock (momentum-SGD
-local steps drawn from its own sampler and DP-noise streams), broadcasts
-its model when a step completes, and *mixes on message arrival* with
-staleness-weighted gossip — ``x_j += W_ji * exp(-staleness_decay * s) *
-(payload - x_j)`` where ``s`` is the payload's simulated age.  Stragglers
+local steps whose batch and DP noise are addressed by the agent's own step
+count), broadcasts its model when a step completes, and *mixes on message
+arrival* with staleness-weighted gossip — ``x_j += W_ji *
+exp(-staleness_decay * s) * (payload - x_j)`` where ``s`` is the payload's simulated age.  Stragglers
 and slow links are emergent behaviour of the traces rather than per-round
 masks; a "round" (for history/eval purposes) completes when every agent has
 finished one more local step, so fast agents legitimately run ahead.  Each
@@ -64,7 +64,33 @@ from repro.simulation.events.traces import (
     validate_time_model,
 )
 
-__all__ = ["AsyncEngine", "engine_from_time_model"]
+__all__ = ["AsyncEngine", "check_async_mode", "engine_from_time_model"]
+
+
+def check_async_mode(
+    *, static_schedule: bool, identity_codec: bool, communication_interval: int
+) -> None:
+    """Raise ``ValueError`` for a configuration async mode cannot run.
+
+    Shared by :class:`AsyncEngine` and ``ExperimentSpec`` validation, so a
+    spec fails at parse time with the message the engine would give.
+    """
+    if not static_schedule:
+        raise ValueError(
+            "async mode replaces per-round masks with trace-driven "
+            "timing and requires a static topology schedule — "
+            "stragglers and partitions are emergent from the traces"
+        )
+    if not identity_codec:
+        raise ValueError(
+            "async mode sends raw model payloads and requires the "
+            "identity codec"
+        )
+    if communication_interval != 1:
+        raise ValueError(
+            "communication_interval is a synchronous-round concept; "
+            "async mode requires communication_interval=1"
+        )
 
 
 class AsyncEngine:
@@ -110,22 +136,11 @@ class AsyncEngine:
         if self.staleness_decay < 0:
             raise ValueError("staleness_decay must be non-negative")
         if self.async_mode:
-            if not algorithm.schedule.is_static:
-                raise ValueError(
-                    "async mode replaces per-round masks with trace-driven "
-                    "timing and requires a static topology schedule — "
-                    "stragglers and partitions are emergent from the traces"
-                )
-            if not algorithm.codec.is_identity:
-                raise ValueError(
-                    "async mode sends raw model payloads and requires the "
-                    "identity codec"
-                )
-            if algorithm.compression_config.communication_interval != 1:
-                raise ValueError(
-                    "communication_interval is a synchronous-round concept; "
-                    "async mode requires communication_interval=1"
-                )
+            check_async_mode(
+                static_schedule=algorithm.schedule.is_static,
+                identity_codec=algorithm.codec.is_identity,
+                communication_interval=algorithm.compression_config.communication_interval,
+            )
         self.queue = EventQueue()
         self._sim_time = 0.0
         self._steps_done = np.zeros(algorithm.num_agents, dtype=np.int64)
@@ -278,7 +293,7 @@ class AsyncEngine:
         Fast agents keep training and broadcasting while slow ones catch up
         — the straggler effect is emergent, not masked.  Numerics happen at
         event granularity: a local momentum-SGD step per compute event
-        (consuming that agent's own sampler/noise streams), a
+        (drawing batch and noise at the agent's own step count), a
         staleness-weighted mix per arrival event.
         """
         algorithm = self._algorithm
@@ -323,9 +338,12 @@ class AsyncEngine:
         algorithm = self._algorithm
         config = algorithm.config
         trace = self.traces[agent]
-        batch = algorithm.samplers[agent].next_batch()
+        # The agent's draws are addressed by its own step count, so they do
+        # not depend on how the other agents' steps interleave with it.
+        step = int(self._steps_done[agent])
+        batch = algorithm.draw_batch(agent, step=step)
         gradient = algorithm.local_gradient(agent, algorithm.params[agent], batch)
-        perturbed = algorithm.privatize(agent, gradient)
+        perturbed = algorithm.privatize(agent, gradient, step=step)
         update = config.momentum * algorithm.momenta[agent] + perturbed
         algorithm.momenta[agent] = update
         algorithm.params[agent] = (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench.guard import (
@@ -22,6 +23,7 @@ from repro.bench.registry import (
     run_benchmark,
     select_benchmarks,
 )
+from repro.bench.timer import reset_peak_rss
 
 
 class LifecycleProbe(Benchmark):
@@ -81,6 +83,30 @@ class TestLifecycle:
     def test_rss_captured_on_linux(self):
         result = run_benchmark(LifecycleProbe())
         assert result.rss_peak_bytes is None or result.rss_peak_bytes > 0
+
+    def test_small_suite_after_large_allocation_reports_less(self):
+        class Large(Benchmark):
+            name = "test/rss-large"
+
+            def run(self):
+                block = np.ones(128 * 1024 * 1024 // 8)  # 128 MiB, touched
+                return {"sum": float(block[::4096].sum())}
+
+        class Small(Benchmark):
+            name = "test/rss-small"
+
+            def run(self):
+                return {}
+
+        large = run_benchmark(Large(), repeats=1, warmup=False)
+        small = run_benchmark(Small(), repeats=1, warmup=False)
+        if not reset_peak_rss():
+            # No resettable high-water mark: the value is labelled as the
+            # process-wide peak instead of a per-suite one.
+            assert small.rss_scope == large.rss_scope == "process"
+            pytest.skip("/proc/self/clear_refs is unavailable")
+        assert small.rss_scope == large.rss_scope == "suite"
+        assert small.rss_peak_bytes < large.rss_peak_bytes - 64 * 1024 * 1024
 
 
 class TestRegistry:

@@ -284,9 +284,8 @@ class TestVectorizedHelpers:
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
         batches = algorithm.draw_batches()
-        # Truncate one batch so the stacked path cannot apply.
-        inputs, labels = batches[2]
-        batches[2] = (inputs[:5], labels[:5])
+        # Truncate one batch so its row leaves the full-length stack.
+        batches.sizes[2] = 5
         fleet = algorithm.fleet_gradients(algorithm.state, batches)
         for agent in range(4):
             expected = algorithm.local_gradient(agent, algorithm.state[agent], batches[agent])

@@ -92,13 +92,13 @@ def assert_same_resumable_state(a, b):
     assert a.accountant.events == b.accountant.events
     assert a.network.messages_sent == b.network.messages_sent
     assert a.network.floats_sent == b.network.floats_sent
-    for sampler_a, sampler_b in zip(a.samplers, b.samplers):
-        assert sampler_a.num_draws == sampler_b.num_draws
-        assert sampler_a.rng.bit_generator.state == sampler_b.rng.bit_generator.state
-    for mech_a, mech_b in zip(a.mechanisms, b.mechanisms):
-        assert mech_a.rng.bit_generator.state == mech_b.rng.bit_generator.state
-    for rng_a, rng_b in zip(a.agent_rngs, b.agent_rngs):
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    # The stream position is (seed, rounds_completed): both runs draw the
+    # same next batch and noise.
+    assert a.streams.seed == b.streams.seed
+    np.testing.assert_array_equal(a.draw_batches().index, b.draw_batches().index)
+    np.testing.assert_array_equal(
+        a.privatize(0, np.zeros(a.dimension)), b.privatize(0, np.zeros(b.dimension))
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -316,4 +316,32 @@ def test_load_state_dict_rejects_unknown_format():
     payload["state_format"] = 999
     recipient, _ = build_algorithm("DMSGD", "vectorized")
     with pytest.raises(ValueError, match="state format"):
+        recipient.load_state_dict(payload)
+
+
+def test_state_dict_holds_no_per_agent_generator_states():
+    algorithm, _ = build_algorithm("PDSL", "vectorized")
+    algorithm.run_round()
+    payload = algorithm.state_dict()
+    assert payload["state_format"] == 3
+    for key in ("sampler_states", "mechanism_rng_states", "agent_rng_states", "rng_state"):
+        assert key not in payload
+    assert payload["stream_seed"] == algorithm.config.seed
+
+
+def test_load_state_dict_rejects_format_2_naming_both_formats():
+    donor, _ = build_algorithm("DMSGD", "vectorized")
+    payload = donor.state_dict()
+    payload["state_format"] = 2
+    recipient, _ = build_algorithm("DMSGD", "vectorized")
+    with pytest.raises(ValueError, match=r"format 2 .*format 3"):
+        recipient.load_state_dict(payload)
+
+
+def test_load_state_dict_rejects_other_stream_seed():
+    donor, _ = build_algorithm("DMSGD", "vectorized")
+    payload = donor.state_dict()
+    payload["stream_seed"] = donor.streams.seed + 1
+    recipient, _ = build_algorithm("DMSGD", "vectorized")
+    with pytest.raises(ValueError, match="stream seed"):
         recipient.load_state_dict(payload)

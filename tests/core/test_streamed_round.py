@@ -2,9 +2,9 @@
 
 The blocked/streamed execution of a full round (``block_rows`` set, with or
 without ``storage="memmap"`` and ``block_workers > 1``) is a pure memory
-optimisation: every per-agent random stream is pre-split and consumed once
-per round per agent, every kernel is row-wise, and parallel blocks touch
-disjoint rows — so the resulting trajectory must equal the historic one-shot
+optimisation: every batch and noise draw is addressed by (round, slot,
+agent) in counter-based streams, every kernel is row-wise, and parallel
+blocks touch disjoint rows — so the resulting trajectory must equal the historic one-shot
 path **bit for bit**, for every algorithm, on both engines.  These tests pin
 that contract, plus the scheduler's lifecycle and cross-mode checkpointing
 (a run started streamed resumes in-RAM and vice versa).
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import DMSGD, DPCGA, DPDPSGD, DPNetFleet, Muffliato
-from repro.core.base import LazySeededRngs
 from repro.core.config import (
     AlgorithmConfig,
     CGAConfig,
@@ -87,9 +86,15 @@ def oneshot_baselines():
 
 class TestStreamedBitIdentity:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    @pytest.mark.parametrize("block_rows", [1, 2, NUM_AGENTS])
-    def test_streamed_matches_oneshot(self, name, block_rows, oneshot_baselines):
-        state, momentum = run_rounds(name, block_rows=block_rows)
+    @pytest.mark.parametrize("block_rows", [1, 2, 7, NUM_AGENTS])
+    @pytest.mark.parametrize("block_workers", [1, 4])
+    @pytest.mark.parametrize("storage", ["ram", "memmap"])
+    def test_streamed_matches_oneshot(
+        self, name, block_rows, block_workers, storage, oneshot_baselines
+    ):
+        state, momentum = run_rounds(
+            name, block_rows=block_rows, block_workers=block_workers, storage=storage
+        )
         np.testing.assert_array_equal(state, oneshot_baselines[name][0])
         np.testing.assert_array_equal(momentum, oneshot_baselines[name][1])
 
@@ -232,28 +237,60 @@ class TestRoundScheduler:
         scheduler.close()
 
 
-class TestLazySeededRngs:
-    def test_streams_match_eager_generators(self):
-        seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=8)
-        lazy = LazySeededRngs(seeds)
-        assert len(lazy) == 8
-        for index, seed in enumerate(seeds):
-            expected = np.random.default_rng(int(seed)).normal(size=4)
-            np.testing.assert_array_equal(lazy[index].normal(size=4), expected)
+class TestAgentRng:
+    def test_same_round_and_agent_rebuild_the_same_stream(self):
+        algorithm = build_algorithm("PDSL")
+        first = algorithm.agent_rng(2).normal(size=4)
+        np.testing.assert_array_equal(algorithm.agent_rng(2).normal(size=4), first)
 
-    def test_generators_cached_and_stateful(self):
-        seeds = np.arange(3, dtype=np.int64)
-        lazy = LazySeededRngs(seeds)
-        generator = lazy[1]
-        first = generator.normal()
-        # Same object on re-access: the consumed stream position persists.
-        assert lazy[1] is generator
-        assert lazy[1].normal() != first
+    def test_streams_differ_across_agents_and_rounds(self):
+        algorithm = build_algorithm("PDSL")
+        draws = {
+            (step, agent): algorithm.agent_rng(agent, step=step).integers(2**62)
+            for step in range(2)
+            for agent in range(3)
+        }
+        assert len(set(draws.values())) == len(draws)
+        # Without a step, the generator belongs to the round being executed.
+        algorithm.step(1)
+        assert algorithm.agent_rng(2).integers(2**62) == draws[(1, 2)]
 
-    def test_negative_indexing_and_iteration(self):
-        seeds = np.arange(4, dtype=np.int64)
-        lazy = LazySeededRngs(seeds)
-        assert lazy[-1] is lazy[3]
-        materialized = list(lazy)
-        assert len(materialized) == 4
-        assert materialized[2] is lazy[2]
+    def test_independent_of_batch_and_noise_draws(self):
+        a = build_algorithm("PDSL")
+        b = build_algorithm("PDSL")
+        a.draw_batches()
+        a.privatize(1, np.zeros(a.dimension))
+        np.testing.assert_array_equal(
+            a.agent_rng(1).normal(size=4), b.agent_rng(1).normal(size=4)
+        )
+
+
+def test_construction_creates_no_per_agent_generators():
+    """Building a 4096-agent fleet creates O(1) generators, not 3N."""
+    import gc
+
+    from repro.data.dataset import Dataset
+
+    num_agents = 4096
+    rng = np.random.default_rng(0)
+    inputs = rng.normal(size=(4 * num_agents, 3))
+    labels = rng.integers(0, 2, size=4 * num_agents)
+    shards = [
+        Dataset(inputs[4 * i : 4 * i + 4], labels[4 * i : 4 * i + 4])
+        for i in range(num_agents)
+    ]
+    topology = ring_graph(num_agents)
+    model = make_linear_classifier(3, 2, seed=0)
+
+    def live_generators():
+        gc.collect()
+        return sum(
+            isinstance(obj, (np.random.Generator, np.random.BitGenerator))
+            for obj in gc.get_objects()
+        )
+
+    before = live_generators()
+    algorithm = DPDPSGD(model, topology, shards, AlgorithmConfig(sigma=0.5, batch_size=4))
+    assert live_generators() - before <= 4
+    algorithm.run_round()
+    assert live_generators() - before <= 4

@@ -204,6 +204,39 @@ class TestTimeModelField:
         with pytest.raises(ValueError, match="3 explicit traces"):
             fast_spec(num_agents=6).with_updates(time_model={"traces": traces})
 
+    def test_async_with_dynamics_rejected_at_parse_time(self):
+        with pytest.raises(ValueError, match="static topology"):
+            fast_spec(num_agents=6).with_updates(
+                time_model={"async": True}, dynamics={"churn_rate": 0.1}
+            )
+
+    def test_async_with_lossy_codec_rejected_at_parse_time(self):
+        with pytest.raises(ValueError, match="identity codec"):
+            fast_spec(num_agents=6).with_updates(
+                time_model={"async": True}, compression={"codec": "topk", "k": 4}
+            )
+
+    def test_async_with_communication_interval_rejected_at_parse_time(self):
+        with pytest.raises(ValueError, match="communication_interval=1"):
+            fast_spec(num_agents=6).with_updates(
+                time_model={"async": True},
+                compression={"codec": "identity", "communication_interval": 2},
+            )
+
+    def test_async_with_shift_one_peers_rejected_at_parse_time(self):
+        with pytest.raises(ValueError, match="static topology"):
+            fast_spec(num_agents=6).with_updates(
+                time_model={"async": True}, compression={"peer_selection": "shift_one"}
+            )
+
+    def test_barrier_mode_accepts_what_async_mode_rejects(self):
+        spec = fast_spec(num_agents=6).with_updates(
+            time_model={"async": False},
+            dynamics={"churn_rate": 0.1},
+            compression={"codec": "topk", "k": 4, "communication_interval": 2},
+        )
+        assert spec.time_model == {"async": False}
+
     def test_time_model_survives_serialization(self):
         from repro.experiments.specs import spec_from_dict, spec_to_dict
 
