@@ -60,73 +60,18 @@ class DMSGD(DecentralizedAlgorithm):
             new_params.append(acc)
         self.params = new_params
 
-    def _step_streamed(self, round_index: int) -> None:
-        """Blocked twin of :meth:`_step_vectorized` (bit-identical by design).
-
-        Each row block draws its agents' batches, evaluates + privatizes
-        gradients, applies the momentum and provisional steps in place, and
-        stages its gossip payload — so the round's transient working set is
-        one block plus the reusable gossip scratch, at any fleet size.
-        """
-        gamma = self.config.learning_rate
-        alpha = self.config.momentum
-        communicate = self.gossip_now(round_index)
-        momentum = self.momentum_state
-        shared = (
-            self._round_scratch("gossip", self._gossip_dtype(self._dtype))
-            if communicate
-            else None
-        )
-        if communicate:
-            self._prepare_gossip_channels("model")
-
-        def run(start: int, stop: int) -> None:
-            perturbed = self._block_perturbed_gradients(start, stop)
-            momentum[start:stop] = self._freeze_block(
-                alpha * momentum[start:stop] + perturbed,
-                momentum[start:stop],
-                start,
-                stop,
-            )
-            provisional = self._freeze_block(
-                self.state[start:stop] - gamma * momentum[start:stop],
-                self.state[start:stop],
-                start,
-                stop,
-            )
-            if shared is None:
-                self.state[start:stop] = provisional
-            else:
-                shared[start:stop] = self._compress_block(
-                    "model", provisional, start, stop
-                )
-
-        self._scheduler.map(run, self._fleet_blocks(), serial=self._stacked is None)
-        if shared is None:
-            return
-        values, wire_bytes = self.gossip_wire_cost()
-        self.record_fleet_exchange("model", values, wire_bytes)
-        self._mix_into(shared, self.state)
-
     def _step_vectorized(self, round_index: int) -> None:
-        if self._streamed:
-            self._step_streamed(round_index)
-            return
-        gamma = self.config.learning_rate
-        alpha = self.config.momentum
-        batches = self.draw_batches()
-        gradients = self.fleet_gradients(self.state, batches)
-        perturbed = self.privatize_rows(gradients)
-        self.momentum_state = self.freeze_inactive_rows(
-            alpha * self.momentum_state + perturbed, self.momentum_state
+        def provisional(start: int, stop: int):
+            perturbed = self._block_perturbed_gradients(start, stop)
+            momentum, params = self._momentum_rows(start, stop, perturbed)
+            self.momentum_state[start:stop] = momentum
+            return (params,)
+
+        self._gossip_blocks(
+            "model",
+            provisional,
+            (self.state,),
+            self._dtype,
+            communicate=self.gossip_now(round_index),
+            serial=self._stacked is None,
         )
-        provisional = self.freeze_inactive_rows(
-            self.state - gamma * self.momentum_state, self.state
-        )
-        if not self.gossip_now(round_index):
-            self.state = provisional
-            return
-        shared = self.compress_gossip_rows("model", provisional)
-        values, wire_bytes = self.gossip_wire_cost()
-        self.record_fleet_exchange("model", values, wire_bytes)
-        self.state = self.mix_rows(shared)

@@ -149,20 +149,9 @@ class DPCGA(DecentralizedAlgorithm):
         self.params = new_params
 
     def _step_vectorized(self, round_index: int) -> None:
-        gamma = self.config.learning_rate
-        alpha = self.config.momentum
-
-        # Local gradients, privatized in agent order (noise slot 0 per agent,
-        # as in the loop backend).  The streamed
-        # pipeline evaluates them block by block into a reusable scratch
-        # (bit-identical; see the base class); cross-gradients below stream
-        # through evaluator-aligned chunks inside fleet_cross_gradients.
-        if self._streamed:
-            batches, own_perturbed = self._streamed_local_perturbed()
-        else:
-            batches = self.draw_batches()
-            own = self.fleet_gradients(self.state, batches)
-            own_perturbed = self.privatize_rows(own)
+        # Local gradients, privatized in agent order (noise slot 0 per
+        # agent, as in the loop backend).
+        batches, own_perturbed = self._local_perturbed_gradients()
         self.record_fleet_exchange("model", self.dimension)
 
         # Cross-gradients for every directed pair (evaluator i, model owner j):
@@ -188,16 +177,15 @@ class DPCGA(DecentralizedAlgorithm):
                 acc += weight * grad
             combined[agent] = acc
 
-        self.momentum_state = self.freeze_inactive_rows(
-            alpha * self.momentum_state + combined, self.momentum_state
+        def provisional(start: int, stop: int):
+            momentum, params = self._momentum_rows(start, stop, combined[start:stop])
+            self.momentum_state[start:stop] = momentum
+            return (params,)
+
+        self._gossip_blocks(
+            "mix",
+            provisional,
+            (self.state,),
+            self._dtype,
+            communicate=self.gossip_now(round_index),
         )
-        provisional = self.freeze_inactive_rows(
-            self.state - gamma * self.momentum_state, self.state
-        )
-        if not self.gossip_now(round_index):
-            self.state = provisional
-            return
-        shared = self.compress_gossip_rows("mix", provisional)
-        values, wire_bytes = self.gossip_wire_cost()
-        self.record_fleet_exchange("mix", values, wire_bytes)
-        self.state = self.mix_rows(shared)

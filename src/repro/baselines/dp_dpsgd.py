@@ -62,55 +62,25 @@ class DPDPSGD(DecentralizedAlgorithm):
             new_params.append(mixed)
         self.params = new_params
 
-    def _step_streamed(self, round_index: int) -> None:
-        """Blocked twin of :meth:`_step_vectorized` (bit-identical by design).
-
-        The provisional step is float64 (state minus a float64 perturbed
-        gradient), exactly like the one-shot path, so the gossip scratch is
-        always float64 here.
-        """
-        gamma = self.config.learning_rate
-        communicate = self.gossip_now(round_index)
-        shared = self._round_scratch("gossip", np.float64) if communicate else None
-        if communicate:
-            self._prepare_gossip_channels("model")
-
-        def run(start: int, stop: int) -> None:
-            perturbed = self._block_perturbed_gradients(start, stop)
-            provisional = self.state[start:stop] - gamma * perturbed
-            if shared is None:
-                self.state[start:stop] = provisional
-            else:
-                shared[start:stop] = self._compress_block(
-                    "model", provisional, start, stop
-                )
-
-        self._scheduler.map(run, self._fleet_blocks(), serial=self._stacked is None)
-        if shared is None:
-            return
-        values, wire_bytes = self.gossip_wire_cost()
-        self.record_fleet_exchange("model", values, wire_bytes)
-        self._mix_into(shared, self.state)
-
     def _step_vectorized(self, round_index: int) -> None:
-        if self._streamed:
-            self._step_streamed(round_index)
-            return
-        gamma = self.config.learning_rate
-        batches = self.draw_batches()
-        # Inactive agents' rows are exactly zero after the masked gradient
-        # and noise paths, so the provisional step leaves them at their
+        # The provisional step is float64 (state minus a float64 perturbed
+        # gradient).  Inactive agents' rows are exactly zero after the
+        # masked gradient and noise paths, so the step leaves them at their
         # current parameters and the identity mixing row keeps them there.
-        gradients = self.fleet_gradients(self.state, batches)
-        perturbed = self.privatize_rows(gradients)
-        provisional = self.state - gamma * perturbed
-        if not self.gossip_now(round_index):
-            self.state = provisional
-            return
-        shared = self.compress_gossip_rows("model", provisional)
-        values, wire_bytes = self.gossip_wire_cost()
-        self.record_fleet_exchange("model", values, wire_bytes)
-        self.state = self.mix_rows(shared)
+        gamma = self.config.learning_rate
+
+        def provisional(start: int, stop: int):
+            perturbed = self._block_perturbed_gradients(start, stop)
+            return (self.state[start:stop] - gamma * perturbed,)
+
+        self._gossip_blocks(
+            "model",
+            provisional,
+            (self.state,),
+            np.float64,
+            communicate=self.gossip_now(round_index),
+            serial=self._stacked is None,
+        )
 
 
 class DPSGDNonPrivate(DPDPSGD):

@@ -132,15 +132,6 @@ class DPNetFleet(DecentralizedAlgorithm):
         gradient = self.local_gradient(agent, params, batch)
         return self.privatize(agent, gradient)
 
-    def _fresh_fleet_gradients(self, param_rows: np.ndarray) -> np.ndarray:
-        """One fresh perturbed gradient per agent at the given parameter rows.
-
-        Every active agent draws its next batch and noise slot of the
-        round, exactly as the loop backend's per-agent calls do.
-        """
-        gradients = self.fleet_gradients(param_rows, self.draw_batches())
-        return self.privatize_rows(gradients)
-
     def _step_loop(self, round_index: int) -> None:
         gamma = self.config.learning_rate
 
@@ -226,16 +217,7 @@ class DPNetFleet(DecentralizedAlgorithm):
         self.params = new_params
         self.tracking = new_tracking
 
-    def _step_streamed(self, round_index: int) -> None:
-        """Blocked twin of :meth:`_step_vectorized` (bit-identical by design).
-
-        All four fleet matrices (state, tracking, previous gradient, the
-        local-step output) are touched strictly block by block; on
-        off-interval rounds the "mixed" quantities alias the local ones,
-        exactly like the one-shot path, and the update phase computes each
-        block's new tracking value before overwriting it, so the aliasing
-        is safe under any block order.
-        """
+    def _step_vectorized(self, round_index: int) -> None:
         gamma = self.config.learning_rate
         clip = self.config.clip_threshold
         blocks = self._fleet_blocks()
@@ -244,7 +226,8 @@ class DPNetFleet(DecentralizedAlgorithm):
         previous = self._previous_gradient_state
 
         if not self._initialized:
-
+            # Agents inactive in the first round draw nothing and start
+            # from a zero tracking estimate, as in the loop engine.
             def init_block(start: int, stop: int) -> None:
                 grad = self._block_perturbed_gradients(start, stop)
                 tracking[start:stop] = grad
@@ -253,113 +236,44 @@ class DPNetFleet(DecentralizedAlgorithm):
             self._scheduler.map(init_block, blocks, serial=serial)
             self._initialized = True
 
-        # 1. Local steps along the re-clipped tracking direction.
-        local = self._round_scratch("netfleet.local", np.float64)
-
-        def local_block(start: int, stop: int) -> None:
+        # 1. Local steps along the re-clipped tracking direction (inactive
+        #    agents take none), and 2. one (model, tracking) exchange per
+        #    directed edge; off-interval rounds exchange nothing and keep
+        #    each agent's own estimates.
+        def local_block(start: int, stop: int):
             corrected = clip_rows_by_l2_norm(tracking[start:stop], clip)
             params = self.state[start:stop].copy()
             for _ in range(self.config.local_steps):
                 params = params - gamma * corrected
-            local[start:stop] = self._freeze_block(
-                params, self.state[start:stop], start, stop
-            )
+            local = self.freeze_inactive_rows(params, self.state[start:stop], start)
+            return local, tracking[start:stop]
 
-        self._scheduler.map(local_block, blocks)
-
-        # 2. (model, tracking) gossip; off-interval rounds alias the local
-        #    quantities instead (nothing on the wire).
-        if self.gossip_now(round_index):
-            values, wire_bytes = self.gossip_wire_cost(self.num_gossip_channels)
-            mixed_params = self._round_scratch("netfleet.mixed0", np.float64)
-            mixed_tracking = self._round_scratch("netfleet.mixed1", np.float64)
-            if self._compression_state is None:
-                self.record_fleet_exchange("state", values, wire_bytes)
-                self._mix_into(local, mixed_params)
-                self._mix_into(tracking, mixed_tracking)
-            else:
-                params_shared = self._round_scratch("netfleet.shared0", np.float64)
-                tracking_shared = self._round_scratch("netfleet.shared1", np.float64)
-                self._prepare_gossip_channels("state.0", "state.1")
-
-                def encode(start: int, stop: int) -> None:
-                    params_shared[start:stop] = self._compress_block(
-                        "state.0", local[start:stop], start, stop
-                    )
-                    tracking_shared[start:stop] = self._compress_block(
-                        "state.1", tracking[start:stop], start, stop
-                    )
-
-                self._scheduler.map(encode, blocks)
-                self.record_fleet_exchange("state", values, wire_bytes)
-                self._mix_into(params_shared, mixed_params)
-                self._mix_into(tracking_shared, mixed_tracking)
-        else:
-            mixed_params = local
-            mixed_tracking = tracking
+        mixed_params = self._round_scratch("netfleet.mixed0", np.float64)
+        mixed_tracking = self._round_scratch("netfleet.mixed1", np.float64)
+        self._gossip_blocks(
+            "state",
+            local_block,
+            (mixed_params, mixed_tracking),
+            np.float64,
+            communicate=self.gossip_now(round_index),
+        )
 
         # 3. Recursive gradient correction with a fresh DP gradient at the
-        #    mixed model, then the state store — one pass per block.
+        #    mixed model, then the state store.  Inactive agents draw no
+        #    fresh gradient and keep their tracking state and previous
+        #    gradient frozen.
         def update_block(start: int, stop: int) -> None:
             fresh = self._block_perturbed_gradients(
                 start, stop, mixed_params[start:stop]
             )
-            new_tracking = self._freeze_block(
+            tracking[start:stop] = self.freeze_inactive_rows(
                 mixed_tracking[start:stop] + fresh - previous[start:stop],
                 tracking[start:stop],
                 start,
-                stop,
             )
-            tracking[start:stop] = new_tracking
-            previous[start:stop] = self._freeze_block(
-                fresh, previous[start:stop], start, stop
+            previous[start:stop] = self.freeze_inactive_rows(
+                fresh, previous[start:stop], start
             )
             self.state[start:stop] = mixed_params[start:stop]
 
         self._scheduler.map(update_block, blocks, serial=serial)
-
-    def _step_vectorized(self, round_index: int) -> None:
-        if self._streamed:
-            self._step_streamed(round_index)
-            return
-        gamma = self.config.learning_rate
-
-        if not self._initialized:
-            # The masked gradient path leaves agents inactive in the first
-            # round at a zero tracking estimate, as in the loop engine.
-            initial = self._fresh_fleet_gradients(self.state)
-            self.tracking_state = initial
-            self.previous_gradient_state = initial.copy()
-            self._initialized = True
-
-        # 1. Local steps along the re-clipped tracking direction (inactive
-        #    agents take none).
-        corrected = clip_rows_by_l2_norm(self.tracking_state, self.config.clip_threshold)
-        local_params = self.state.copy()
-        for _ in range(self.config.local_steps):
-            local_params = local_params - gamma * corrected
-        local_params = self.freeze_inactive_rows(local_params, self.state)
-
-        # 2. One (model, tracking) exchange per directed edge; off-interval
-        #    rounds exchange nothing and keep each agent's own estimates.
-        # 3. Gossip averaging + recursive gradient correction.  Inactive
-        #    agents draw no fresh gradient and keep their tracking state and
-        #    previous gradient frozen.
-        if self.gossip_now(round_index):
-            params_shared = self.compress_gossip_rows("state.0", local_params)
-            tracking_shared = self.compress_gossip_rows("state.1", self.tracking_state)
-            values, wire_bytes = self.gossip_wire_cost(self.num_gossip_channels)
-            self.record_fleet_exchange("state", values, wire_bytes)
-            mixed_params = self.mix_rows(params_shared)
-            mixed_tracking = self.mix_rows(tracking_shared)
-        else:
-            mixed_params = local_params
-            mixed_tracking = self.tracking_state
-        fresh = self._fresh_fleet_gradients(mixed_params)
-        self.tracking_state = self.freeze_inactive_rows(
-            mixed_tracking + fresh - self.previous_gradient_state, self.tracking_state
-        )
-        self.previous_gradient_state = self.freeze_inactive_rows(
-            fresh, self.previous_gradient_state
-        )
-        self.state = mixed_params

@@ -9,7 +9,7 @@ data heterogeneity explicitly.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -72,62 +72,45 @@ class Muffliato(DecentralizedAlgorithm):
 
         self.params = updated
 
-    def _step_streamed(self, round_index: int) -> None:
-        """Blocked twin of :meth:`_step_vectorized` (bit-identical by design).
-
-        The gossip cascade ping-pongs between two float64 fleet scratches
-        (the one-shot path's ``updated`` is float64 throughout: the local
-        step subtracts a float64 perturbed gradient and every mix preserves
-        it), so ``gossip_steps`` rounds of mixing allocate nothing.
-        """
-        gamma = self.config.learning_rate
-        current = self._round_scratch("gossip.a", np.float64)
-        blocks = self._fleet_blocks()
-
-        def local_step(start: int, stop: int) -> None:
-            perturbed = self._block_perturbed_gradients(start, stop)
-            current[start:stop] = self.state[start:stop] - gamma * perturbed
-
-        self._scheduler.map(local_step, blocks, serial=self._stacked is None)
-        if self.gossip_now(round_index):
-            other = self._round_scratch("gossip.b", np.float64)
-            for gossip_round in range(self.config.gossip_steps):
-                tag = f"gossip_{gossip_round}"
-                values, wire_bytes = self.gossip_wire_cost()
-                if self._compression_state is None:
-                    self.record_fleet_exchange(tag, values, wire_bytes)
-                    self._mix_into(current, other)
-                    current, other = other, current
-                else:
-                    self._prepare_gossip_channels(tag)
-                    source = current
-
-                    def encode(start: int, stop: int) -> None:
-                        other[start:stop] = self._compress_block(
-                            tag, source[start:stop], start, stop
-                        )
-
-                    self._scheduler.map(encode, blocks)
-                    self.record_fleet_exchange(tag, values, wire_bytes)
-                    self._mix_into(other, current)
-        self._store_blocked(self.state, current)
-
     def _step_vectorized(self, round_index: int) -> None:
-        if self._streamed:
-            self._step_streamed(round_index)
-            return
+        # The perturbed local step is float64 and the gossip cascade mixes
+        # it between two float64 fleet scratches; only the last step writes
+        # (rounded) into state.  Inactive rows are exactly zero in the
+        # perturbed gradients and have identity mixing rows, so they ride
+        # through the step and gossip unchanged.
         gamma = self.config.learning_rate
-        batches = self.draw_batches()
-        gradients = self.fleet_gradients(self.state, batches)
-        perturbed = self.privatize_rows(gradients)
-        # Inactive rows are exactly zero in ``perturbed`` and have identity
-        # mixing rows, so they ride through the step and gossip unchanged.
-        updated = self.state - gamma * perturbed
-        if self.gossip_now(round_index):
-            for gossip_round in range(self.config.gossip_steps):
-                tag = f"gossip_{gossip_round}"
-                shared = self.compress_gossip_rows(tag, updated)
-                values, wire_bytes = self.gossip_wire_cost()
-                self.record_fleet_exchange(tag, values, wire_bytes)
-                updated = self.mix_rows(shared)
-        self.state = updated
+        source: Optional[np.ndarray] = None  # the previous gossip step's output
+
+        def produce(start: int, stop: int):
+            if source is not None:
+                return (source[start:stop],)
+            perturbed = self._block_perturbed_gradients(start, stop)
+            return (self.state[start:stop] - gamma * perturbed,)
+
+        serial = self._stacked is None
+        if not self.gossip_now(round_index):
+            # Off-interval round: the local step stands alone.
+            self._gossip_blocks(
+                "gossip_0",
+                produce,
+                (self.state,),
+                np.float64,
+                communicate=False,
+                serial=serial,
+            )
+            return
+        steps = self.config.gossip_steps
+        for gossip_round in range(steps):
+            target = (
+                self.state
+                if gossip_round == steps - 1
+                else self._round_scratch(f"muffliato.{gossip_round % 2}", np.float64)
+            )
+            self._gossip_blocks(
+                f"gossip_{gossip_round}",
+                produce,
+                (target,),
+                np.float64,
+                serial=serial and source is None,
+            )
+            source = target

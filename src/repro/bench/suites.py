@@ -6,7 +6,7 @@ Each suite packages one hot path of the system behind the
 * ``engine/round`` — loop vs vectorized engine, seconds per DP-DPSGD round;
 * ``engine/round-streamed`` — one full streamed round (blocked gradients,
   noise, codec, gossip; memmap state) across fleet sizes up to a million
-  agents, memory-guarded, streamed-vs-one-shot bit-identity asserted;
+  agents, memory-guarded, streamed-vs-default-block bit-identity asserted;
 * ``gossip/sparse`` — dense vs CSR gossip kernels (bit-identity checked);
 * ``gossip/compressed`` — dense vs top-k vs int8 gossip wire bytes
   (identity-codec bit-identity checked);
@@ -405,8 +405,11 @@ class StreamedRoundSuite(Benchmark):
     * ``workersK_s@N`` — the same round with ``block_workers=K``
       (``REPRO_BENCH_ROUND_WORKERS``), numerically identical by
       construction;
-    * ``oneshot_s@N`` — the in-RAM one-shot round, only at sizes where the
-      bit-identity check runs (streamed vs one-shot state asserted equal).
+    * ``oneshot_s@N`` — the in-RAM round at the default block size
+      (``block_rows=None``, auto-sized to ~32 MiB, so one block at these
+      sizes; the metric keeps its historical name), only at sizes where
+      the bit-identity check runs (streamed vs default state asserted
+      equal).
 
     Too-large points are skipped (never failed) through the shared memory
     guard, with reasons recorded in the artifact notes; ``max_agents``
@@ -417,7 +420,7 @@ class StreamedRoundSuite(Benchmark):
     description = "full streamed round (gradients+noise+gossip) across N, memory-guarded"
     default_repeats = 1
     default_warmup = False
-    #: Streamed-vs-one-shot bit-identity is asserted in-sweep up to this N
+    #: Streamed-vs-default bit-identity is asserted in-sweep up to this N
     #: (cheap); beyond it the property-test grid owns the guarantee.
     BIT_CHECK_MAX_AGENTS = 4096
     NUM_FEATURES = 4
@@ -543,8 +546,8 @@ class StreamedRoundSuite(Benchmark):
             if num_agents <= self.BIT_CHECK_MAX_AGENTS:
                 oneshot_s, oneshot_state = self._round_seconds(num_agents)
                 metrics[f"oneshot_s@{num_agents}"] = oneshot_s
-                # The streamed round is bit-identical to the historic
-                # one-shot path — asserted in-sweep, every run.
+                # The streamed round is bit-identical to the default-block
+                # round — asserted in-sweep, every run.
                 np.testing.assert_array_equal(state, oneshot_state)
         metrics["max_agents"] = float(max(self._sizes, default=0))
         peak = peak_rss_bytes()

@@ -19,8 +19,10 @@ the sum of everything ever offered — compression introduces no systematic
 drift.
 
 Both engines call into the same row-wise codec kernels —
-:meth:`compress_rows` on the whole fleet matrix, :meth:`compress_row` on a
-single agent's vector — and the two paths are bit-identical per agent.
+:meth:`compress_block` on a row block of the fleet matrix (the vectorized
+engine), :meth:`compress_row` on a single agent's vector (the loop engine);
+:meth:`compress_rows` is the whole-fleet form — and every path is
+bit-identical per agent.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class CompressionState:
     def ensure_channel(self, channel: str) -> None:
         """Eagerly create the channel's residual buffer (normally lazy).
 
-        The streamed round pipeline calls this before dispatching blocks to
+        The blocked round pipeline calls this before dispatching blocks to
         a parallel scheduler: lazy creation from concurrent blocks would
         race, with one block's residual updates landing in a buffer that is
         immediately discarded.
@@ -98,53 +100,7 @@ class CompressionState:
         consumed — exactly like the loop engine, where an inactive agent
         never reaches its broadcast.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        residual = self._residual_for(channel)
-        if active_mask is None or bool(active_mask.all()):
-            work = matrix + residual if residual is not None else matrix
-            decoded = self.codec.decode_rows(work, self.rngs)
-            if residual is not None:
-                residual[:] = work - decoded
-            return decoded
-        active = np.flatnonzero(active_mask)
-        work = matrix[active]
-        if residual is not None:
-            work = work + residual[active]
-        rngs = None if self.rngs is None else [self.rngs[int(i)] for i in active]
-        decoded = self.codec.decode_rows(work, rngs)
-        out = matrix.copy()
-        out[active] = decoded
-        if residual is not None:
-            residual[active] = work - decoded
-        return out
-
-    def compress_rows_blocked(
-        self,
-        channel: str,
-        matrix: np.ndarray,
-        active_mask: Optional[np.ndarray] = None,
-        block_rows: Optional[int] = None,
-    ) -> np.ndarray:
-        """:meth:`compress_rows` streamed over ``(block_rows, d)`` chunks.
-
-        The codec kernels are row-wise and each agent's residual/stream is
-        touched exactly once, so the blocked pass is **bit-identical** to
-        the one-shot call — it exists purely to bound the transient working
-        set (one block's ``work``/``decoded`` arrays instead of fleet-sized
-        copies) on large fleets.
-        """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if block_rows is None or block_rows >= self.num_agents:
-            return self.compress_rows(channel, matrix, active_mask)
-        if block_rows < 1:
-            raise ValueError("block_rows must be a positive integer")
-        out = np.empty_like(matrix)
-        for start in range(0, self.num_agents, block_rows):
-            stop = min(start + block_rows, self.num_agents)
-            out[start:stop] = self.compress_block(
-                channel, matrix[start:stop], start, stop, active_mask
-            )
-        return out
+        return self.compress_block(channel, matrix, 0, self.num_agents, active_mask)
 
     def compress_block(
         self,
@@ -154,12 +110,12 @@ class CompressionState:
         stop: int,
         active_mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Compress the rows of agents ``start..stop`` (one streamed-round block).
+        """Compress the rows of agents ``start..stop`` (one row block of the round).
 
-        This is the loop body of :meth:`compress_rows_blocked` — residuals
-        and sparsifier streams are addressed by absolute agent index, so
-        processing disjoint blocks in any order (including concurrently,
-        after :meth:`ensure_channel`) is bit-identical to the one-shot call.
+        Residuals and sparsifier streams are addressed by absolute agent
+        index, so processing disjoint blocks in any order (including
+        concurrently, after :meth:`ensure_channel`) is bit-identical to one
+        :meth:`compress_rows` call over the whole fleet.
         Returns the decoded ``(stop - start, d)`` block (float64).
         """
         block = np.asarray(block, dtype=np.float64)

@@ -22,14 +22,15 @@ Two execution engines share that state (selected by
 * the **loop** backend steps agents one at a time and routes every exchange
   through the :class:`Network` mailbox — faithful to a real deployment,
   message by message, and required for fault injection;
-* the **vectorized** backend performs the same round as whole-fleet tensor
-  operations — the gossip step is a single ``W @ X`` multiply
+* the **vectorized** backend performs the same round as tensor operations
+  over ``(block_rows, d)`` row blocks of the fleet (one block unless the
+  fleet outgrows ``block_rows``, by default ~32 MiB) — gradients are
+  evaluated with stacked forward/backward passes where the model allows it
+  (:meth:`fleet_gradients`), clipping + Gaussian noise are applied row-wise
+  (:meth:`privatize_rows`), and the gossip step is ``W @ X``
   (:meth:`mix_rows`, dispatched through the topology's
   :class:`~repro.topology.mixing.MixingOperator`: O(M^2 d) dense or
-  O(nnz d) CSR, bit-identical either way), gradients are evaluated with
-  stacked forward/backward passes where the model allows it
-  (:meth:`fleet_gradients`), and clipping + Gaussian noise are applied
-  row-wise (:meth:`privatize_rows`).
+  O(nnz d) CSR, bit-identical either way).
 
 Randomness comes from keyed counter-based streams
 (:class:`~repro.core.streams.FleetStreams`): an agent's ``k``-th batch or
@@ -41,14 +42,14 @@ local datasets are stored once, concatenated
 array.  The two engines therefore produce the same trajectory for a fixed
 seed (up to floating-point associativity).
 
-Subclasses implement :meth:`_step_loop` (and usually
-:meth:`_step_vectorized`), each executing one communication round for all
-agents; :meth:`step` dispatches on the configured backend.
+Subclasses implement :meth:`_step_loop` and :meth:`_step_vectorized`, each
+executing one communication round for all agents; :meth:`step` dispatches
+on the configured backend.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union, overload
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
 
@@ -222,28 +223,27 @@ class DecentralizedAlgorithm:
         # it, so the two engines cannot drift to different dtypes);
         # ``_grad_dtype`` is its counterpart for gradient/loss buffers, which
         # stay double precision in every mode because the model kernels are
-        # float64.  ``_block_rows`` turns on the streaming (row-blocked)
-        # kernels for gossip, clip+noise and codec passes.
+        # float64.
         self._precision: str = getattr(config, "dtype", "float64")
         self._dtype: np.dtype = np.dtype(
             np.float64 if self._precision == "float64" else np.float32
         )
         self._grad_dtype: np.dtype = np.dtype(np.float64)
-        self._block_rows: Optional[int] = getattr(config, "block_rows", None)
-        # Streamed-round plumbing.  ``_stream_rows`` is the resolved row-block
-        # size every blocked stage uses (the explicit ``block_rows`` when set,
-        # else a ~32 MiB default); ``_scheduler`` runs independent row blocks
-        # of one stage, serially (``block_workers=1``) or on a thread pool;
-        # ``_pinned`` backs the fleet matrices with memmap FleetStates
-        # (``storage="memmap"``) so whole-fleet state never has to be
-        # resident; ``_scratch`` holds the handful of reusable fleet-shaped
-        # working buffers the streamed round writes block by block.
+        # Blocked-round plumbing.  ``_block_rows`` is the row-block size
+        # every stage of the vectorized round uses (the explicit
+        # ``block_rows`` when set, else a ~32 MiB default); ``_scheduler``
+        # runs independent row blocks of one stage, serially
+        # (``block_workers=1``) or on a thread pool; ``_pinned`` backs the
+        # fleet matrices with memmap FleetStates (``storage="memmap"``) so
+        # whole-fleet state never has to be resident; ``_scratch`` holds the
+        # handful of reusable fleet-shaped working buffers the round writes
+        # block by block.
         self._storage: str = getattr(config, "storage", "ram")
         self._pinned: bool = self._storage == "memmap"
         self._block_workers: int = max(1, int(getattr(config, "block_workers", 1)))
         self._scheduler = RoundScheduler(self._block_workers)
-        self._stream_rows: int = resolve_block_rows(
-            topology.num_agents, model.num_params, self._block_rows, itemsize=8
+        self._block_rows: int = resolve_block_rows(
+            topology.num_agents, model.num_params, getattr(config, "block_rows", None)
         )
         self._fleet_backing: Dict[str, FleetState] = {}
         self._scratch: Dict[str, np.ndarray] = {}
@@ -351,7 +351,7 @@ class DecentralizedAlgorithm:
             )
         if value is dest:
             return
-        for start, stop in row_blocks(dest.shape[0], self._stream_rows):
+        for start, stop in row_blocks(dest.shape[0], self._block_rows):
             dest[start:stop] = value[start:stop]
 
     @property
@@ -468,42 +468,40 @@ class DecentralizedAlgorithm:
         return events
 
     def freeze_inactive_rows(
-        self, updated: np.ndarray, current: np.ndarray
+        self, updated: np.ndarray, current: np.ndarray, start: int = 0
     ) -> np.ndarray:
         """Keep inactive agents' rows at ``current``; active rows take ``updated``.
 
-        The vectorized engine computes whole-fleet updates and then pins the
+        Both arrays hold the rows of agents ``start..start+len(updated)``.
+        The vectorized engine computes block-wide updates and then pins the
         rows of agents that sat the round out — matching the loop engine,
         which simply never touches them.  With every agent active this
-        returns ``updated`` unchanged (bit-identical legacy path).
+        returns ``updated`` unchanged.
         """
         if self._all_active:
             return updated
-        return np.where(self.active_mask[:, None], updated, current)
+        mask = self.active_mask[start : start + len(updated), None]
+        return np.where(mask, updated, current)
 
     # ------------------------------------------------------------------
-    # Streamed round pipeline
+    # Blocked round pipeline
     # ------------------------------------------------------------------
-    # With ``block_rows`` configured, the vectorized engine executes the
-    # *whole* round as a pipeline over disjoint ``(block_rows, d)`` row
-    # blocks: each block draws its agents' batches, evaluates gradients with
-    # the stacked passes, applies clip+noise, updates momentum/state and
-    # stages its gossip payload — never materialising more than a handful of
-    # block-sized transients plus the reusable fleet-shaped scratch buffers.
-    # Every batch and noise draw is addressed by (round, slot, agent), each
-    # codec stream is per-agent, and all whole-fleet kernels used here are
-    # row-wise (or row-blocked with unchanged accumulation order), so the
-    # streamed round is bit-identical to the one-shot round — including
-    # under a parallel ``RoundScheduler``, because blocks own disjoint rows.
-
-    @property
-    def _streamed(self) -> bool:
-        """Whether the vectorized round runs on the blocked stream pipeline."""
-        return self._block_rows is not None
+    # The vectorized engine executes every round as a pipeline over
+    # disjoint ``(block_rows, d)`` row blocks: each block draws its agents'
+    # batches, evaluates gradients with the stacked passes, applies
+    # clip+noise, updates momentum/state and stages its gossip payload —
+    # never materialising more than a handful of block-sized transients plus
+    # the reusable fleet-shaped scratch buffers.  Every batch and noise draw
+    # is addressed by (round, slot, agent), each codec stream is per-agent,
+    # and every kernel is row-wise (or row-blocked with unchanged
+    # accumulation order), so the trajectory does not depend on the block
+    # size — including under a parallel ``RoundScheduler``, because blocks
+    # own disjoint rows.  At the default block size most fleets are a
+    # single block.
 
     def _fleet_blocks(self) -> List[Tuple[int, int]]:
         """The round's ``(start, stop)`` row blocks over the whole fleet."""
-        return list(row_blocks(self.num_agents, self._stream_rows))
+        return list(row_blocks(self.num_agents, self._block_rows))
 
     def _alloc_fleet_matrix(
         self, name: str, dtype: Optional[np.dtype] = None
@@ -524,19 +522,19 @@ class DecentralizedAlgorithm:
             self.num_agents,
             self.dimension,
             dtype=dtype,
-            block_rows=self._stream_rows,
+            block_rows=self._block_rows,
             storage="memmap",
         )
         self._fleet_backing[name] = backing
         return backing.array
 
     def _round_scratch(self, name: str, dtype: np.dtype = np.float64) -> np.ndarray:
-        """A reusable fleet-shaped working buffer for the streamed round.
+        """A reusable fleet-shaped working buffer for the blocked round.
 
         Scratches are keyed by ``(name, dtype)`` and persist across rounds,
-        so the streamed pipeline's steady-state allocation rate is zero.
-        Contents are unspecified between rounds: every stage fully overwrites
-        the blocks it reads back.
+        so the pipeline's steady-state allocation rate is zero.  Contents
+        are unspecified between rounds: every stage fully overwrites the
+        blocks it reads back.
         """
         dtype = np.dtype(dtype)
         key = f"{name}.{dtype.name}"
@@ -545,14 +543,6 @@ class DecentralizedAlgorithm:
             scratch = self._alloc_fleet_matrix(f"scratch.{key}", dtype=dtype)
             self._scratch[key] = scratch
         return scratch
-
-    def _freeze_block(
-        self, updated: np.ndarray, current: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        """:meth:`freeze_inactive_rows` restricted to rows ``start:stop``."""
-        if self._all_active:
-            return updated
-        return np.where(self.active_mask[start:stop, None], updated, current)
 
     def _block_perturbed_gradients(
         self,
@@ -563,14 +553,11 @@ class DecentralizedAlgorithm:
     ) -> np.ndarray:
         """Draw, evaluate and privatize one row block's local gradients.
 
-        The blocked twin of ``privatize_rows(fleet_gradients(state,
-        draw_batches()))``: agents ``start..stop`` draw their round batch
-        (inactive agents draw nothing and contribute zero rows), gradients
-        are evaluated at ``param_rows`` (default: the corresponding state
-        rows) with the stacked passes, and clip+noise draws each row's noise
-        at its own agent's address — all bit-identical to the whole-fleet
-        calls because every kernel involved is per-row and every draw is
-        addressed by agent.  ``batches_out`` (a fleet-length
+        Agents ``start..stop`` draw their round batch (inactive agents draw
+        nothing and contribute zero rows), gradients are evaluated at
+        ``param_rows`` (default: the corresponding state rows) with the
+        stacked passes, and clip+noise draws each row's noise at its own
+        agent's address.  ``batches_out`` (a fleet-length
         :class:`~repro.data.flat.FleetBatches`) receives the block's batches.
         """
         batches = self._draw_rows(start, stop)
@@ -581,8 +568,8 @@ class DecentralizedAlgorithm:
         gradients = self.fleet_gradients(rows, batches)
         return self.privatize_rows(gradients, agents=np.arange(start, stop))
 
-    def _streamed_local_perturbed(self) -> Tuple[FleetBatches, np.ndarray]:
-        """Blocked phase 1: every agent's perturbed local gradient.
+    def _local_perturbed_gradients(self) -> Tuple[FleetBatches, np.ndarray]:
+        """Every agent's perturbed local gradient, block by block.
 
         Returns the drawn batches (kept for algorithms that re-evaluate at
         neighbour models, e.g. cross-gradients) and a fleet-shaped float64
@@ -601,19 +588,24 @@ class DecentralizedAlgorithm:
         self._scheduler.map(run, self._fleet_blocks(), serial=self._stacked is None)
         return batches, out
 
-    def _compress_block(
-        self, channel: str, block: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        """Codec-encode one row block of a gossip channel (identity: pass-through).
+    def _momentum_rows(
+        self, start: int, stop: int, direction: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Heavy-ball step of rows ``start..stop`` along ``direction``.
 
-        Callers must have primed the channel with
-        :meth:`_prepare_gossip_channels` before dispatching blocks to a
-        parallel scheduler (residual buffers are created lazily).
+        Returns ``(m_hat, x_hat)`` with ``m_hat = alpha * m + direction``
+        (rounded into the state dtype) and ``x_hat = x - gamma * m_hat``;
+        inactive agents' rows stay at their current momentum and model.
         """
-        if self._compression_state is None:
-            return block
-        mask = None if self._all_active else self.active_mask
-        return self._compression_state.compress_block(channel, block, start, stop, mask)
+        momentum = self.momentum_state[start:stop]
+        state = self.state[start:stop]
+        momentum_hat = self.freeze_inactive_rows(
+            self.config.momentum * momentum + direction, momentum, start
+        ).astype(self._dtype, copy=False)
+        params_hat = self.freeze_inactive_rows(
+            state - self.config.learning_rate * momentum_hat, state, start
+        )
+        return momentum_hat, params_hat
 
     def _prepare_gossip_channels(self, *channels: str) -> None:
         """Eagerly create the codec's per-channel residual buffers.
@@ -626,41 +618,57 @@ class DecentralizedAlgorithm:
         for channel in channels:
             self._compression_state.ensure_channel(channel)
 
-    def _gossip_dtype(self, payload_dtype: np.dtype) -> np.dtype:
-        """Element type a gossip-channel scratch must have.
+    def _gossip_blocks(
+        self,
+        tag: str,
+        produce: Callable[[int, int], Tuple[np.ndarray, ...]],
+        targets: Sequence[np.ndarray],
+        dtype: np.dtype,
+        communicate: bool = True,
+        serial: bool = False,
+    ) -> None:
+        """The round's last blocked stage: produce each block's payload, then gossip it.
 
-        A lossy codec always emits float64 (``compress_rows`` casts its
-        input up before encoding), regardless of the payload dtype; the
-        identity codec passes the payload through unchanged.
+        ``produce(start, stop)`` returns one ``dtype`` row block per matrix
+        in ``targets``.  On a communication round every block is
+        codec-encoded (channel ``tag``, or ``"{tag}.{k}"`` for the ``k``-th
+        of several payloads, as in :meth:`gossip_broadcast`) into a fleet
+        scratch, the exchange is accounted, and each target receives
+        ``W @ payload``.  Otherwise the blocks are stored straight into the
+        targets.  ``serial`` forces inline blocks (for producers that run
+        the scalar model).
         """
-        if self._compression_state is None:
-            return np.dtype(payload_dtype)
-        return np.dtype(np.float64)
+        channels = [tag]
+        if len(targets) > 1:
+            channels = [f"{tag}.{k}" for k in range(len(targets))]
+        if communicate:
+            self._prepare_gossip_channels(*channels)
+            # A lossy codec always emits float64; the identity codec passes
+            # the payload through unchanged.
+            payload_dtype = dtype if self._compression_state is None else np.float64
+            staged = [
+                self._round_scratch(f"gossip.{k}", payload_dtype)
+                for k in range(len(targets))
+            ]
+        else:
+            staged = list(targets)
 
-    def _mix_into(self, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The gossip product ``W @ matrix`` written into ``out``.
+        def run(start: int, stop: int) -> None:
+            for channel, block, out in zip(channels, produce(start, stop), staged):
+                if communicate:
+                    block = self.compress_gossip_rows(channel, block, start)
+                out[start:stop] = block
 
-        Reproduces :meth:`mix_rows`'s dispatch (mixed-precision float32
-        payloads use the float64-accumulating kernel) while writing blocks
-        straight into ``out`` — which may be state itself, a pinned memmap,
-        or a scratch — through the block scheduler.  ``matrix`` is read
-        through a write-protected view: it is a pure input of the product,
-        so an aliasing bug raises instead of corrupting it mid-mix.
-        """
-        source = np.asarray(matrix)
-        source = source.view()
-        source.flags.writeable = False
-        if self._precision == "mixed" and source.dtype == np.float32:
-            self.mixing.apply_mixed(source, block_rows=self._block_rows, out=out)
-            return out
-        self._scheduler.map(
-            lambda start, stop: self.mixing.mix_block(source, start, stop, out),
-            self._fleet_blocks(),
-        )
-        return out
+        self._scheduler.map(run, self._fleet_blocks(), serial=serial)
+        if not communicate:
+            return
+        values, wire_bytes = self.gossip_wire_cost(len(targets))
+        self.record_fleet_exchange(tag, values, wire_bytes)
+        for payload, target in zip(staged, targets):
+            self.mix_rows(payload, out=target)
 
     def close(self) -> None:
-        """Release streamed-round resources (worker pool, memmap backings).
+        """Release blocked-round resources (worker pool, memmap backings).
 
         Idempotent.  After closing, the algorithm instance must not be used
         for further rounds: pinned fleet matrices are detached from their
@@ -751,7 +759,7 @@ class DecentralizedAlgorithm:
         for rows, inputs, labels in batches.groups():
             if len(rows) == grads.shape[0]:
                 # One group covering every row (rows ascend, so in order —
-                # the common case inside a streamed block): write gradients
+                # the common case inside a round block): write gradients
                 # straight into the output buffer, skipping the fancy-index
                 # gather of param_rows and the scatter copy of the results.
                 self._stacked.loss_and_gradients(
@@ -877,19 +885,7 @@ class DecentralizedAlgorithm:
             agent must appear in the order the loop backend would privatize
             them for both backends to draw identical noise.
         """
-        rows = np.asarray(rows)
-        if self._block_rows is None:
-            clipped = clip_rows_by_l2_norm(rows, self.config.clip_threshold)
-        else:
-            # Streamed clipping: the kernel is purely row-wise, so applying
-            # it block by block is identical to the whole-matrix call while
-            # bounding the transient to one (block_rows, d) chunk.
-            clipped = np.empty_like(rows)
-            for start in range(0, rows.shape[0], self._block_rows):
-                stop = min(start + self._block_rows, rows.shape[0])
-                clipped[start:stop] = clip_rows_by_l2_norm(
-                    rows[start:stop], self.config.clip_threshold
-                )
+        clipped = clip_rows_by_l2_norm(np.asarray(rows), self.config.clip_threshold)
         owners = (
             np.arange(self.num_agents)
             if agents is None
@@ -922,54 +918,51 @@ class DecentralizedAlgorithm:
         follow its own-gradient slot in exactly the loop backend's order —
         callers must privatize local gradients (one row per agent, agent
         order) *before* calling this.
+
+        The pair rows are evaluated in evaluator-aligned chunks of about
+        ``block_rows`` rows (one chunk at the default size); each
+        evaluator's rows stay inside one chunk in pair order, so it claims
+        the same noise slots under any chunking and any block schedule.
         """
         pairs = self.topology.directed_pairs()
         evaluators = [i for i, _ in pairs]
         owners = [j for _, j in pairs]
-        if self._streamed and pairs:
-            # Streamed twin: evaluate the pair rows in evaluator-aligned
-            # chunks of ~block_rows rows.  Each evaluator's rows stay inside
-            # one chunk in their one-shot order, so it claims the same noise
-            # slots as in the one-shot call — bit-identical under any
-            # chunking and any block schedule.
-            cross_perturbed = np.empty(
-                (len(pairs), self.dimension), dtype=self._grad_dtype
+        cross_perturbed = np.empty((len(pairs), self.dimension), dtype=self._grad_dtype)
+
+        def run_chunk(start: int, stop: int) -> None:
+            chunk_evaluators = evaluators[start:stop]
+            gradients = self.fleet_gradients(
+                self.state[owners[start:stop]], batches.take(chunk_evaluators)
+            )
+            cross_perturbed[start:stop] = self.privatize_rows(
+                gradients, agents=chunk_evaluators
             )
 
-            def run_chunk(start: int, stop: int) -> None:
-                chunk_owners = owners[start:stop]
-                chunk_evaluators = evaluators[start:stop]
-                gradients = self.fleet_gradients(
-                    self.state[chunk_owners], batches.take(chunk_evaluators)
-                )
-                cross_perturbed[start:stop] = self.privatize_rows(
-                    gradients, agents=chunk_evaluators
-                )
-
-            self._scheduler.map(
-                run_chunk,
-                self._evaluator_chunks(evaluators),
-                serial=self._stacked is None,
-            )
-        else:
-            cross = self.fleet_gradients(self.state[owners], batches.take(evaluators))
-            cross_perturbed = self.privatize_rows(cross, agents=evaluators)
+        self._scheduler.map(
+            run_chunk, self._evaluator_chunks(evaluators), serial=self._stacked is None
+        )
         pair_rows = {pair: row for row, pair in enumerate(pairs)}
         return cross_perturbed, pair_rows
 
     def _evaluator_chunks(self, evaluators: Sequence[int]) -> List[Tuple[int, int]]:
         """Row chunks over the directed-pair list, cut at evaluator boundaries.
 
-        Chunks hold at least ``_stream_rows`` rows (except the last) and
-        never split one evaluator's rows across chunks, which is what makes
-        the chunked cross-gradient noise slots identical to the one-shot
-        call's, even when chunks run in parallel.
+        Chunks hold at least :func:`~repro.sharding.resolve_block_rows` rows
+        of the pair list (except the last) and never split one evaluator's
+        rows across chunks, which is what keeps each evaluator's
+        cross-gradient noise slots independent of the chunking, even when
+        chunks run in parallel.
         """
+        if not evaluators:
+            return []
+        chunk_rows = resolve_block_rows(
+            len(evaluators), self.dimension, getattr(self.config, "block_rows", None)
+        )
         chunks: List[Tuple[int, int]] = []
         start = 0
         for k in range(1, len(evaluators) + 1):
             if k == len(evaluators) or (
-                evaluators[k] != evaluators[k - 1] and k - start >= self._stream_rows
+                evaluators[k] != evaluators[k - 1] and k - start >= chunk_rows
             ):
                 chunks.append((start, k))
                 start = k
@@ -986,34 +979,35 @@ class DecentralizedAlgorithm:
             for j in self.topology.neighbors(agent, include_self=True)
         }
 
-    def gossip_average(self, vectors: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """One gossip step: each agent's vector becomes the W-weighted neighbour average.
-
-        Implements ``x_i <- sum_j omega_{ij} x_j`` (eqs. 24–25) for all agents
-        simultaneously.
-        """
-        mixed = self.mix_rows(
-            np.stack([np.asarray(v, dtype=self._dtype) for v in vectors], axis=0)
-        )
-        return [mixed[i] for i in range(self.num_agents)]
-
-    def mix_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """The gossip step as one matrix multiply: ``W @ X`` (eqs. 24–25).
+    def mix_rows(
+        self, matrix: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """One gossip step for all agents: ``x_i <- sum_j omega_{ij} x_j`` (eqs. 24–25).
 
         Dispatches to the configured :class:`~repro.topology.mixing.MixingOperator`:
         O(M^2 d) for dense storage, O(nnz d) for CSR — with bit-identical
         results, so sparse topologies can opt into the cheap kernel freely.
-        With ``block_rows`` configured the product is streamed over
-        ``(block_rows, d)`` output chunks (still bit-identical); in
-        ``dtype="mixed"`` mode float32 state is mixed with float64
+        The product is computed over ``(block_rows, d)`` output blocks
+        through the block scheduler (bit-identical for any block size) and
+        written into ``out`` — state itself, a pinned memmap or a scratch —
+        or a new array.  ``out`` must not overlap ``matrix``: the blocks
+        read all of ``matrix`` while writing their rows.  In
+        ``dtype="mixed"`` mode float32 input is mixed with float64
         accumulation per block.
         """
         matrix = np.asarray(matrix)
+        if out is not None and np.may_share_memory(matrix, out):
+            raise ValueError("mix_rows output must not overlap its input")
         if self._precision == "mixed" and matrix.dtype == np.float32:
-            return self.mixing.apply_mixed(matrix, block_rows=self._block_rows)
-        if self._block_rows is not None:
-            return self.mixing.mix_rows_blocked(matrix, self._block_rows)
-        return self.mixing.apply(matrix)
+            return self.mixing.apply_mixed(matrix, block_rows=self._block_rows, out=out)
+        if out is None:
+            dtype = np.float32 if matrix.dtype == np.float32 else np.float64
+            out = np.empty(matrix.shape, dtype=dtype)
+        self._scheduler.map(
+            lambda start, stop: self.mixing.mix_block(matrix, start, stop, out),
+            self._fleet_blocks(),
+        )
+        return out
 
     def record_fleet_exchange(
         self,
@@ -1072,25 +1066,26 @@ class DecentralizedAlgorithm:
         values, wire_bytes = self.codec.wire_cost(self.dimension)
         return num_channels * values, num_channels * wire_bytes
 
-    def compress_gossip_rows(self, channel: str, matrix: np.ndarray) -> np.ndarray:
-        """Decoded fleet matrix for one gossip channel (vectorized engine).
+    def compress_gossip_rows(
+        self, channel: str, rows: np.ndarray, start: int = 0
+    ) -> np.ndarray:
+        """Decoded gossip payload of agents ``start..start+len(rows)``.
 
         Active rows go through the codec (updating their error-feedback
         residuals); inactive rows pass through raw, exactly like the loop
         engine where an inactive agent never reaches its broadcast.  With
-        the identity codec the input is returned unchanged.
+        the identity codec the input is returned unchanged.  This is the
+        vectorized engine's codec entry point; residuals and sparsifier
+        streams are per agent, so blocks may be encoded in any
+        order; call :meth:`_prepare_gossip_channels` before encoding blocks
+        in parallel.
         """
         if self._compression_state is None:
-            return matrix
+            return rows
         mask = None if self._all_active else self.active_mask
-        if self._block_rows is not None:
-            # Chunked codec path: the codec kernels are row-wise, so
-            # encoding block by block is bit-identical to the whole-matrix
-            # call while bounding the transient working set.
-            return self._compression_state.compress_rows_blocked(
-                channel, matrix, mask, self._block_rows
-            )
-        return self._compression_state.compress_rows(channel, matrix, mask)
+        return self._compression_state.compress_block(
+            channel, rows, start, start + len(rows), mask
+        )
 
     def gossip_broadcast(self, agent: int, tag: str, value):
         """Broadcast one agent's gossip payload and return what consumers mix.

@@ -89,24 +89,22 @@ class AlgorithmConfig:
         assignment.  The precision tests pin the float32/mixed trajectory
         divergence from float64.
     block_rows:
-        Row-block size for the streaming (sharded) kernels: gossip is
-        applied over ``(block_rows, d)`` output chunks
-        (:meth:`~repro.topology.mixing.MixingOperator.mix_rows_blocked`,
-        bit-identical to the one-shot product) and clip+noise/codec passes
-        stream over the same blocks.  On the vectorized backend a non-None
-        ``block_rows`` also switches the *whole* round (batch drawing,
-        gradient evaluation, momentum/state updates) onto the streamed
-        block pipeline, which never materialises more than a handful of
+        Row-block size of the vectorized round: every stage (batch drawing,
+        gradient evaluation, clip+noise, momentum/state updates, codec and
+        gossip, applied over ``(block_rows, d)`` output chunks) runs block
+        by block, never materialising more than a handful of
         ``(block_rows, d)`` scratch chunks at a time.  ``None`` (the
-        default) keeps the historical one-shot kernels.
+        default) auto-sizes blocks to ~32 MiB
+        (:func:`~repro.sharding.resolve_block_rows`), so small fleets run
+        as a single block.  Results are bit-identical for every block size.
     block_workers:
         Number of threads the :class:`~repro.sharding.RoundScheduler` uses
-        to execute independent row blocks of a streamed round stage.  The
-        default 1 runs blocks serially (bit-identical to the one-shot
-        path); values > 1 dispatch blocks onto a ``ThreadPoolExecutor``
-        and remain numerically identical because every block owns disjoint
-        rows and pre-split per-agent RNG streams.  Ignored unless
-        ``block_rows`` enables the streamed round.
+        to execute independent row blocks of a vectorized round stage.  The
+        default 1 runs blocks serially; values > 1 dispatch blocks onto a
+        ``ThreadPoolExecutor`` and remain bit-identical because every block
+        owns disjoint rows and draws from its own agents' addresses in the
+        counter-based streams.  Only fleets of more than one block have
+        anything to overlap.
     storage:
         Backing store of the fleet state matrices: ``"ram"`` (default)
         keeps ordinary arrays; ``"memmap"`` backs state/momentum (and

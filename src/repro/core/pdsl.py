@@ -235,30 +235,18 @@ class PDSL(DecentralizedAlgorithm):
     # One round of Algorithm 1 — vectorized backend
     # ------------------------------------------------------------------
     def _step_vectorized(self, round_index: int) -> None:
-        gamma = self.config.learning_rate
-        alpha = self.config.momentum
-
         # Phase 1 — all local gradients, privatized in agent order (noise
-        # slot 0 per agent, as in the loop backend).  The streamed
-        # pipeline evaluates them block by block into a reusable scratch
-        # (bit-identical: every draw is addressed by agent, every kernel
-        # row-wise);
-        # the one-shot path uses a single stacked pass.
-        if self._streamed:
-            batches, own_perturbed = self._streamed_local_perturbed()
-        else:
-            batches = self.draw_batches()
-            own = self.fleet_gradients(self.state, batches)
-            own_perturbed = self.privatize_rows(own)
+        # slot 0 per agent, as in the loop backend), block by block.
+        batches, own_perturbed = self._local_perturbed_gradients()
         self.record_fleet_exchange("model", self.dimension)
 
-        # Phase 2 — all cross-gradients in one stacked pass over the directed
+        # Phase 2 — all cross-gradients in stacked passes over the directed
         # pairs (evaluator i, model owner j): agent i's batch, agent j's model.
         cross_perturbed, pair_rows = self.fleet_cross_gradients(batches)
         self.record_fleet_exchange("cross_grad", self.dimension)
 
         # Phase 3 — per-agent Shapley aggregation (inherently sequential
-        # coalition evaluations), then one fleet-wide momentum update.
+        # coalition evaluations), then the blocked momentum update.
         # Inactive agents run no Shapley game and keep momentum and model
         # frozen for the round.
         aggregated = np.zeros_like(self.state)
@@ -270,22 +258,15 @@ class PDSL(DecentralizedAlgorithm):
             returned[agent] = own_perturbed[agent]
             aggregated[agent] = self._aggregate_returned(agent, returned)
 
-        momentum_hat = self.freeze_inactive_rows(
-            alpha * self.momentum_state + aggregated, self.momentum_state
-        )
-        params_hat = self.freeze_inactive_rows(
-            self.state - gamma * momentum_hat, self.state
-        )
-        if not self.gossip_now(round_index):
-            # Off-interval round: keep the local update, skip the gossip.
-            self.momentum_state = momentum_hat
-            self.state = params_hat
-            return
-        momentum_shared = self.compress_gossip_rows("mix.0", momentum_hat)
-        params_shared = self.compress_gossip_rows("mix.1", params_hat)
-        values, wire_bytes = self.gossip_wire_cost(self.num_gossip_channels)
-        self.record_fleet_exchange("mix", values, wire_bytes)
+        # Phase 4 — gossip averaging of momentum and model (off-interval
+        # rounds keep the local update).
+        def momentum_step(start: int, stop: int):
+            return self._momentum_rows(start, stop, aggregated[start:stop])
 
-        # Phase 4 — gossip averaging as two matrix multiplies.
-        self.momentum_state = self.mix_rows(momentum_shared)
-        self.state = self.mix_rows(params_shared)
+        self._gossip_blocks(
+            "mix",
+            momentum_step,
+            (self.momentum_state, self.state),
+            self._dtype,
+            communicate=self.gossip_now(round_index),
+        )

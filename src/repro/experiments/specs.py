@@ -103,11 +103,11 @@ class ExperimentSpec:
     :class:`~repro.core.config.AlgorithmConfig`): ``dtype`` selects the
     fleet-state precision (``"float64"`` historic bit-exact, ``"float32"``,
     or ``"mixed"`` — float32 state with float64 mixing accumulation), and
-    ``block_rows`` streams the fleet-wide kernels over row blocks
-    (bit-identical to one-shot; ``None`` keeps the one-shot path).
-    ``block_workers`` executes independent row blocks of a streamed round on
-    a thread pool (1 = serial, the bit-identical default; parallel execution
-    is numerically identical — disjoint rows, addressed RNG streams), and
+    ``block_rows`` sets the row-block size of the vectorized round
+    (bit-identical for every size; ``None`` auto-sizes blocks to ~32 MiB).
+    ``block_workers`` executes independent row blocks of a round on a
+    thread pool (1 = serial, the default; parallel execution is
+    bit-identical — disjoint rows, addressed RNG streams), and
     ``storage`` selects where the fleet matrices live (``"ram"`` or
     ``"memmap"`` for disk-backed out-of-core state).
 

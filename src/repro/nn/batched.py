@@ -225,7 +225,7 @@ class StackedSequential:
         out:
             Optional pre-allocated ``(M, d)`` float64 gradient buffer; the
             backward pass already writes chunk slices in place, so passing a
-            caller-owned buffer (e.g. the streamed round's block view) skips
+            caller-owned buffer (e.g. the blocked round's row view) skips
             the allocation and the copy-out without changing a single bit.
 
         Returns

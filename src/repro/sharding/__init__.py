@@ -11,10 +11,11 @@ is purely a memory/performance knob — configured per algorithm through
 ``AlgorithmConfig.block_rows`` and per experiment through
 ``ExperimentSpec.block_rows``.
 
-:class:`RoundScheduler` executes the independent row blocks of a streamed
-round stage on a thread pool (``AlgorithmConfig.block_workers``); because
-every block owns disjoint rows and pre-split per-agent RNG streams, the
-parallel schedule is numerically identical to the serial one.
+:class:`RoundScheduler` executes the independent row blocks of a round
+stage on a thread pool (``AlgorithmConfig.block_workers``); because every
+block owns disjoint rows and draws from its own agents' addresses in the
+counter-based streams, the parallel schedule is bit-identical to the
+serial one.
 """
 
 from repro.sharding.fleet import (

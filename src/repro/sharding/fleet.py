@@ -49,13 +49,14 @@ def resolve_block_rows(
     dimension: int,
     block_rows: Optional[int] = None,
     itemsize: int = 8,
-    target_bytes: int = DEFAULT_BLOCK_BYTES,
+    target_bytes: Optional[int] = None,
 ) -> int:
     """The row-block size streaming kernels should use.
 
     An explicit ``block_rows`` wins (clamped to ``[1, num_agents]``);
     otherwise the block is sized so one ``(block_rows, dimension)`` chunk is
-    about ``target_bytes``.
+    about ``target_bytes`` (default :data:`DEFAULT_BLOCK_BYTES`, read at
+    call time).
     """
     if num_agents < 1 or dimension < 1:
         raise ValueError("num_agents and dimension must be positive")
@@ -63,6 +64,8 @@ def resolve_block_rows(
         if block_rows < 1:
             raise ValueError("block_rows must be a positive integer")
         return min(int(block_rows), num_agents)
+    if target_bytes is None:
+        target_bytes = DEFAULT_BLOCK_BYTES
     per_row = max(1, dimension * itemsize)
     return max(1, min(num_agents, target_bytes // per_row))
 

@@ -1,10 +1,10 @@
 """Parallel execution of independent row blocks within a round stage.
 
-The streamed round pipeline (``core/base.py``) decomposes every stage of a
+The blocked round pipeline (``core/base.py``) decomposes every stage of a
 training round — batch drawing + gradient evaluation, clip+noise, momentum
 and state updates, gossip — into work over disjoint ``(block_rows, d)`` row
 blocks.  Each block owns its rows exclusively and consumes only the
-per-agent RNG streams of those rows, so blocks of one stage are
+stream addresses of those rows' agents, so blocks of one stage are
 *independent*: they can run in any order, or concurrently, and produce
 bit-identical results.
 

@@ -21,6 +21,13 @@ class NoOpAlgorithm(DecentralizedAlgorithm):
 
 
 @pytest.fixture
+def shards_for_six():
+    data = make_classification_dataset(60, num_features=6, num_classes=4, seed=0)
+    shards = partition_iid(data, 6, np.random.default_rng(0)).shards
+    return make_linear_classifier(6, 4, seed=0), shards
+
+
+@pytest.fixture
 def components():
     data = make_classification_dataset(200, num_features=6, num_classes=4, seed=0)
     topology = fully_connected_graph(4)
@@ -103,25 +110,25 @@ class TestGradientHelpers:
 
 
 class TestGossipAndEvaluation:
-    def test_gossip_average_preserves_mean(self, components):
+    def test_mix_rows_preserves_mean(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
         rng = np.random.default_rng(0)
-        vectors = [rng.normal(size=algorithm.dimension) for _ in range(4)]
-        mixed = algorithm.gossip_average(vectors)
+        vectors = rng.normal(size=(4, algorithm.dimension))
+        mixed = algorithm.mix_rows(vectors)
         np.testing.assert_allclose(
             np.mean(mixed, axis=0), np.mean(vectors, axis=0), atol=1e-12
         )
 
-    def test_gossip_average_reduces_consensus_distance(self, components):
+    def test_mix_rows_reduces_consensus_distance(self, components):
         from repro.simulation.metrics import consensus_distance
 
         model, _, shards, config, _ = components
         topology = ring_graph(4)
         algorithm = NoOpAlgorithm(model, topology, shards, config)
         rng = np.random.default_rng(1)
-        vectors = [rng.normal(size=algorithm.dimension) for _ in range(4)]
-        mixed = algorithm.gossip_average(vectors)
+        vectors = rng.normal(size=(4, algorithm.dimension))
+        mixed = algorithm.mix_rows(vectors)
         assert consensus_distance(mixed) < consensus_distance(vectors)
 
     def test_average_parameters_is_mean(self, components):
@@ -291,14 +298,39 @@ class TestVectorizedHelpers:
             expected = algorithm.local_gradient(agent, algorithm.state[agent], batches[agent])
             np.testing.assert_allclose(fleet[agent], expected, rtol=1e-10, atol=1e-12)
 
-    def test_mix_rows_matches_gossip_average(self, components):
+    def test_mix_rows_matches_weighted_neighbour_average(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(4, algorithm.dimension))
         mixed = algorithm.mix_rows(matrix)
-        expected = algorithm.gossip_average([matrix[i] for i in range(4)])
-        np.testing.assert_allclose(mixed, np.stack(expected), atol=1e-12)
+        for agent, weights in enumerate(map(algorithm.neighbor_weights, range(4))):
+            expected = sum(weight * matrix[j] for j, weight in weights.items())
+            np.testing.assert_allclose(mixed[agent], expected, atol=1e-12)
+
+    def test_mix_rows_writes_into_out(self, components):
+        model, _, shards, config, _ = components
+        algorithm = NoOpAlgorithm(model, ring_graph(4), shards, config)
+        matrix = np.random.default_rng(6).normal(size=(4, algorithm.dimension))
+        out = np.empty_like(matrix)
+        assert algorithm.mix_rows(matrix, out=out) is out
+        np.testing.assert_array_equal(out, algorithm.mix_rows(matrix))
+
+    def test_mix_rows_rejects_aliased_output(self, shards_for_six):
+        # A read-only view does not protect the input from writes through
+        # ``out``: blocked mixing would read rows already overwritten.
+        model, shards = shards_for_six
+        config = AlgorithmConfig(sigma=0.0, batch_size=4, block_rows=2)
+        algorithm = NoOpAlgorithm(model, ring_graph(6), shards, config)
+        state = np.random.default_rng(7).normal(size=(6, algorithm.dimension))
+        source = state.view()
+        source.flags.writeable = False
+        with pytest.raises(ValueError, match="overlap"):
+            algorithm.mix_rows(source, out=state)
+        with pytest.raises(ValueError, match="overlap"):
+            algorithm.mix_rows(state, out=state)
+        with pytest.raises(ValueError, match="overlap"):
+            algorithm.mix_rows(state[:, :], out=state)
 
     def test_record_fleet_exchange_accounts_directed_edges(self, components):
         model, topology, shards, config, _ = components

@@ -1,13 +1,14 @@
-"""The streamed round pipeline: bit-identity, parallel blocks, checkpoints.
+"""The blocked round pipeline: bit-identity, parallel blocks, checkpoints.
 
-The blocked/streamed execution of a full round (``block_rows`` set, with or
-without ``storage="memmap"`` and ``block_workers > 1``) is a pure memory
-optimisation: every batch and noise draw is addressed by (round, slot,
-agent) in counter-based streams, every kernel is row-wise, and parallel
-blocks touch disjoint rows — so the resulting trajectory must equal the historic one-shot
-path **bit for bit**, for every algorithm, on both engines.  These tests pin
-that contract, plus the scheduler's lifecycle and cross-mode checkpointing
-(a run started streamed resumes in-RAM and vice versa).
+Every vectorized round runs over row blocks of the fleet; the block size
+(``block_rows``, by default sized to ~32 MiB so small fleets are a single
+block), ``storage="memmap"`` and ``block_workers > 1`` are pure memory and
+speed knobs: every batch and noise draw is addressed by (round, slot, agent)
+in counter-based streams, every kernel is row-wise, and parallel blocks
+touch disjoint rows — so the trajectory must equal the default single-block
+round **bit for bit**, for every algorithm, on both engines.  These tests
+pin that contract, plus the scheduler's lifecycle and cross-mode
+checkpointing (a run started streamed resumes in-RAM and vice versa).
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.nn.zoo import make_linear_classifier
 from repro.sharding import RoundScheduler
 from repro.simulation.runner import RunSession
 from repro.topology.graphs import ring_graph
+from repro.topology.schedule import schedule_from_dynamics
 
 NUM_AGENTS = 5
 ROUNDS = 3
@@ -42,9 +44,9 @@ ALGORITHMS = {
 }
 
 
-def build_algorithm(name, backend="vectorized", **config_overrides):
+def build_algorithm(name, backend="vectorized", dynamics=None, **config_overrides):
     cls, config_cls, extra = ALGORITHMS[name]
-    topology = ring_graph(NUM_AGENTS)
+    topology = schedule_from_dynamics(ring_graph(NUM_AGENTS), dynamics, seed=3)
     data = make_classification_dataset(
         400, num_features=8, num_classes=4, cluster_std=0.6, seed=1
     )
@@ -68,8 +70,8 @@ def build_algorithm(name, backend="vectorized", **config_overrides):
     return cls(net, topology, shards, config)
 
 
-def run_rounds(name, rounds=ROUNDS, **config_overrides):
-    algorithm = build_algorithm(name, **config_overrides)
+def run_rounds(name, rounds=ROUNDS, dynamics=None, **config_overrides):
+    algorithm = build_algorithm(name, dynamics=dynamics, **config_overrides)
     for round_index in range(rounds):
         algorithm.step(round_index)
     state = np.array(algorithm.state)
@@ -80,7 +82,7 @@ def run_rounds(name, rounds=ROUNDS, **config_overrides):
 
 @pytest.fixture(scope="module")
 def oneshot_baselines():
-    """One-shot vectorized trajectories, computed once per algorithm."""
+    """Default-block (single block) vectorized trajectories, once per algorithm."""
     return {name: run_rounds(name) for name in ALGORITHMS}
 
 
@@ -156,6 +158,56 @@ class TestStreamedBitIdentity:
         np.testing.assert_array_equal(state, base_state)
         np.testing.assert_array_equal(momentum, base_momentum)
         assert state.dtype == np.float32
+
+
+class TestSingleRoundBody:
+    """One vectorized round body per algorithm, whatever the block size."""
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_algorithm_has_one_loop_and_one_vectorized_body(self, name):
+        cls = ALGORITHMS[name][0]
+        assert "_step_loop" in vars(cls)
+        assert "_step_vectorized" in vars(cls)
+        assert not any(hasattr(klass, "_step_streamed") for klass in cls.__mro__)
+
+    @pytest.mark.parametrize("block_workers", [1, 4])
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_auto_sized_blocks_split_and_stay_identical(
+        self, name, block_workers, monkeypatch, oneshot_baselines
+    ):
+        # Shrink the default block target so ``block_rows=None`` resolves
+        # to two-row blocks on this fleet.
+        monkeypatch.setattr("repro.sharding.fleet.DEFAULT_BLOCK_BYTES", 2 * 36 * 8)
+        algorithm = build_algorithm(name, block_workers=block_workers)
+        assert len(algorithm._fleet_blocks()) == 3
+        for round_index in range(ROUNDS):
+            algorithm.step(round_index)
+        state = np.array(algorithm.state)
+        momentum = np.array(algorithm.momentum_state)
+        algorithm.close()
+        np.testing.assert_array_equal(state, oneshot_baselines[name][0])
+        np.testing.assert_array_equal(momentum, oneshot_baselines[name][1])
+        loop_state, loop_momentum = run_rounds(name, backend="loop")
+        np.testing.assert_allclose(state, loop_state, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(momentum, loop_momentum, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_blocks_freeze_inactive_agents_at_their_own_rows(self, name):
+        # Churn and stragglers mask different agents in different blocks,
+        # so every block must read the active mask at its own offset.
+        dynamics = {"churn_rate": 0.3, "rejoin_rate": 0.5, "straggler_fraction": 0.2}
+        base_state, base_momentum = run_rounds(name, dynamics=dynamics)
+        state, momentum = run_rounds(name, dynamics=dynamics, block_rows=2)
+        np.testing.assert_array_equal(state, base_state)
+        np.testing.assert_array_equal(momentum, base_momentum)
+        loop_state, _ = run_rounds(name, dynamics=dynamics, backend="loop")
+        np.testing.assert_allclose(state, loop_state, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_default_blocks_with_workers_match_serial(self, name, oneshot_baselines):
+        state, momentum = run_rounds(name, block_workers=4)
+        np.testing.assert_array_equal(state, oneshot_baselines[name][0])
+        np.testing.assert_array_equal(momentum, oneshot_baselines[name][1])
 
 
 class TestCrossModeCheckpoint:

@@ -4,9 +4,9 @@ Two guarantees anchor the million-agent scaling work:
 
 * **bit-identity** — streaming a row-independent kernel over ``(block, d)``
   chunks must change *nothing*: ``mix_rows_blocked`` equals ``apply`` bit
-  for bit (dense and CSR, any block size), the blocked codec path equals
-  the one-shot path, and an engine configured with ``block_rows`` walks the
-  exact trajectory of the unblocked engine;
+  for bit (dense and CSR, any block size), block-by-block encoding equals
+  the whole-fleet codec call, and an engine configured with ``block_rows``
+  walks the exact trajectory of the default-sized blocks;
 * **accuracy budget** — float32 / mixed-precision state is lossy by
   construction, so the divergence from the float64 trajectory is *pinned*:
   every algorithm must stay inside an explicit per-round budget, turning
@@ -116,7 +116,7 @@ class TestMixedPrecisionKernel:
 
 
 class TestBlockedCompressionBitIdentity:
-    """The chunked codec path must equal the one-shot call per agent."""
+    """Encoding a fleet block by block must equal the whole-fleet call per agent."""
 
     @staticmethod
     def _make_state(codec_kwargs):
@@ -127,6 +127,17 @@ class TestBlockedCompressionBitIdentity:
         config = CompressionConfig(**codec_kwargs)
         return CompressionState(make_codec(config, 10), NUM_AGENTS, 10, seed=5)
 
+    @staticmethod
+    def _compress_blocked(state, matrix, block_rows, mask=None):
+        """``compress_block`` looped over ``(block_rows, d)`` row blocks."""
+        out = np.empty_like(matrix)
+        for start in range(0, NUM_AGENTS, block_rows):
+            stop = min(start + block_rows, NUM_AGENTS)
+            out[start:stop] = state.compress_block(
+                "model", matrix[start:stop], start, stop, mask
+            )
+        return out
+
     @pytest.mark.parametrize("codec_kwargs", [{"codec": "topk", "k": 3}, {"codec": "int8"}])
     @pytest.mark.parametrize("block_rows", [1, 7, NUM_AGENTS])
     def test_full_fleet(self, codec_kwargs, block_rows, rng):
@@ -135,9 +146,7 @@ class TestBlockedCompressionBitIdentity:
         blocked = self._make_state(codec_kwargs)
         for _ in range(3):  # residuals accumulate across calls
             expected = one_shot.compress_rows("model", matrix)
-            actual = blocked.compress_rows_blocked(
-                "model", matrix, block_rows=block_rows
-            )
+            actual = self._compress_blocked(blocked, matrix, block_rows)
             np.testing.assert_array_equal(expected, actual)
         for channel in ("model",):
             res_a, res_b = one_shot.residual(channel), blocked.residual(channel)
@@ -151,12 +160,12 @@ class TestBlockedCompressionBitIdentity:
         blocked = self._make_state({"codec": "topk", "k": 3})
         np.testing.assert_array_equal(
             one_shot.compress_rows("model", matrix, mask),
-            blocked.compress_rows_blocked("model", matrix, mask, block_rows=5),
+            self._compress_blocked(blocked, matrix, 5, mask),
         )
 
 
 class TestEngineBlockedBitIdentity:
-    """An engine with ``block_rows`` set walks the unblocked trajectory exactly."""
+    """An engine with ``block_rows`` set walks the default-block trajectory exactly."""
 
     @pytest.mark.parametrize("name", ALGORITHMS)
     def test_trajectories_identical(self, name):
