@@ -22,6 +22,7 @@ class DMSGD(DecentralizedAlgorithm):
     """Decentralized momentum SGD with one gossip-averaging step per round."""
 
     name = "DMSGD"
+    async_capable = True
 
     def _step_loop(self, round_index: int) -> None:
         gamma = self.config.learning_rate

@@ -225,8 +225,8 @@ class AsyncRoundSuite(Benchmark):
     * ``barrier_overhead@N`` — barrier-mode wall time over the bare
       synchronous round (the cost of simulating time at all).
 
-    Correctness is embedded: before timing, a small unit-trace barrier run
-    is checked bit-identical to the bare vectorized engine.
+    Correctness is embedded: before timing, small barrier runs on unit and
+    synthetic traces are checked bit-identical to the bare vectorized engine.
     """
 
     name = "engine/async-round"
@@ -244,8 +244,9 @@ class AsyncRoundSuite(Benchmark):
 
     @staticmethod
     def build(num_agents: int, wrap: str = "bare"):
-        """A ring DP-DPSGD fleet: bare, barrier-wrapped, or async-wrapped."""
-        from repro.baselines import DPDPSGD
+        """A ring DP-DPSGD fleet, bare or barrier-wrapped; async-wrapped, the
+        same fleet as DMSGD with zero momentum (async mode runs DMSGD only)."""
+        from repro.baselines import DMSGD, DPDPSGD
         from repro.core.config import AlgorithmConfig
         from repro.data.partition import partition_iid
         from repro.data.synthetic import make_classification_dataset
@@ -274,28 +275,34 @@ class AsyncRoundSuite(Benchmark):
             seed=0,
             backend="vectorized",
         )
+        if wrap == "async":
+            return AsyncEngine(
+                DMSGD(model, ring_graph(num_agents), shards, config),
+                traces=synthetic_traces(num_agents, seed=1),
+                async_mode=True,
+            )
         algorithm = DPDPSGD(model, ring_graph(num_agents), shards, config)
         if wrap == "bare":
             return algorithm
         if wrap == "barrier":
             return AsyncEngine(algorithm, traces=uniform_traces(num_agents))
-        if wrap == "async":
-            return AsyncEngine(
-                algorithm,
-                traces=synthetic_traces(num_agents, seed=1),
-                async_mode=True,
-            )
         raise ValueError(f"unknown wrap mode {wrap!r}")
 
     def _check_bit_identity(self) -> None:
-        """Unit-trace barrier mode must reproduce the bare engine exactly."""
-        check_agents = min(64, min(self.agent_counts))
-        bare = self.build(check_agents, "bare")
-        wrapped = self.build(check_agents, "barrier")
+        """Barrier mode must reproduce the bare engine exactly, under any traces."""
+        from repro.simulation.events import AsyncEngine, synthetic_traces, uniform_traces
+
+        n = min(64, min(self.agent_counts))
+        bare = self.build(n, "bare")
+        wrapped = [
+            AsyncEngine(self.build(n, "bare"), traces=traces)
+            for traces in (uniform_traces(n), synthetic_traces(n, seed=1))
+        ]
         for _ in range(2):
-            bare.run_round()
-            wrapped.run_round()
-        np.testing.assert_array_equal(bare.state, wrapped.state)
+            for algorithm in (bare, *wrapped):
+                algorithm.run_round()
+        for engine in wrapped:
+            np.testing.assert_array_equal(bare.state, engine.state)
 
     def run(self) -> Dict[str, float]:
         self._check_bit_identity()

@@ -161,6 +161,10 @@ class DecentralizedAlgorithm:
     #: simulated wire time consistent with the bytes the round accounts.
     num_gossip_channels: int = 1
 
+    #: Whether async mode's event step (a momentum-SGD local step, then
+    #: mixing on arrival) *is* this algorithm.  Only DMSGD sets it.
+    async_capable: bool = False
+
     def __init__(
         self,
         model: Model,

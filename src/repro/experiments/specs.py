@@ -25,7 +25,9 @@ import json
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.baselines import DMSGD, DPCGA, DPDPSGD, DPNetFleet, DPSGDNonPrivate, Muffliato
 from repro.compression.config import CompressionConfig, validate_compression
+from repro.core.pdsl import PDSL
 from repro.simulation.events import check_async_mode, validate_time_model
 from repro.topology.schedule import validate_dynamics
 
@@ -67,7 +69,10 @@ _PAPER_EPSILONS: Dict[str, Tuple[float, ...]] = {
 }
 
 #: Every algorithm the harness can instantiate (paper set + ablation extras).
-_VALID_ALGORITHMS: Tuple[str, ...] = ALGORITHM_NAMES + ("D-PSGD", "DMSGD")
+_ALGORITHM_CLASSES: Dict[str, type] = {
+    cls.name: cls
+    for cls in (DPDPSGD, DPCGA, Muffliato, DPNetFleet, PDSL, DPSGDNonPrivate, DMSGD)
+}
 
 #: Paper figure index -> (dataset family, topology).
 _PAPER_FIGURES: Dict[int, Tuple[str, str]] = {
@@ -121,8 +126,9 @@ class ExperimentSpec:
     "async": True, "staleness_decay": 0.1}``, turned into an
     :class:`~repro.simulation.events.engine.AsyncEngine` wrapper by the
     harness.  ``None`` (the default) keeps real-time-only execution;
-    ``{"traces": "uniform"}`` simulates timing while staying bit-identical
-    to the synchronous engines.
+    ``{"traces": ...}`` without ``"async"`` simulates timing while staying
+    bit-identical to the synchronous engines.  ``"async": True`` runs
+    DMSGD local steps, so it accepts only ``algorithms=["DMSGD"]``.
     """
 
     name: str
@@ -166,7 +172,7 @@ class ExperimentSpec:
             raise ValueError("need at least two agents")
         if self.num_rounds <= 0:
             raise ValueError("num_rounds must be positive")
-        unknown = [a for a in self.algorithms if a not in _VALID_ALGORITHMS]
+        unknown = [a for a in self.algorithms if a not in _ALGORITHM_CLASSES]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
         validate_dynamics(self.dynamics, num_agents=self.num_agents)
@@ -194,6 +200,9 @@ class ExperimentSpec:
                 and compression.peer_selection != "shift_one",
                 identity_codec=compression.is_identity,
                 communication_interval=compression.communication_interval,
+                unsupported_algorithms=[
+                    a for a in self.algorithms if not _ALGORITHM_CLASSES[a].async_capable
+                ],
             )
 
     def with_updates(self, **kwargs) -> "ExperimentSpec":
@@ -512,7 +521,7 @@ class ExperimentGrid:
             raise ValueError(
                 "overrides must contain at least one entry ({} runs the base spec)"
             )
-        unknown = [a for a in self.algorithms if a not in _VALID_ALGORITHMS]
+        unknown = [a for a in self.algorithms if a not in _ALGORITHM_CLASSES]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
         duplicate_algorithms = sorted(

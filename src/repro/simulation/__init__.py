@@ -15,9 +15,10 @@ gradients over a communication graph.  This package provides that substrate:
   evaluate, record.
 * :mod:`repro.simulation.events` — the discrete-event time model: a
   deterministic event queue, per-agent :class:`DeviceTrace` objects and the
-  :class:`AsyncEngine` wrapper that runs any algorithm on simulated time
-  (barrier mode is bit-identical to the plain engines under uniform unit
-  traces; async mode gossips on message arrival).
+  :class:`AsyncEngine` wrapper that runs an algorithm on simulated time
+  (barrier mode times any algorithm's rounds in closed form and is
+  bit-identical to the plain engines; async mode runs DMSGD and gossips on
+  message arrival).
 """
 
 from repro.simulation.checkpoint import (

@@ -3,17 +3,18 @@
 The synchronous engines treat a round as an indivisible unit; this package
 makes *time* a simulated, measurable quantity.  Three pieces:
 
-* :mod:`repro.simulation.events.queue` — a deterministic event queue keyed
-  by ``(time, priority, seq)`` with explicit tie-breaking, lazy
-  cancellation and full checkpoint round-trips;
+* :mod:`repro.simulation.events.queue` — the deterministic event queue
+  async mode runs on, keyed by ``(time, priority, seq)`` with explicit
+  tie-breaking and full checkpoint round-trips;
 * :mod:`repro.simulation.events.traces` — per-agent :class:`DeviceTrace`
   objects (compute seconds per step, link bandwidth, latency) from uniform
   defaults, seeded log-normal synthesis, or JSON trace files;
 * :mod:`repro.simulation.events.engine` — the :class:`AsyncEngine` wrapper
-  that drives any of the six algorithms on simulated time, in barrier mode
-  (synchronous numerics, simulated timing — bit-identical to the plain
-  engines under uniform unit traces) or async mode (agents train on their
-  own clocks and gossip on message arrival with staleness-weighted mixing).
+  that drives an algorithm on simulated time, in barrier mode (any of the
+  six algorithms: synchronous numerics, closed-form round timing —
+  bit-identical to the plain engines) or async mode (DMSGD only: agents
+  train on their own clocks and gossip on message arrival with
+  staleness-weighted mixing).
 
 Declared via ``ExperimentSpec.time_model`` and wrapped automatically by the
 experiment harness; ``RunSession`` records simulated wall-clock and fleet
@@ -27,7 +28,6 @@ from repro.simulation.events.engine import (
 )
 from repro.simulation.events.queue import (
     PRIORITY_ARRIVAL,
-    PRIORITY_BARRIER,
     PRIORITY_COMPUTE,
     Event,
     EventQueue,
@@ -39,7 +39,6 @@ from repro.simulation.events.traces import (
     save_traces,
     synthetic_traces,
     traces_from_spec,
-    transfer_seconds,
     uniform_traces,
     validate_time_model,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "check_async_mode",
     "engine_from_time_model",
     "PRIORITY_ARRIVAL",
-    "PRIORITY_BARRIER",
     "PRIORITY_COMPUTE",
     "Event",
     "EventQueue",
@@ -59,7 +57,6 @@ __all__ = [
     "save_traces",
     "synthetic_traces",
     "traces_from_spec",
-    "transfer_seconds",
     "uniform_traces",
     "validate_time_model",
 ]

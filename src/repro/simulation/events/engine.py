@@ -1,42 +1,48 @@
-"""Event-driven execution of a decentralized algorithm under a time model.
+"""Simulated-time execution of a decentralized algorithm.
 
 :class:`AsyncEngine` wraps an already-constructed
 :class:`~repro.core.base.DecentralizedAlgorithm` and makes *time* a
 simulated quantity: every agent owns a :class:`~repro.simulation.events.traces.DeviceTrace`
-(compute speed, link bandwidth, latency), and the engine schedules compute
-completions and message arrivals on a deterministic
-:class:`~repro.simulation.events.queue.EventQueue`.  The wrapper proxies
-every attribute it does not own to the wrapped algorithm, so
+(compute speed, link bandwidth, latency), turned once into three per-agent
+float arrays that both modes read.  The wrapper proxies every attribute it
+does not own to the wrapped algorithm, so
 :class:`~repro.simulation.runner.RunSession`, the experiment harness and
 the orchestrator drive it exactly like a bare algorithm.
 
 Two execution modes, selected by ``async_mode``:
 
-**Barrier mode** (the default) keeps the synchronous numerics and simulates
-*when* the round would finish on the trace fleet: compute-done events per
-active agent, arrival events per directed edge (at the codec's wire size),
-and the round's simulated duration is the latest arrival.  The numeric
-round is then delegated, unchanged, to ``algorithm.run_round()`` — the
-timing machinery consumes **no** algorithm randomness, which is why uniform
-unit traces reproduce the synchronous engine **bit for bit** (the
+**Barrier mode** (the default) keeps the synchronous numerics and computes
+*when* the round would finish on the trace fleet, in closed form over the
+round's active directed edges ``s -> d`` (the positive off-diagonal mixing
+weights): ``sent = start + compute[s]``, ``arrival = sent + latency[s] +
+wire_bytes / min(bandwidth[s], bandwidth[d])`` at the codec's wire size,
+and the round ends at the latest compute-done time or arrival.  The
+numeric round is then delegated, unchanged, to ``algorithm.run_round()`` —
+the timing pass consumes **no** algorithm randomness, which is why
+barrier mode reproduces the synchronous engine **bit for bit** (the
 equivalence harness in ``tests/simulation/test_async_equivalence.py`` pins
 this for all six algorithms, on static and dynamic topologies).  Message
-latencies are recorded into the :class:`~repro.simulation.network.Network`'s
-latency counters per arrival.
+latencies go into the :class:`~repro.simulation.network.Network`'s latency
+counters in one bulk call per round, in the order an event queue would pop
+the arrivals (``tests/simulation/test_barrier_oracle.py`` checks the
+closed form against that event-queue pass bit for bit).
 
 **Async mode** (``async_mode=True``) replaces the global round with genuine
-event-driven execution: each agent trains on its own clock (momentum-SGD
-local steps whose batch and DP noise are addressed by the agent's own step
-count), broadcasts its model when a step completes, and *mixes on message
-arrival* with staleness-weighted gossip — ``x_j += W_ji *
-exp(-staleness_decay * s) * (payload - x_j)`` where ``s`` is the payload's simulated age.  Stragglers
-and slow links are emergent behaviour of the traces rather than per-round
-masks; a "round" (for history/eval purposes) completes when every agent has
-finished one more local step, so fast agents legitimately run ahead.  Each
-completed local step is a separate clipped+noised release, so the privacy
-accountant composes over the *fastest* agent's step count (the worst-case
-per-agent loss), not one event per round.
-Requires a static topology and the identity codec.
+event-driven execution on an
+:class:`~repro.simulation.events.queue.EventQueue`: each agent trains on its
+own clock (DMSGD local steps — momentum SGD whose batch and DP noise are
+addressed by the agent's own step count), broadcasts its model when a step
+completes, and *mixes on message arrival* with staleness-weighted gossip —
+``x_j += W_ji * exp(-staleness_decay * s) * (payload - x_j)`` where ``s``
+is the payload's simulated age.  Stragglers and slow links are emergent
+behaviour of the traces rather than per-round masks; a "round" (for
+history/eval purposes) completes when every agent has finished one more
+local step, so fast agents legitimately run ahead.  Each completed local
+step is a separate clipped+noised release, so the privacy accountant
+composes over the *fastest* agent's step count (the worst-case per-agent
+loss), not one event per round.  That local step is DMSGD's, so async mode
+runs only ``async_capable`` algorithms (DMSGD), and requires a static
+topology and the identity codec.
 
 Both modes checkpoint: :meth:`AsyncEngine.state_dict` embeds the event
 queue (in-flight payloads included), per-agent clocks and busy-time
@@ -58,8 +64,8 @@ from repro.simulation.events.queue import (
 )
 from repro.simulation.events.traces import (
     DeviceTrace,
+    check_staleness_decay,
     traces_from_spec,
-    transfer_seconds,
     uniform_traces,
     validate_time_model,
 )
@@ -68,13 +74,25 @@ __all__ = ["AsyncEngine", "check_async_mode", "engine_from_time_model"]
 
 
 def check_async_mode(
-    *, static_schedule: bool, identity_codec: bool, communication_interval: int
+    *,
+    static_schedule: bool,
+    identity_codec: bool,
+    communication_interval: int,
+    unsupported_algorithms: Sequence[str] = (),
 ) -> None:
     """Raise ``ValueError`` for a configuration async mode cannot run.
 
     Shared by :class:`AsyncEngine` and ``ExperimentSpec`` validation, so a
     spec fails at parse time with the message the engine would give.
+    ``unsupported_algorithms`` names the requested algorithms whose class is
+    not ``async_capable``.
     """
+    if unsupported_algorithms:
+        raise ValueError(
+            f"async mode runs DMSGD local steps (momentum SGD, mix on "
+            f"arrival) and cannot run {list(unsupported_algorithms)}; use "
+            f"DMSGD or barrier mode"
+        )
     if not static_schedule:
         raise ValueError(
             "async mode replaces per-round masks with trace-driven "
@@ -104,15 +122,15 @@ class AsyncEngine:
         the algorithm anywhere (``RunSession``, evaluation, checkpointing).
     traces:
         One :class:`DeviceTrace` per agent; defaults to uniform unit traces
-        (one second per step, instantaneous wires) — the configuration under
-        which barrier mode is bit-identical to the synchronous engine.
+        (one second per step, instantaneous wires).  Barrier-mode numerics
+        are bit-identical to the synchronous engine under any traces.
     async_mode:
-        ``False`` (barrier): synchronous numerics, simulated timing.
-        ``True``: event-driven local steps with gossip on arrival.
+        ``False`` (barrier): synchronous numerics, closed-form timing.
+        ``True``: event-driven DMSGD local steps with gossip on arrival.
     staleness_decay:
-        Async mode only — exponential down-weighting rate applied to a
-        payload's mixing weight per simulated second of transit age.  0
-        mixes arrivals at the full topology weight.
+        Async mode only (must be 0 otherwise) — exponential down-weighting
+        rate applied to a payload's mixing weight per simulated second of
+        transit age.  0 mixes arrivals at the full topology weight.
     """
 
     def __init__(
@@ -133,14 +151,18 @@ class AsyncEngine:
             )
         self.async_mode = bool(async_mode)
         self.staleness_decay = float(staleness_decay)
-        if self.staleness_decay < 0:
-            raise ValueError("staleness_decay must be non-negative")
+        check_staleness_decay(self.staleness_decay, self.async_mode)
         if self.async_mode:
             check_async_mode(
                 static_schedule=algorithm.schedule.is_static,
                 identity_codec=algorithm.codec.is_identity,
                 communication_interval=algorithm.compression_config.communication_interval,
+                unsupported_algorithms=[] if algorithm.async_capable else [algorithm.name],
             )
+        self._compute, self._bandwidth, self._latency = (
+            np.array([getattr(trace, name) for trace in self.traces], dtype=np.float64)
+            for name in ("compute_seconds", "bandwidth_bytes_per_s", "latency_seconds")
+        )
         self.queue = EventQueue()
         self._sim_time = 0.0
         self._steps_done = np.zeros(algorithm.num_agents, dtype=np.int64)
@@ -209,24 +231,26 @@ class AsyncEngine:
         else:
             self._run_round_barrier()
 
-    def _round_topology(self, round_index: int):
-        schedule = self._algorithm.schedule
-        if schedule.is_static:
-            return self._algorithm.topology
-        return schedule.topology_at(round_index)
+    def _transfer_seconds(self, senders: Any, recipients: Any, nbytes: int) -> np.ndarray:
+        """Seconds to move ``nbytes`` from each sender to each recipient: the
+        sender's latency plus serialisation at the slower endpoint's rate
+        (infinite bandwidth serialises in zero time)."""
+        bandwidth = np.minimum(self._bandwidth[senders], self._bandwidth[recipients])
+        return self._latency[senders] + nbytes / bandwidth
 
     def _run_round_barrier(self) -> None:
-        """Simulate the round's timing, then delegate the numerics unchanged.
+        """Compute the round's timing in closed form, then delegate the numerics.
 
-        The event pass touches no algorithm RNG stream and no fleet state —
-        it only schedules compute/arrival events, advances the simulated
-        clock to the latest arrival, and records per-message latency — so
-        ``algorithm.run_round()`` sees exactly the world it would see
-        without the wrapper.  That is the whole bit-identity argument.
-
-        Messages are sized at the algorithm's full wire payload
-        (``gossip_wire_cost(num_gossip_channels)``), so two-channel
-        algorithms like PDSL pay for both streams in simulated time.
+        The timing pass touches no algorithm RNG stream and no fleet state —
+        it only advances the simulated clock to the latest compute-done time
+        or arrival over the round's active edges, updates busy time and step
+        counts, and records per-message latency — so ``algorithm.run_round()``
+        sees exactly the world it would see without the wrapper.  That is
+        the whole bit-identity argument.  Messages are sized at the full
+        wire payload (``gossip_wire_cost(num_gossip_channels)``), so
+        two-channel algorithms like PDSL pay for both streams.
+        ``events_processed`` counts one compute event per active agent and
+        one arrival per active edge.
 
         Latency counters here are **pre-fault-injection**: the delegated
         numeric round applies drop faults and departed-agent rejection with
@@ -239,51 +263,37 @@ class AsyncEngine:
         """
         algorithm = self._algorithm
         round_index = algorithm.rounds_completed
-        schedule = algorithm.schedule
-        mask = None if schedule.is_static else schedule.active_mask_at(round_index)
-        topology = self._round_topology(round_index)
-        gossiping = algorithm.gossip_now(round_index)
-        _, wire_bytes = algorithm.gossip_wire_cost(algorithm.num_gossip_channels)
+        active = algorithm.schedule.active_mask_at(round_index)
         start = self._sim_time
-        queue = self.queue
-        for agent in range(algorithm.num_agents):
-            if mask is not None and not mask[agent]:
-                continue
-            queue.push(
-                start + self.traces[agent].compute_seconds,
-                "compute",
-                agent=agent,
-                priority=PRIORITY_COMPUTE,
-            )
-        last = start
-        while queue:
-            event = queue.pop()
-            self.events_processed += 1
-            last = event.time
-            if event.kind == "compute":
-                sender = event.agent
-                self._busy_seconds[sender] += self.traces[sender].compute_seconds
-                self._steps_done[sender] += 1
-                if not gossiping:
-                    continue
-                for neighbor in topology.neighbors(sender, include_self=False):
-                    if mask is not None and not mask[neighbor]:
-                        continue
-                    arrival = event.time + transfer_seconds(
-                        self.traces[sender], self.traces[neighbor], wire_bytes
-                    )
-                    queue.push(
-                        arrival,
-                        "arrival",
-                        agent=neighbor,
-                        priority=PRIORITY_ARRIVAL,
-                        sender=sender,
-                        sent_at=event.time,
-                    )
-            elif event.kind == "arrival":
-                algorithm.network.record_latency(
-                    "model", event.time - event.data["sent_at"]
-                )
+        done = start + self._compute
+        self._busy_seconds[active] += self._compute[active]
+        self._steps_done[active] += 1
+        num_active = int(np.count_nonzero(active))
+        self.events_processed += num_active
+        last = float(done[active].max()) if num_active else start
+        if algorithm.gossip_now(round_index):
+            # Active directed edges: the positive off-diagonal weights of
+            # the round's cached CSR matrix (the pairs Topology.neighbors
+            # reads) between active agents.
+            w = algorithm.schedule.operator_at(round_index, "csr").matrix
+            senders = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+            recipients = w.indices
+            live = (w.data > 0.0) & (recipients != senders)
+            live &= active[senders] & active[recipients]
+            senders, recipients = senders[live], recipients[live]
+            if senders.size:
+                _, wire_bytes = algorithm.gossip_wire_cost(algorithm.num_gossip_channels)
+                sent = done[senders]
+                arrival = sent + self._transfer_seconds(senders, recipients, wire_bytes)
+                # An event queue pops arrivals by time, then push order:
+                # the sender's compute-done rank (time, then id), then the
+                # recipient.  Latency is summed in that order; arrivals
+                # tied on (arrival, sent) carry the same latency, so
+                # sorting on those two keys already fixes the sum.
+                order = np.lexsort((sent, arrival))
+                algorithm.network.record_latency("model", (arrival - sent)[order])
+                self.events_processed += int(senders.size)
+                last = max(last, float(arrival.max()))
         self._sim_time = last
         algorithm.run_round()
 
@@ -292,7 +302,7 @@ class AsyncEngine:
 
         Fast agents keep training and broadcasting while slow ones catch up
         — the straggler effect is emergent, not masked.  Numerics happen at
-        event granularity: a local momentum-SGD step per compute event
+        event granularity: a DMSGD local step per compute event
         (drawing batch and noise at the agent's own step count), a
         staleness-weighted mix per arrival event.
         """
@@ -303,7 +313,7 @@ class AsyncEngine:
         if not self._bootstrapped:
             for agent in range(algorithm.num_agents):
                 queue.push(
-                    self._sim_time + self.traces[agent].compute_seconds,
+                    self._sim_time + self._compute[agent],
                     "compute",
                     agent=agent,
                     priority=PRIORITY_COMPUTE,
@@ -337,7 +347,6 @@ class AsyncEngine:
         """One finished local step: update, broadcast, reschedule."""
         algorithm = self._algorithm
         config = algorithm.config
-        trace = self.traces[agent]
         # The agent's draws are addressed by its own step count, so they do
         # not depend on how the other agents' steps interleave with it.
         step = int(self._steps_done[agent])
@@ -350,12 +359,13 @@ class AsyncEngine:
             algorithm.params[agent] - config.learning_rate * update
         )
         self._steps_done[agent] += 1
-        self._busy_seconds[agent] += trace.compute_seconds
+        self._busy_seconds[agent] += self._compute[agent]
         payload = np.array(algorithm.params[agent], dtype=np.float64)
-        for neighbor in algorithm.topology.neighbors(agent, include_self=False):
-            arrival = now + transfer_seconds(
-                trace, self.traces[neighbor], payload.nbytes
-            )
+        neighbors = algorithm.topology.neighbors(agent, include_self=False)
+        arrivals = now + self._transfer_seconds(
+            agent, np.array(neighbors, dtype=np.intp), payload.nbytes
+        )
+        for neighbor, arrival in zip(neighbors, arrivals.tolist()):
             self.queue.push(
                 arrival,
                 "arrival",
@@ -366,7 +376,7 @@ class AsyncEngine:
                 payload=payload,
             )
         self.queue.push(
-            now + trace.compute_seconds,
+            now + self._compute[agent],
             "compute",
             agent=agent,
             priority=PRIORITY_COMPUTE,

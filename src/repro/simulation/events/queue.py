@@ -1,6 +1,9 @@
-"""Deterministic discrete-event queue for the simulated time model.
+"""Deterministic discrete-event queue for async mode.
 
-The queue is a binary heap keyed by ``(time, priority, seq)``:
+Only async mode runs events one by one; barrier mode computes its round's
+timestamps in closed form (see
+:class:`~repro.simulation.events.engine.AsyncEngine`).  The queue is a
+binary heap keyed by ``(time, priority, seq)``:
 
 * ``time`` — simulated seconds at which the event fires;
 * ``priority`` — explicit tie-break between event *kinds* scheduled for the
@@ -17,16 +20,11 @@ Because the key is a pure function of the push sequence, replaying the same
 pushes yields the same pops — the property tests in
 ``tests/properties/test_property_events.py`` pin this, along with clock
 monotonicity (``pop`` times never decrease, and scheduling into the past is
-an error) and loss-freedom under cancellation.
+an error).
 
-Cancellation is lazy: :meth:`EventQueue.cancel` marks the sequence number
-and :meth:`EventQueue.pop` discards marked entries when they surface, so
-cancelling is O(1) and cannot perturb the order of surviving events.
-
-The whole queue — live entries, the insertion counter, the simulated clock —
-round-trips through :meth:`EventQueue.state_dict`, which is how an
-interrupted :class:`~repro.simulation.events.engine.AsyncEngine` run resumes
-mid-queue bit-identically.
+The whole queue — pending entries, the insertion counter, the simulated
+clock — round-trips through :meth:`EventQueue.state_dict`, which is how an
+interrupted async run resumes mid-queue bit-identically.
 """
 
 from __future__ import annotations
@@ -34,12 +32,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "PRIORITY_ARRIVAL",
     "PRIORITY_COMPUTE",
-    "PRIORITY_BARRIER",
     "Event",
     "EventQueue",
 ]
@@ -48,8 +45,6 @@ __all__ = [
 PRIORITY_ARRIVAL = 0
 #: Compute completions fire after any same-instant arrivals.
 PRIORITY_COMPUTE = 1
-#: Barrier/bookkeeping events fire last at their instant.
-PRIORITY_BARRIER = 2
 
 
 @dataclass(frozen=True)
@@ -82,36 +77,21 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, int, str, int, Dict[str, Any]]] = []
-        self._cancelled: set = set()
-        # Sequence numbers currently live in the heap — the O(1) membership
-        # test behind cancel().
-        self._live: set = set()
         self._next_seq = 0
         self._now = 0.0
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         """Simulated seconds at the last popped event (0 before any pop)."""
         return self._now
 
     def __len__(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return len(self._heap) - len(self._cancelled)
+        """Number of events still queued."""
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return bool(self._heap)
 
-    def peek_time(self) -> Optional[float]:
-        """Fire time of the next live event, or ``None`` when empty."""
-        self._discard_cancelled()
-        return self._heap[0][0] if self._heap else None
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
     def push(
         self,
         time: float,
@@ -120,7 +100,7 @@ class EventQueue:
         priority: int = PRIORITY_COMPUTE,
         **data: Any,
     ) -> int:
-        """Schedule an event; returns its sequence number (for :meth:`cancel`).
+        """Schedule an event; returns its sequence number.
 
         ``time`` must be finite and not before the simulated clock — an
         event cannot fire in the past.
@@ -138,48 +118,20 @@ class EventQueue:
         seq = self._next_seq
         self._next_seq += 1
         heapq.heappush(self._heap, (time, int(priority), seq, str(kind), int(agent), data))
-        self._live.add(seq)
         return seq
-
-    def cancel(self, seq: int) -> bool:
-        """Cancel a pending event by sequence number (lazy; O(1)).
-
-        Returns ``True`` when the event was live and is now cancelled,
-        ``False`` when it already fired, was already cancelled, or never
-        existed.  Cancellation never reorders surviving events.
-        """
-        seq = int(seq)
-        if seq not in self._live:
-            return False
-        self._live.discard(seq)
-        self._cancelled.add(seq)
-        return True
-
-    def _discard_cancelled(self) -> None:
-        while self._heap and self._heap[0][2] in self._cancelled:
-            entry = heapq.heappop(self._heap)
-            self._cancelled.discard(entry[2])
 
     def pop(self) -> Event:
         """Remove and return the next event, advancing the simulated clock.
 
-        Raises ``IndexError`` when no live event remains.
+        Raises ``IndexError`` when the queue is empty.
         """
-        self._discard_cancelled()
         if not self._heap:
             raise IndexError("pop from an empty event queue")
         time, priority, seq, kind, agent, data = heapq.heappop(self._heap)
-        self._live.discard(seq)
         self._now = time
         return Event(
             time=time, priority=priority, seq=seq, kind=kind, agent=agent, data=data
         )
-
-    def clear(self) -> None:
-        """Drop every pending event (the clock and counter are kept)."""
-        self._heap = []
-        self._cancelled = set()
-        self._live = set()
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -187,19 +139,17 @@ class EventQueue:
     def state_dict(self) -> Dict[str, Any]:
         """Everything needed to resume the queue bit-identically.
 
-        Live entries keep their original sequence numbers, so FIFO order
-        among equal ``(time, priority)`` keys survives the round trip.
-        Entry payloads travel as-is (arrays included) — checkpoints are
-        pickled, not JSON.
+        Entries keep their original sequence numbers, so FIFO order among
+        equal ``(time, priority)`` keys survives the round trip.  Entry
+        payloads travel as-is (arrays included) — checkpoints are pickled,
+        not JSON.
         """
-        self._discard_cancelled()
         return {
             "now": self._now,
             "next_seq": self._next_seq,
             "entries": [
                 (time, priority, seq, kind, agent, dict(data))
                 for time, priority, seq, kind, agent, data in sorted(self._heap)
-                if seq not in self._cancelled
             ],
         }
 
@@ -207,10 +157,8 @@ class EventQueue:
         """Restore a state captured by :meth:`state_dict`."""
         self._now = float(payload["now"])
         self._next_seq = int(payload["next_seq"])
-        self._cancelled = set()
         self._heap = [
             (float(time), int(priority), int(seq), str(kind), int(agent), dict(data))
             for time, priority, seq, kind, agent, data in payload["entries"]
         ]
         heapq.heapify(self._heap)
-        self._live = {entry[2] for entry in self._heap}

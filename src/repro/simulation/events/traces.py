@@ -3,10 +3,11 @@
 A :class:`DeviceTrace` is the time model of one agent — how long a local
 training step takes on its hardware and what its network link can carry.
 The :class:`~repro.simulation.events.engine.AsyncEngine` turns a fleet of
-traces into event timestamps: compute completions at ``now +
-compute_seconds``, message arrivals at ``now + transfer_seconds`` where the
-transfer is limited by the *slower* endpoint's link (the classic
-store-and-forward model of fondefjobn/decentralized-learning-simulator).
+traces into timestamps: compute completions at ``now + compute_seconds``,
+message arrivals at ``now + latency + nbytes / min(bandwidths)`` — the
+sender's propagation delay plus serialisation at the *slower* endpoint's
+link (the classic store-and-forward model of
+fondefjobn/decentralized-learning-simulator).
 
 Trace fleets come from three places:
 
@@ -43,7 +44,7 @@ __all__ = [
     "save_traces",
     "load_traces",
     "traces_from_spec",
-    "transfer_seconds",
+    "check_staleness_decay",
     "validate_time_model",
 ]
 
@@ -104,20 +105,6 @@ class DeviceTrace:
         if unknown:
             raise ValueError(f"unknown DeviceTrace fields: {unknown}")
         return cls(**{key: float(value) for key, value in payload.items()})
-
-
-def transfer_seconds(sender: DeviceTrace, receiver: DeviceTrace, nbytes: int) -> float:
-    """Simulated seconds to move ``nbytes`` from ``sender`` to ``receiver``.
-
-    ``latency + nbytes / min(bandwidths)``: the fixed propagation delay of
-    the sender's link plus serialisation at the slower endpoint's rate.
-    Infinite bandwidth contributes zero serialisation time.
-    """
-    if nbytes < 0:
-        raise ValueError("nbytes must be non-negative")
-    bandwidth = min(sender.bandwidth_bytes_per_s, receiver.bandwidth_bytes_per_s)
-    serialisation = 0.0 if math.isinf(bandwidth) else float(nbytes) / bandwidth
-    return sender.latency_seconds + serialisation
 
 
 def uniform_traces(
@@ -275,6 +262,21 @@ def traces_from_spec(
     )
 
 
+def check_staleness_decay(decay: float, async_mode: bool) -> None:
+    """Raise ``ValueError`` unless ``decay`` is finite, non-negative (NaN or
+    ``inf`` would turn mixed models into NaN) and, outside async mode — the
+    only mode that mixes stale payloads — zero."""
+    if not (math.isfinite(decay) and decay >= 0):
+        raise ValueError(
+            f"staleness_decay must be a finite non-negative number, got {decay!r}"
+        )
+    if decay and not async_mode:
+        raise ValueError(
+            f"staleness_decay={decay!r} applies only in async mode; barrier "
+            f'mode would ignore it (set "async": True or drop it)'
+        )
+
+
 def validate_time_model(
     value: Optional[Mapping[str, object]], num_agents: Optional[int] = None
 ) -> None:
@@ -301,11 +303,11 @@ def validate_time_model(
         )
     if "staleness_decay" in value:
         decay = value["staleness_decay"]
-        if not isinstance(decay, (int, float)) or isinstance(decay, bool) or decay < 0:
+        if not isinstance(decay, (int, float)) or isinstance(decay, bool):
             raise ValueError(
-                f'time_model["staleness_decay"] must be a non-negative number, '
-                f"got {decay!r}"
+                f'time_model["staleness_decay"] must be a number, got {decay!r}'
             )
+        check_staleness_decay(decay, async_mode=value.get("async", False))
     traces = value.get("traces")
     defer_resolution = (
         isinstance(traces, Mapping) and traces.get("kind") == "file"

@@ -189,12 +189,14 @@ class Network:
             self.record_latency(tag, latency)
         return True
 
-    def record_latency(self, tag: str, seconds: float, messages: int = 1) -> None:
-        """Account a delivered message's simulated transit time.
+    def record_latency(self, tag: str, seconds: Any) -> None:
+        """Account delivered messages' simulated transit times.
 
-        The event-driven barrier mode moves real payloads through
-        :meth:`record_bulk` (the vectorized exchange) but still knows each
-        message's individual arrival time; this hook tags the latency
+        ``seconds`` is one transit time or an array of them, one per message,
+        summed in array order by a sequential ``np.add.accumulate`` — so one
+        bulk call is bit-identical to one call per message in that order.
+        Barrier mode moves real payloads through :meth:`record_bulk` but
+        knows each message's transit time; this hook tags the latency
         without enqueueing anything.  Async mode records latency through
         ``send(..., latency=...)`` instead.
 
@@ -206,14 +208,16 @@ class Network:
         """
         if not tag:
             raise ValueError("tag must be a non-empty string")
-        seconds = float(seconds)
-        if seconds < 0:
-            raise ValueError(f"latency must be non-negative, got {seconds!r}")
-        if messages < 0:
-            raise ValueError("message count must be non-negative")
-        self.messages_arrived += int(messages)
-        self.latency_seconds_total += seconds
-        self.latency_by_tag[tag] += seconds
+        seconds = np.atleast_1d(np.asarray(seconds, dtype=np.float64))
+        if (seconds < 0).any():
+            raise ValueError(f"latency must be non-negative, got {float(seconds.min())!r}")
+
+        def accumulate(total: float) -> float:
+            return float(np.add.accumulate(np.concatenate(([total], seconds)))[-1])
+
+        self.messages_arrived += int(seconds.size)
+        self.latency_seconds_total = accumulate(self.latency_seconds_total)
+        self.latency_by_tag[tag] = accumulate(self.latency_by_tag[tag])
 
     def record_bulk(
         self,

@@ -174,7 +174,7 @@ class TestTimeModelField:
         assert fast_spec().time_model is None
 
     def test_valid_time_model_accepted(self):
-        spec = fast_spec(num_agents=6).with_updates(
+        spec = fast_spec(num_agents=6, algorithms=["DMSGD"]).with_updates(
             time_model={
                 "traces": {"kind": "synthetic", "seed": 3},
                 "async": True,
@@ -199,6 +199,29 @@ class TestTimeModelField:
         with pytest.raises(ValueError, match="staleness_decay"):
             fast_spec().with_updates(time_model={"staleness_decay": -0.5})
 
+    @pytest.mark.parametrize(
+        "time_model, message",
+        [
+            ({"async": True, "staleness_decay": float("nan")}, "finite"),
+            ({"async": True, "staleness_decay": float("inf")}, "finite"),
+            ({"staleness_decay": 0.1}, "only in async mode"),
+            ({"async": False, "staleness_decay": 2.0}, "only in async mode"),
+        ],
+    )
+    def test_unusable_staleness_decay_rejected(self, time_model, message):
+        with pytest.raises(ValueError, match=message):
+            fast_spec(num_agents=6, algorithms=["DMSGD"]).with_updates(
+                time_model=time_model
+            )
+
+    def test_async_with_default_algorithms_rejected_at_parse_time(self):
+        # Async mode runs DMSGD's local step; the paper's algorithms would
+        # run under a false label.
+        with pytest.raises(ValueError, match="cannot run") as error:
+            fast_spec(num_agents=6).with_updates(time_model={"async": True})
+        for name in ("PDSL", "DP-CGA", "MUFFLIATO", "DP-NET-FLEET", "DP-DPSGD"):
+            assert name in str(error.value)
+
     def test_explicit_trace_list_must_match_fleet_size(self):
         traces = [{"compute_seconds": 1.0}] * 3
         with pytest.raises(ValueError, match="3 explicit traces"):
@@ -206,26 +229,26 @@ class TestTimeModelField:
 
     def test_async_with_dynamics_rejected_at_parse_time(self):
         with pytest.raises(ValueError, match="static topology"):
-            fast_spec(num_agents=6).with_updates(
+            fast_spec(num_agents=6, algorithms=["DMSGD"]).with_updates(
                 time_model={"async": True}, dynamics={"churn_rate": 0.1}
             )
 
     def test_async_with_lossy_codec_rejected_at_parse_time(self):
         with pytest.raises(ValueError, match="identity codec"):
-            fast_spec(num_agents=6).with_updates(
+            fast_spec(num_agents=6, algorithms=["DMSGD"]).with_updates(
                 time_model={"async": True}, compression={"codec": "topk", "k": 4}
             )
 
     def test_async_with_communication_interval_rejected_at_parse_time(self):
         with pytest.raises(ValueError, match="communication_interval=1"):
-            fast_spec(num_agents=6).with_updates(
+            fast_spec(num_agents=6, algorithms=["DMSGD"]).with_updates(
                 time_model={"async": True},
                 compression={"codec": "identity", "communication_interval": 2},
             )
 
     def test_async_with_shift_one_peers_rejected_at_parse_time(self):
         with pytest.raises(ValueError, match="static topology"):
-            fast_spec(num_agents=6).with_updates(
+            fast_spec(num_agents=6, algorithms=["DMSGD"]).with_updates(
                 time_model={"async": True}, compression={"peer_selection": "shift_one"}
             )
 
@@ -240,7 +263,7 @@ class TestTimeModelField:
     def test_time_model_survives_serialization(self):
         from repro.experiments.specs import spec_from_dict, spec_to_dict
 
-        spec = fast_spec(num_agents=6).with_updates(
+        spec = fast_spec(num_agents=6, algorithms=["DMSGD"]).with_updates(
             time_model={"traces": {"kind": "synthetic", "seed": 3}, "async": True}
         )
         restored = spec_from_dict(spec_to_dict(spec))

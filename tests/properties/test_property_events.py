@@ -7,8 +7,7 @@ The invariants the event-driven time model stands on:
   never heap-internal or hash order;
 * determinism: replaying the same pushes yields the same pops, and a
   state_dict round-trip taken at any drain point changes nothing;
-* no loss: every pushed event is either popped or explicitly cancelled —
-  cancellation removes exactly its target and never reorders survivors;
+* no loss: every pushed event is popped exactly once;
 * clock monotonicity: ``now`` never decreases across pops, and scheduling
   into the past is an error.
 """
@@ -19,16 +18,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simulation.events import (
     PRIORITY_ARRIVAL,
-    PRIORITY_BARRIER,
     PRIORITY_COMPUTE,
     EventQueue,
 )
 
 # One scheduled event: a coarse time grid (so ties actually happen), one of
-# the three real priorities, and an agent id.
+# the two real priorities, and an agent id.
 EVENT = st.tuples(
     st.integers(min_value=0, max_value=5).map(float),
-    st.sampled_from([PRIORITY_ARRIVAL, PRIORITY_COMPUTE, PRIORITY_BARRIER]),
+    st.sampled_from([PRIORITY_ARRIVAL, PRIORITY_COMPUTE]),
     st.integers(min_value=0, max_value=7),
 )
 EVENTS = st.lists(EVENT, min_size=0, max_size=40)
@@ -65,39 +63,6 @@ def test_seed_replay_determinism(events):
         return [(e.time, e.priority, e.seq, e.kind, e.agent) for e in drain(queue)]
 
     assert run() == run()
-
-
-@given(events=EVENTS, data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_no_event_loss_under_cancellation(events, data):
-    queue = EventQueue()
-    seqs = [
-        queue.push(time, "e", agent=agent, priority=priority)
-        for time, priority, agent in events
-    ]
-    to_cancel = data.draw(st.sets(st.sampled_from(seqs))) if seqs else set()
-    cancelled = {seq for seq in to_cancel if queue.cancel(seq)}
-    assert cancelled == set(to_cancel)  # all were live, so all must succeed
-    assert len(queue) == len(events) - len(cancelled)
-    survivors = {e.seq for e in drain(queue)}
-    # Every pushed event is accounted for: popped or explicitly cancelled.
-    assert survivors | cancelled == set(seqs)
-    assert survivors & cancelled == set()
-
-
-@given(events=EVENTS)
-@settings(max_examples=200, deadline=None)
-def test_cancellation_never_reorders_survivors(events):
-    queue_all = EventQueue()
-    queue_some = EventQueue()
-    for time, priority, agent in events:
-        queue_all.push(time, "e", agent=agent, priority=priority)
-        queue_some.push(time, "e", agent=agent, priority=priority)
-    # Cancel every third event in one queue; the other keeps everything.
-    cancelled = {seq for seq in range(0, len(events), 3) if queue_some.cancel(seq)}
-    expected = [e.seq for e in drain(queue_all) if e.seq not in cancelled]
-    actual = [e.seq for e in drain(queue_some)]
-    assert actual == expected
 
 
 @given(events=EVENTS)
@@ -154,21 +119,8 @@ def test_push_rejects_bad_inputs():
         queue.pop()
 
 
-def test_cancel_of_fired_or_unknown_event_is_a_noop():
-    queue = EventQueue()
-    seq = queue.push(1.0, "e")
-    assert queue.pop().seq == seq
-    assert not queue.cancel(seq)  # already fired
-    assert not queue.cancel(999)  # never existed
-    again = queue.push(2.0, "e")
-    assert queue.cancel(again)
-    assert not queue.cancel(again)  # already cancelled
-    assert len(queue) == 0 and not queue
-
-
 def test_arrivals_outrank_compute_at_the_same_instant():
     queue = EventQueue()
     queue.push(3.0, "compute", priority=PRIORITY_COMPUTE)
     queue.push(3.0, "arrival", priority=PRIORITY_ARRIVAL)
-    queue.push(3.0, "barrier", priority=PRIORITY_BARRIER)
-    assert [queue.pop().kind for _ in range(3)] == ["arrival", "compute", "barrier"]
+    assert [queue.pop().kind for _ in range(2)] == ["arrival", "compute"]

@@ -315,6 +315,31 @@ class TestAsyncMode:
         with pytest.raises(ValueError, match="communication_interval"):
             AsyncEngine(strided, async_mode=True)
 
+    @pytest.mark.parametrize(
+        "name", sorted(set(_small_fleet_algorithms()) - {"DMSGD"})
+    )
+    def test_async_mode_runs_only_dmsgd(self, make_small_fleet, name):
+        # The async local step is DMSGD's; any other algorithm would train
+        # as DMSGD under its own name.
+        algorithm, _ = make_small_fleet(name)
+        with pytest.raises(ValueError, match=f"cannot run \\['{name}'\\]"):
+            AsyncEngine(algorithm, async_mode=True)
+
+    @pytest.mark.parametrize(
+        "async_mode, decay, message",
+        [
+            (True, float("nan"), "finite"),
+            (True, float("inf"), "finite"),
+            (False, 0.5, "only in async mode"),
+        ],
+    )
+    def test_engine_rejects_unusable_staleness_decay(
+        self, make_small_fleet, async_mode, decay, message
+    ):
+        algorithm, _ = make_small_fleet("DMSGD")
+        with pytest.raises(ValueError, match=message):
+            AsyncEngine(algorithm, async_mode=async_mode, staleness_decay=decay)
+
 
 class TestEngineWrapperContract:
     """The wrapper must be drivable anywhere a bare algorithm is."""

@@ -211,11 +211,24 @@ def test_record_latency_accounts_without_enqueueing():
         net.record_latency("", 0.1)
 
 
+def test_bulk_record_latency_sums_like_one_call_per_message():
+    seconds = np.random.default_rng(0).exponential(size=257)
+    bulk, single = Network(2), Network(2)
+    bulk.record_latency("model", 0.1)
+    single.record_latency("model", 0.1)
+    bulk.record_latency("model", seconds)
+    for value in seconds:
+        single.record_latency("model", value)
+    assert bulk.messages_arrived == single.messages_arrived == 258
+    assert bulk.latency_seconds_total == single.latency_seconds_total
+    assert bulk.latency_by_tag == single.latency_by_tag
+
+
 def test_state_dict_roundtrip_preserves_latency_counters():
     net = Network(3)
     net.send(0, 1, "model", np.ones(4), latency=0.25)
     net.receive(1, "model")
-    net.record_latency("grad", 1.0, messages=3)
+    net.record_latency("grad", [0.25, 0.25, 0.5])
     state = net.state_dict()
 
     restored = Network(3)
