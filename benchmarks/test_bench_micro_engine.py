@@ -1,11 +1,13 @@
-"""Micro-benchmark: loop vs vectorized engine at increasing agent counts.
+"""Micro-benchmark: per-agent reference vs round pipeline at increasing agent counts.
 
 Thin pytest wrapper over the registered ``engine/round`` suite
 (:class:`repro.bench.suites.EngineRoundSuite`) — the same suite object
 ``repro-bench run`` executes, so the pytest and CLI surfaces can never
-drift apart.  The speedup floor (≥5x at 256 agents) routes through the
-shared guard in :mod:`repro.bench.guard`: it arms only at full scale, with
-≥2 CPUs, and with enough loop-side signal to trust the ratio.
+drift apart.  The per-agent side is :func:`repro.bench.reference.reference_round`
+(reported as ``loop_s@N``), the other the blocked pipeline's ``run_round``
+(``vectorized_s@N``).  The speedup floor (≥5x at 256 agents) routes through
+the shared guard in :mod:`repro.bench.guard`: it arms only at full scale,
+with ≥2 CPUs, and with enough reference-side signal to trust the ratio.
 
 Environment knobs (shared with ``repro-bench``):
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bench.reference import reference_round
 from repro.bench.registry import assert_floor, run_benchmark
 from repro.bench.suites import EngineRoundSuite
 
@@ -29,7 +32,7 @@ def test_bench_micro_engine_speedup():
     print()
     print("=" * 66)
     print("engine micro-benchmark: seconds per DP-DPSGD round (full topology)")
-    print(f"{'agents':>8s} {'loop':>12s} {'vectorized':>12s} {'speedup':>10s}")
+    print(f"{'agents':>8s} {'reference':>12s} {'pipeline':>12s} {'speedup':>10s}")
     for num_agents in sorted(suite.agent_counts):
         print(
             f"{num_agents:>8d} {result.metrics[f'loop_s@{num_agents}']:>12.5f} "
@@ -38,17 +41,17 @@ def test_bench_micro_engine_speedup():
         )
 
     # Only the large-N speedup is asserted, and only when the shared guard
-    # arms it (full scale, enough CPUs, enough loop-side signal) — at small
+    # arms it (full scale, enough CPUs, enough reference-side signal) — at small
     # N or on a starved machine the ratio is scheduler noise.
     assert_floor(result)
 
 
 def test_bench_micro_engine_backends_agree():
-    """The benchmark is only meaningful if both backends run the same algorithm."""
-    loop_alg = EngineRoundSuite.build(16, "loop")
-    vec_alg = EngineRoundSuite.build(16, "vectorized")
+    """The benchmark is only meaningful if both sides run the same algorithm."""
+    reference = EngineRoundSuite.build(16)
+    pipeline = EngineRoundSuite.build(16)
     for _ in range(2):
-        loop_alg.run_round()
-        vec_alg.run_round()
-    np.testing.assert_allclose(loop_alg.state, vec_alg.state, rtol=1e-9, atol=1e-12)
-    assert loop_alg.network.messages_sent == vec_alg.network.messages_sent
+        reference_round(reference)
+        pipeline.run_round()
+    np.testing.assert_allclose(reference.state, pipeline.state, rtol=1e-9, atol=1e-12)
+    assert reference.network.messages_sent == pipeline.network.messages_sent

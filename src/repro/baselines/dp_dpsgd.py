@@ -10,8 +10,6 @@ ignoring data heterogeneity.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.core.base import DecentralizedAlgorithm
@@ -24,45 +22,7 @@ class DPDPSGD(DecentralizedAlgorithm):
 
     name = "DP-DPSGD"
 
-    def _step_loop(self, round_index: int) -> None:
-        gamma = self.config.learning_rate
-        batches = self.draw_batches()
-
-        # Local DP-SGD step on each agent's own model and data.  Inactive
-        # agents (churn/stragglers) sit the round out: no gradient, no noise
-        # draw, no broadcast — their provisional model is just their current
-        # one, which the round topology's identity mixing row preserves.
-        communicate = self.gossip_now(round_index)
-        provisional: List[np.ndarray] = []
-        shared: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            if not self.is_active(agent):
-                provisional.append(self.params[agent].copy())
-                shared.append(provisional[agent])
-                continue
-            gradient = self.local_gradient(agent, self.params[agent], batches[agent])
-            perturbed = self.privatize(agent, gradient)
-            provisional.append(self.params[agent] - gamma * perturbed)
-            if communicate:
-                shared.append(self.gossip_broadcast(agent, "model", provisional[agent]))
-
-        if not communicate:
-            # Off-interval round: purely local steps, nothing on the wire.
-            self.params = provisional
-            return
-
-        # Gossip-average the provisional models with the mixing matrix.
-        new_params: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            received = self.gossip_receive(agent, "model")
-            received[agent] = shared[agent]
-            mixed = np.zeros(self.dimension, dtype=np.float64)
-            for j, params in received.items():
-                mixed += self.topology.weight(agent, j) * params
-            new_params.append(mixed)
-        self.params = new_params
-
-    def _step_vectorized(self, round_index: int) -> None:
+    def _round_body(self, round_index: int) -> None:
         # The provisional step is float64 (state minus a float64 perturbed
         # gradient).  Inactive agents' rows are exactly zero after the
         # masked gradient and noise paths, so the step leaves them at their

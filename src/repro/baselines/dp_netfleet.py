@@ -18,11 +18,9 @@ Per communication round each agent:
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
-from repro.core.base import AgentRows, DecentralizedAlgorithm
+from repro.core.base import DecentralizedAlgorithm
 from repro.core.config import NetFleetConfig
 from repro.privacy.mechanisms import clip_rows_by_l2_norm
 
@@ -45,8 +43,8 @@ class DPNetFleet(DecentralizedAlgorithm):
         # the previous local gradient used in the recursive correction, one
         # row per agent like the base class's parameter state.  Under
         # ``storage="memmap"`` both live in memmap-backed FleetStates
-        # (always float64, their canonical dtype on the vectorized path) and
-        # assignments stream into them block by block.
+        # (always float64, their canonical dtype) and assignments stream
+        # into them block by block.
         self._tracking_state: np.ndarray = self._alloc_fleet_matrix(
             "tracking_state", dtype=np.float64
         )
@@ -79,24 +77,6 @@ class DPNetFleet(DecentralizedAlgorithm):
         else:
             self._previous_gradient_state = np.asarray(value)
 
-    @property
-    def tracking(self) -> AgentRows:
-        """Per-agent tracking variables as a list-like view."""
-        return AgentRows(self.tracking_state)
-
-    @tracking.setter
-    def tracking(self, value) -> None:
-        self.tracking_state = self._as_state_matrix(value)
-
-    @property
-    def previous_gradient(self) -> AgentRows:
-        """Per-agent previous local gradients as a list-like view."""
-        return AgentRows(self.previous_gradient_state)
-
-    @previous_gradient.setter
-    def previous_gradient(self, value) -> None:
-        self.previous_gradient_state = self._as_state_matrix(value)
-
     def _extra_state(self, copy: bool = True):
         return {
             "tracking_state": (
@@ -126,98 +106,7 @@ class DPNetFleet(DecentralizedAlgorithm):
             )
         self._initialized = bool(payload["initialized"])
 
-    def _perturbed_local_gradient(self, agent: int, params: np.ndarray) -> np.ndarray:
-        """A fresh clipped + noised local gradient at the given parameters."""
-        batch = self.draw_batch(agent)
-        gradient = self.local_gradient(agent, params, batch)
-        return self.privatize(agent, gradient)
-
-    def _step_loop(self, round_index: int) -> None:
-        gamma = self.config.learning_rate
-
-        # Lazy initialisation of the tracking variable with the first
-        # gradients.  Agents inactive in the very first round start from a
-        # zero tracking estimate instead (they draw no batch and no noise);
-        # it bootstraps through the recursive correction once they rejoin.
-        if not self._initialized:
-            for agent in range(self.num_agents):
-                if not self.is_active(agent):
-                    continue
-                grad = self._perturbed_local_gradient(agent, self.params[agent])
-                self.tracking[agent] = grad
-                self.previous_gradient[agent] = grad
-            self._initialized = True
-
-        # 1. One DP gradient release per round, reused by every local step.
-        #    Each round, agent i publishes a single clipped-and-perturbed local
-        #    gradient; the recursive correction and the local steps are
-        #    post-processing of that release (plus the already-released
-        #    tracking variables), so the per-round privacy cost matches the
-        #    other baselines.
-        local_params: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            if not self.is_active(agent):
-                # Inactive agents take no local steps this round.
-                local_params.append(self.params[agent].copy())
-                continue
-            # Gradient-tracking descent: the update direction is the tracking
-            # variable y_i (the running estimate of the network-average
-            # gradient), re-clipped so accumulated noise cannot inflate the
-            # step size.
-            corrected = self.clip(self.tracking[agent])
-            params = self.params[agent].copy()
-            for _ in range(self.config.local_steps):
-                params = params - gamma * corrected
-            local_params.append(params)
-
-        # 2. Exchange models and tracking variables with neighbours.  The
-        #    tracking variable is a post-processing of already clipped-and-
-        #    perturbed gradients, so no additional noise is required for DP.
-        #    Off-interval rounds exchange nothing: each agent keeps its own
-        #    local model and tracking estimate, and the recursive correction
-        #    below still refreshes the gradient difference.
-        communicate = self.gossip_now(round_index)
-        shared: List[Tuple[np.ndarray, np.ndarray]] = []
-        if communicate:
-            for agent in range(self.num_agents):
-                shared.append(
-                    self.gossip_broadcast(
-                        agent, "state", (local_params[agent], self.tracking[agent])
-                    )
-                )
-
-        # 3. Gossip averaging + recursive gradient correction
-        #    y_i <- sum_j w_ij y_j + (g_i^{t} - g_i^{t-1}).
-        new_params: List[np.ndarray] = []
-        new_tracking: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            if communicate:
-                received = self.gossip_receive(agent, "state")
-                received[agent] = shared[agent]
-                params_acc = np.zeros(self.dimension, dtype=np.float64)
-                tracking_acc = np.zeros(self.dimension, dtype=np.float64)
-                for j, (params_j, tracking_j) in received.items():
-                    weight = self.topology.weight(agent, j)
-                    params_acc += weight * params_j
-                    tracking_acc += weight * tracking_j
-            else:
-                params_acc = local_params[agent].copy()
-                tracking_acc = self.tracking[agent].copy()
-            # Recursive correction with a fresh DP gradient at the mixed model:
-            # y_i <- sum_j w_ij y_j + (g_i^{t} - g_i^{t-1}).  Inactive agents
-            # draw no fresh gradient; their accumulators already equal their
-            # frozen model and tracking (identity mixing row).
-            if self.is_active(agent):
-                fresh = self._perturbed_local_gradient(agent, params_acc)
-                tracking_acc = tracking_acc + fresh - self.previous_gradient[agent]
-                self.previous_gradient[agent] = fresh
-            new_params.append(params_acc)
-            new_tracking.append(tracking_acc)
-
-        self.params = new_params
-        self.tracking = new_tracking
-
-    def _step_vectorized(self, round_index: int) -> None:
+    def _round_body(self, round_index: int) -> None:
         gamma = self.config.learning_rate
         clip = self.config.clip_threshold
         blocks = self._fleet_blocks()
@@ -227,7 +116,8 @@ class DPNetFleet(DecentralizedAlgorithm):
 
         if not self._initialized:
             # Agents inactive in the first round draw nothing and start
-            # from a zero tracking estimate, as in the loop engine.
+            # from a zero tracking estimate; it bootstraps through the
+            # recursive correction once they rejoin.
             def init_block(start: int, stop: int) -> None:
                 grad = self._block_perturbed_gradients(start, stop)
                 tracking[start:stop] = grad
@@ -239,7 +129,9 @@ class DPNetFleet(DecentralizedAlgorithm):
         # 1. Local steps along the re-clipped tracking direction (inactive
         #    agents take none), and 2. one (model, tracking) exchange per
         #    directed edge; off-interval rounds exchange nothing and keep
-        #    each agent's own estimates.
+        #    each agent's own estimates.  The tracking variables are
+        #    post-processing of released (clipped and noised) gradients, so
+        #    exchanging them costs no extra privacy.
         def local_block(start: int, stop: int):
             corrected = clip_rows_by_l2_norm(tracking[start:stop], clip)
             params = self.state[start:stop].copy()

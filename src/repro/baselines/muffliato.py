@@ -9,7 +9,7 @@ data heterogeneity explicitly.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,49 +30,7 @@ class Muffliato(DecentralizedAlgorithm):
         super().__init__(model, topology, shards, config, validation=validation)
         self.config: MuffliatoConfig = config
 
-    def _one_gossip_exchange(self, vectors: List[np.ndarray], tag: str) -> List[np.ndarray]:
-        """A single gossip round executed through the message-passing network."""
-        shared: List[np.ndarray] = [
-            self.gossip_broadcast(agent, tag, vectors[agent])
-            for agent in range(self.num_agents)
-        ]
-        mixed: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            received = self.gossip_receive(agent, tag)
-            received[agent] = shared[agent]
-            acc = np.zeros(self.dimension, dtype=np.float64)
-            for j, value in received.items():
-                acc += self.topology.weight(agent, j) * value
-            mixed.append(acc)
-        return mixed
-
-    def _step_loop(self, round_index: int) -> None:
-        gamma = self.config.learning_rate
-        batches = self.draw_batches()
-
-        # Local gradient step with clipped + noised gradient.  Inactive
-        # agents take no step; the gossip exchanges below leave them
-        # untouched because the round topology gives them no neighbours and
-        # an identity mixing row.
-        updated: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            if not self.is_active(agent):
-                updated.append(self.params[agent].copy())
-                continue
-            gradient = self.local_gradient(agent, self.params[agent], batches[agent])
-            perturbed = self.privatize(agent, gradient)
-            updated.append(self.params[agent] - gamma * perturbed)
-
-        # Multiple gossip steps for privacy amplification / better consensus.
-        # Off-interval rounds skip the whole gossip cascade: the perturbed
-        # local step stands alone until the next communication round.
-        if self.gossip_now(round_index):
-            for gossip_round in range(self.config.gossip_steps):
-                updated = self._one_gossip_exchange(updated, tag=f"gossip_{gossip_round}")
-
-        self.params = updated
-
-    def _step_vectorized(self, round_index: int) -> None:
+    def _round_body(self, round_index: int) -> None:
         # The perturbed local step is float64 and the gossip cascade mixes
         # it between two float64 fleet scratches; only the last step writes
         # (rounded) into state.  Inactive rows are exactly zero in the

@@ -1,6 +1,6 @@
 """The shared "arm the floor?" guard for benchmark assertions.
 
-Speed floors ("the vectorized engine must be ≥5x faster at 256 agents")
+Speed floors ("the round pipeline must be ≥5x faster at 256 agents")
 turn benchmarks into regression tests — but a wall-clock assertion is only
 meaningful when the measurement is trustworthy.  Three conditions gate
 every floor in the suite, uniformly, instead of ad-hoc per-file copies:

@@ -3,7 +3,8 @@
 Each suite packages one hot path of the system behind the
 :class:`~repro.bench.registry.Benchmark` lifecycle:
 
-* ``engine/round`` — loop vs vectorized engine, seconds per DP-DPSGD round;
+* ``engine/round`` — per-agent reference vs the round pipeline, seconds per
+  DP-DPSGD round;
 * ``engine/round-streamed`` — one full streamed round (blocked gradients,
   noise, codec, gossip; memmap state) across fleet sizes up to a million
   agents, memory-guarded, streamed-vs-default-block bit-identity asserted;
@@ -137,10 +138,15 @@ def _timed(apply, *args, rounds: int = 1, warm: bool = True) -> float:
 # ---------------------------------------------------------------------------
 @benchmark
 class EngineRoundSuite(Benchmark):
-    """Loop vs vectorized engine: seconds per DP-DPSGD communication round."""
+    """Per-agent reference vs round pipeline: seconds per DP-DPSGD round.
+
+    ``loop_s@N`` times :func:`repro.bench.reference.reference_round` (one
+    agent at a time), ``vectorized_s@N`` the blocked pipeline's
+    ``run_round``, and ``speedup@N`` is their ratio.
+    """
 
     name = "engine/round"
-    description = "loop vs vectorized engine, seconds per DP-DPSGD round"
+    description = "per-agent reference vs round pipeline, seconds per DP-DPSGD round"
     floor = FloorSpec(
         metric="speedup", minimum=5.0, min_cpus=2, min_baseline_seconds=0.2
     )
@@ -156,7 +162,7 @@ class EngineRoundSuite(Benchmark):
         return {"agents": self.agent_counts, "rounds": self.rounds}
 
     @staticmethod
-    def build(num_agents: int, backend: str):
+    def build(num_agents: int):
         """One DP-DPSGD instance on the synthetic classification task."""
         from repro.baselines import DPDPSGD
         from repro.core.config import AlgorithmConfig
@@ -181,19 +187,18 @@ class EngineRoundSuite(Benchmark):
             clip_threshold=1.0,
             batch_size=8,
             seed=0,
-            backend=backend,
         )
         return DPDPSGD(model, topology, shards, config)
 
     def run(self) -> Dict[str, float]:
+        from repro.bench.reference import reference_round
+
         metrics: Dict[str, float] = {}
         for num_agents in self.agent_counts:
             loop_s = _timed(
-                self.build(num_agents, "loop").run_round, rounds=self.rounds
+                reference_round, self.build(num_agents), rounds=self.rounds
             )
-            vec_s = _timed(
-                self.build(num_agents, "vectorized").run_round, rounds=self.rounds
-            )
+            vec_s = _timed(self.build(num_agents).run_round, rounds=self.rounds)
             metrics[f"loop_s@{num_agents}"] = loop_s
             metrics[f"vectorized_s@{num_agents}"] = vec_s
             metrics[f"speedup@{num_agents}"] = loop_s / vec_s
@@ -226,7 +231,7 @@ class AsyncRoundSuite(Benchmark):
       synchronous round (the cost of simulating time at all).
 
     Correctness is embedded: before timing, small barrier runs on unit and
-    synthetic traces are checked bit-identical to the bare vectorized engine.
+    synthetic traces are checked bit-identical to the bare synchronous round.
     """
 
     name = "engine/async-round"
@@ -273,7 +278,6 @@ class AsyncRoundSuite(Benchmark):
             clip_threshold=1.0,
             batch_size=4,
             seed=0,
-            backend="vectorized",
         )
         if wrap == "async":
             return AsyncEngine(
@@ -504,7 +508,6 @@ class StreamedRoundSuite(Benchmark):
             clip_threshold=1.0,
             batch_size=self.batch_size,
             seed=0,
-            backend="vectorized",
             **overrides,
         )
         model = make_linear_classifier(self.NUM_FEATURES, self.NUM_CLASSES, seed=0)
@@ -698,7 +701,6 @@ class CompressedGossipSuite(Benchmark):
             clip_threshold=1.0,
             batch_size=8,
             seed=0,
-            backend="vectorized",
             compression=compression,
         )
         return DPDPSGD(model, topology, shards, config)
@@ -1102,7 +1104,7 @@ class CheckpointRoundtripSuite(Benchmark):
         return {"agents": self.agents, "trained_rounds": self.trained_rounds}
 
     def setup(self) -> None:
-        self._algorithm = EngineRoundSuite.build(self.agents, "vectorized")
+        self._algorithm = EngineRoundSuite.build(self.agents)
         for _ in range(self.trained_rounds):
             self._algorithm.run_round()
         self._dir = tempfile.mkdtemp(prefix="repro-bench-ckpt-")

@@ -13,16 +13,16 @@ Three pieces compose:
   declarative knob surface (codec, ``k``, ``communication_interval``,
   ``peer_selection``, ``error_feedback``) threaded from
   :class:`~repro.experiments.specs.ExperimentSpec` through
-  :class:`~repro.core.config.AlgorithmConfig` into the engines;
+  :class:`~repro.core.config.AlgorithmConfig` into the round pipeline;
 * the codecs (:mod:`repro.compression.codecs`) — identity, fp16, int8,
-  top-k and random-k, all operating row-wise so the loop and vectorized
-  engines share bit-identical kernels;
+  top-k and random-k, all operating row-wise, so any row blocking of the
+  fleet encodes bit-identically;
 * :class:`CompressionState` (:mod:`repro.compression.state`) — per-agent
   error-feedback residuals and sparsifier streams, checkpointable through
   the algorithm's ``state_dict``.
 
 The identity codec is guaranteed bit-identical to the historical
-uncompressed path on both engines.
+uncompressed path.
 """
 
 from repro.compression.codecs import (

@@ -5,14 +5,14 @@ simulation keeps everything in float64 end to end — what a codec returns is
 the *decoded* value, i.e. exactly what the receiver would reconstruct after
 the encode/transmit/decode round trip — while :meth:`Codec.wire_cost`
 reports what the encoded message would have cost on a real wire.  This keeps
-the numerics faithful (both engines mix the reconstructed values) and lets
+the numerics faithful (every consumer mixes the reconstructed values) and lets
 :class:`~repro.simulation.network.Network` account compressed byte traffic
 without ever materialising byte buffers.
 
 Codecs operate row-wise on ``(M, dimension)`` matrices: every operation is
 per-row/elementwise, so compressing one agent's vector through a
-single-row matrix (as the loop engine does) is bit-identical to compressing
-it as one row of the whole fleet (as the vectorized engine does).
+single-row matrix is bit-identical to compressing it as one row of the
+whole fleet, or of any row block.
 
 Four lossy codecs are provided, mirroring the standard communication-
 efficient-SGD toolbox (and Bagua's low-precision decentralized algorithm):
@@ -187,7 +187,7 @@ class RandomKCodec(Codec):
 
     Each row draws its coordinate subset from that agent's dedicated
     compression generator, so the selection is reproducible and identical
-    under both engines.  Same wire format as top-k.
+    under any row blocking.  Same wire format as top-k.
     """
 
     name = "randomk"

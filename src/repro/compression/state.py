@@ -18,11 +18,9 @@ sum of everything ever transmitted plus the current residual telescopes to
 the sum of everything ever offered — compression introduces no systematic
 drift.
 
-Both engines call into the same row-wise codec kernels —
-:meth:`compress_block` on a row block of the fleet matrix (the vectorized
-engine), :meth:`compress_row` on a single agent's vector (the loop engine);
-:meth:`compress_rows` is the whole-fleet form — and every path is
-bit-identical per agent.
+The round pipeline calls :meth:`compress_block` on each row block of the
+fleet matrix; :meth:`compress_rows` is the whole-fleet form, and the two
+are bit-identical per agent.
 """
 
 from __future__ import annotations
@@ -97,8 +95,7 @@ class CompressionState:
 
         Inactive rows pass through untouched: they transmit nothing, so
         their residuals stay put and their sparsifier streams are not
-        consumed — exactly like the loop engine, where an inactive agent
-        never reaches its broadcast.
+        consumed.
         """
         return self.compress_block(channel, matrix, 0, self.num_agents, active_mask)
 
@@ -145,21 +142,6 @@ class CompressionState:
         if residual is not None:
             residual[start + active] = work - decoded
         return out
-
-    def compress_row(self, channel: str, agent: int, vector: np.ndarray) -> np.ndarray:
-        """Decoded value of one agent's vector (loop-engine entry point).
-
-        Routes through the same row-wise kernel as :meth:`compress_rows`, so
-        the two engines produce bit-identical decoded values per agent.
-        """
-        vector = np.asarray(vector, dtype=np.float64)
-        residual = self._residual_for(channel)
-        work = vector + residual[agent] if residual is not None else vector
-        rngs = None if self.rngs is None else [self.rngs[agent]]
-        decoded = self.codec.decode_rows(work[None, :], rngs)[0]
-        if residual is not None:
-            residual[agent] = work - decoded
-        return decoded
 
     def residual(self, channel: str) -> Optional[np.ndarray]:
         """The channel's ``(num_agents, dimension)`` residual buffer (or ``None``)."""

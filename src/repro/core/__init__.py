@@ -1,8 +1,8 @@
 """Core package: the PDSL algorithm and the shared decentralized-algorithm base.
 
-* :class:`DecentralizedAlgorithm` — shared infrastructure (per-agent parameter
-  vectors, counter-based batch and DP-noise streams, the message-passing
-  network, gossip averaging, evaluation helpers) used by PDSL and every
+* :class:`DecentralizedAlgorithm` — shared infrastructure (the fleet state
+  matrices, counter-based batch and DP-noise streams, the blocked round
+  pipeline, traffic accounting, evaluation helpers) used by PDSL and every
   baseline;
 * :class:`PDSL` — Algorithm 1 of the paper;
 * :class:`PDSLConfig` and friends — experiment configuration dataclasses;
@@ -17,7 +17,7 @@ from repro.core.config import (
     NetFleetConfig,
     PDSLConfig,
 )
-from repro.core.base import AgentRows, DecentralizedAlgorithm
+from repro.core.base import DecentralizedAlgorithm
 from repro.core.characteristic import validation_characteristic, make_update_characteristic
 from repro.core.pdsl import PDSL
 
@@ -27,7 +27,6 @@ __all__ = [
     "MuffliatoConfig",
     "CGAConfig",
     "NetFleetConfig",
-    "AgentRows",
     "DecentralizedAlgorithm",
     "validation_characteristic",
     "make_update_characteristic",

@@ -13,47 +13,44 @@ The communication topology is consulted *per round*: a
 :class:`~repro.topology.graphs.Topology`, wrapped in a bit-identical static
 schedule) provides each round's graph, mixing operator and active-agent
 mask through :meth:`DecentralizedAlgorithm._begin_round` — agents that sit
-a round out (churn, stragglers) draw no randomness and keep frozen rows on
-both engines.
+a round out (churn, stragglers) draw no randomness and keep frozen rows.
 
-Two execution engines share that state (selected by
-``AlgorithmConfig.backend``):
-
-* the **loop** backend steps agents one at a time and routes every exchange
-  through the :class:`Network` mailbox — faithful to a real deployment,
-  message by message, and required for fault injection;
-* the **vectorized** backend performs the same round as tensor operations
-  over ``(block_rows, d)`` row blocks of the fleet (one block unless the
-  fleet outgrows ``block_rows``, by default ~32 MiB) — gradients are
-  evaluated with stacked forward/backward passes where the model allows it
-  (:meth:`fleet_gradients`), clipping + Gaussian noise are applied row-wise
-  (:meth:`privatize_rows`), and the gossip step is ``W @ X``
-  (:meth:`mix_rows`, dispatched through the topology's
-  :class:`~repro.topology.mixing.MixingOperator`: O(M^2 d) dense or
-  O(nnz d) CSR, bit-identical either way).
+Every round runs as one pipeline over ``(block_rows, d)`` row blocks of the
+fleet (one block unless the fleet outgrows ``block_rows``, by default
+~32 MiB): gradients are evaluated with stacked forward/backward passes
+where the model allows it (:meth:`fleet_gradients`), clipping + Gaussian
+noise are applied row-wise (:meth:`privatize_rows`), and the gossip step is
+``W @ X`` (:meth:`mix_rows`, dispatched through the topology's
+:class:`~repro.topology.mixing.MixingOperator`: O(M^2 d) dense or O(nnz d)
+CSR, bit-identical either way).  Each exchange is accounted on the
+:class:`~repro.simulation.network.Network` as one message per directed
+channel.  Under fault injection (``network.drop_probability > 0``) a
+dropped message ``j -> i`` zeroes ``w_ij`` in that exchange's mixing
+operator, and a cross-gradient is computed only if the model it needs
+arrived.
 
 Randomness comes from keyed counter-based streams
 (:class:`~repro.core.streams.FleetStreams`): an agent's ``k``-th batch or
-noise draw of round ``t`` is a pure function of ``(seed, t, k, agent)``, so
-both engines, any row blocking and any set of inactive agents see the same
-draws, and a fleet-wide draw is one vectorized call per row block.  The
-local datasets are stored once, concatenated
+noise draw of round ``t`` is a pure function of ``(seed, t, k, agent)``, and
+whether a message is dropped is a pure function of ``(seed, t, tag,
+sender, recipient)``, so any row blocking, any worker count and any set of
+inactive agents see the same draws, and a fleet-wide draw is one vectorized
+call per row block.  The local datasets are stored once, concatenated
 (:class:`~repro.data.flat.FlatShards`), so batches are index rows into one
-array.  The two engines therefore produce the same trajectory for a fixed
-seed (up to floating-point associativity).
+array.  :mod:`repro.bench.reference` runs DP-DPSGD and PDSL one agent at a
+time from the same streams, as the oracle the pipeline is tested against.
 
-Subclasses implement :meth:`_step_loop` and :meth:`_step_vectorized`, each
-executing one communication round for all agents; :meth:`step` dispatches
-on the configured backend.
+Subclasses implement :meth:`_round_body`, one communication round for all
+agents; :meth:`step` pulls the round's topology and runs it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union, overload
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.compression.codecs import CompressedPayload, make_codec
+from repro.compression.codecs import make_codec
 from repro.compression.config import CompressionConfig
 from repro.compression.state import CompressionState
 from repro.core.config import AlgorithmConfig
@@ -61,15 +58,14 @@ from repro.core.streams import FleetStreams
 from repro.data.dataset import Dataset
 from repro.data.flat import Batch, FlatShards, FleetBatches
 from repro.nn.batched import StackedSequential, supports_stacked
-from repro.nn.layers import Dropout
 from repro.nn.model import Model
 from repro.privacy.accountant import PrivacyAccountant
-from repro.privacy.mechanisms import clip_by_l2_norm, clip_rows_by_l2_norm
+from repro.privacy.mechanisms import clip_rows_by_l2_norm
 from repro.sharding import FleetState, RoundScheduler, resolve_block_rows, row_blocks
 from repro.simulation.metrics import consensus_distance
 from repro.simulation.network import Network
 from repro.topology.graphs import Topology
-from repro.topology.mixing import validate_mixing_matrix
+from repro.topology.mixing import MixingOperator, validate_mixing_matrix
 from repro.topology.schedule import (
     ShiftOneSchedule,
     StaticSchedule,
@@ -77,48 +73,7 @@ from repro.topology.schedule import (
     TopologySchedule,
 )
 
-__all__ = ["AgentRows", "DecentralizedAlgorithm"]
-
-
-class AgentRows:
-    """List-like view over the rows of an ``(num_agents, dimension)`` fleet matrix.
-
-    The vectorized engine stores all agents' vectors in one contiguous
-    matrix; this adapter preserves the historical per-agent list API
-    (``algorithm.params[i]``, iteration, item assignment) without copying.
-    Reads return row *views* into the underlying matrix; writes
-    (``rows[i] = vector``) store into it.
-    """
-
-    __slots__ = ("_matrix",)
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self._matrix = matrix
-
-    def __len__(self) -> int:
-        return int(self._matrix.shape[0])
-
-    @overload
-    def __getitem__(self, index: int) -> np.ndarray: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> List[np.ndarray]: ...
-
-    def __getitem__(self, index: Union[int, slice]):
-        if isinstance(index, slice):
-            return [self._matrix[i] for i in range(*index.indices(len(self)))]
-        return self._matrix[index]
-
-    def __setitem__(self, index: int, value: np.ndarray) -> None:
-        # The fleet matrix's dtype is authoritative (resolved once from
-        # AlgorithmConfig.dtype); writes are rounded into it.
-        self._matrix[index] = np.asarray(value, dtype=self._matrix.dtype)
-
-    def __iter__(self):
-        return iter(self._matrix)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AgentRows(shape={self._matrix.shape})"
+__all__ = ["DecentralizedAlgorithm"]
 
 
 class DecentralizedAlgorithm:
@@ -145,8 +100,8 @@ class DecentralizedAlgorithm:
         One local dataset per agent (e.g. from
         :func:`repro.data.partition.partition_dirichlet`).
     config:
-        Optimisation / DP hyper-parameters, including the execution
-        ``backend`` (``"loop"`` or ``"vectorized"``).
+        Optimisation / DP hyper-parameters and the round pipeline's
+        precision, storage and block knobs.
     validation:
         Optional shared validation set ``Q``; required by PDSL, unused by the
         baselines.
@@ -222,9 +177,8 @@ class DecentralizedAlgorithm:
         self.dimension = model.num_params
         self.sigma = config.resolve_sigma()
         # Precision and sharding knobs.  ``_dtype`` is the single source of
-        # truth for the fleet-state element type (every state matrix, every
-        # state assignment and the loop engine's row writes funnel through
-        # it, so the two engines cannot drift to different dtypes);
+        # truth for the fleet-state element type (every state matrix and
+        # every state assignment funnel through it);
         # ``_grad_dtype`` is its counterpart for gradient/loss buffers, which
         # stay double precision in every mode because the model kernels are
         # float64.
@@ -234,7 +188,7 @@ class DecentralizedAlgorithm:
         )
         self._grad_dtype: np.dtype = np.dtype(np.float64)
         # Blocked-round plumbing.  ``_block_rows`` is the row-block size
-        # every stage of the vectorized round uses (the explicit
+        # every stage of the round pipeline uses (the explicit
         # ``block_rows`` when set, else a ~32 MiB default); ``_scheduler``
         # runs independent row blocks of one stage, serially
         # (``block_workers=1``) or on a thread pool; ``_pinned`` backs the
@@ -305,24 +259,17 @@ class DecentralizedAlgorithm:
             self.momentum_state = np.zeros(
                 (self.num_agents, self.dimension), dtype=self._dtype
             )
+        # Models the stacked passes cannot evaluate (CNNs, Dropout) take one
+        # scalar pass per row, and every stage that runs them is serial, so
+        # a Dropout layer's shared RNG is consumed in agent (and pair) order
+        # under any block size or worker count.
         self._stacked: Optional[StackedSequential] = (
             StackedSequential(model) if supports_stacked(model) else None
-        )
-        # Models with stochastic layers draw from one RNG stream shared
-        # across every forward pass, so re-grouping gradient evaluations
-        # (as the vectorized engine does for cross-gradients) would change
-        # the draws; such models run on the loop engine to stay reproducible.
-        # Models whose layer structure cannot be inspected are treated as
-        # stochastic — the conservative choice that preserves the documented
-        # backend-equivalence guarantee for arbitrary Model subclasses.
-        layers = getattr(model, "layers", None)
-        self._model_is_stochastic = layers is None or any(
-            isinstance(layer, Dropout) and layer.rate > 0.0 for layer in layers
         )
         self.rounds_completed = 0
 
     # ------------------------------------------------------------------
-    # Fleet state accessors (list-compatible views over the state matrix)
+    # Fleet state accessors
     # ------------------------------------------------------------------
     def _as_state_matrix(self, value: Sequence[np.ndarray]) -> np.ndarray:
         if isinstance(value, np.ndarray) and value.ndim == 2:
@@ -367,7 +314,7 @@ class DecentralizedAlgorithm:
     def state(self, value: np.ndarray) -> None:
         # Every whole-fleet assignment funnels through the configured state
         # dtype: an update computed in float64 (gradients always are) is
-        # rounded into float32 state here, under either engine.  Pinned
+        # rounded into float32 state here.  Pinned
         # (memmap) storage streams the assignment into the backing store
         # block by block instead of rebinding.
         if getattr(self, "_pinned", False):
@@ -388,66 +335,44 @@ class DecentralizedAlgorithm:
             self._momentum_state = np.asarray(value, dtype=self._dtype)
 
     @property
-    def params(self) -> AgentRows:
-        """Per-agent parameter vectors as a list-like view over the state matrix."""
-        return AgentRows(self.state)
+    def params(self) -> np.ndarray:
+        """Per-agent parameter vectors: the state matrix itself (row ``i`` is agent ``i``)."""
+        return self.state
 
     @params.setter
     def params(self, value: Sequence[np.ndarray]) -> None:
         self.state = self._as_state_matrix(value)
 
     @property
-    def momenta(self) -> AgentRows:
-        """Per-agent momentum buffers as a list-like view over the momentum matrix."""
-        return AgentRows(self.momentum_state)
+    def momenta(self) -> np.ndarray:
+        """Per-agent momentum buffers: the momentum matrix itself."""
+        return self.momentum_state
 
     @momenta.setter
     def momenta(self, value: Sequence[np.ndarray]) -> None:
         self.momentum_state = self._as_state_matrix(value)
 
     # ------------------------------------------------------------------
-    # Core interface and backend dispatch
+    # Round entry point
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """The engine that will execute the next round (after fallbacks)."""
-        return "vectorized" if self._use_vectorized() else "loop"
-
-    def _use_vectorized(self) -> bool:
-        # Message drops are per-message events; they only exist on the loop
-        # path, so a lossy network forces the loop backend.  Stochastic
-        # models (dropout) force it too: their shared forward-pass RNG would
-        # be consumed in a different order by the re-grouped vectorized
-        # gradient evaluations, breaking loop/vectorized trajectory
-        # equivalence.
-        return (
-            getattr(self.config, "backend", "loop") == "vectorized"
-            and self.network.drop_probability == 0.0
-            and not self._model_is_stochastic
-        )
-
     def step(self, round_index: int) -> None:
         """Execute one synchronous communication round for every agent."""
+        self._begin_round(round_index)
+        self._round_body(round_index)
+
+    def _begin_round(self, round_index: int) -> None:
+        """Address round ``round_index``'s draws and pull its topology from the schedule.
+
+        Resets the per-round draw counters, swaps in the round's graph and
+        :class:`~repro.topology.mixing.MixingOperator` (LRU-cached by the
+        schedule), refreshes the active-agent mask (churned-out agents and
+        this round's stragglers are masked out of every phase), and buffers
+        the schedule's events for the runner to record.  On a static
+        schedule only the draw counters change.
+        """
         self._draw_step = int(round_index)
         self._batch_draws[:] = 0
         self._noise_draws[:] = 0
-        self._begin_round(round_index)
-        if self._use_vectorized():
-            self._step_vectorized(round_index)
-        else:
-            self._step_loop(round_index)
-
-    def _begin_round(self, round_index: int) -> None:
-        """Pull round ``round_index``'s topology and participation from the schedule.
-
-        Swaps in the round's graph and
-        :class:`~repro.topology.mixing.MixingOperator` (LRU-cached by the
-        schedule), refreshes the active-agent mask (churned-out agents and
-        this round's stragglers are masked out of every phase), tells the
-        network which agents are reachable, and buffers the schedule's
-        events for the runner to record.  On a static schedule this is a
-        no-op, so the legacy fixed-topology path is untouched.
-        """
         if self.schedule.is_static:
             return
         topology = self.schedule.topology_at(round_index)
@@ -458,7 +383,6 @@ class DecentralizedAlgorithm:
         self.active_mask = mask
         self._all_active = bool(mask.all())
         self.active_agents = [int(agent) for agent in np.flatnonzero(mask)]
-        self.network.set_active_mask(mask)
         self.pending_events.extend(self.schedule.events_at(round_index))
 
     def is_active(self, agent: int) -> bool:
@@ -477,9 +401,8 @@ class DecentralizedAlgorithm:
         """Keep inactive agents' rows at ``current``; active rows take ``updated``.
 
         Both arrays hold the rows of agents ``start..start+len(updated)``.
-        The vectorized engine computes block-wide updates and then pins the
-        rows of agents that sat the round out — matching the loop engine,
-        which simply never touches them.  With every agent active this
+        The pipeline computes block-wide updates and then pins the rows of
+        agents that sat the round out.  With every agent active this
         returns ``updated`` unchanged.
         """
         if self._all_active:
@@ -490,18 +413,19 @@ class DecentralizedAlgorithm:
     # ------------------------------------------------------------------
     # Blocked round pipeline
     # ------------------------------------------------------------------
-    # The vectorized engine executes every round as a pipeline over
-    # disjoint ``(block_rows, d)`` row blocks: each block draws its agents'
-    # batches, evaluates gradients with the stacked passes, applies
-    # clip+noise, updates momentum/state and stages its gossip payload —
-    # never materialising more than a handful of block-sized transients plus
-    # the reusable fleet-shaped scratch buffers.  Every batch and noise draw
-    # is addressed by (round, slot, agent), each codec stream is per-agent,
-    # and every kernel is row-wise (or row-blocked with unchanged
-    # accumulation order), so the trajectory does not depend on the block
-    # size — including under a parallel ``RoundScheduler``, because blocks
-    # own disjoint rows.  At the default block size most fleets are a
-    # single block.
+    # Every round executes as a pipeline over disjoint ``(block_rows, d)``
+    # row blocks: each block draws its agents' batches, evaluates gradients
+    # with the stacked passes, applies clip+noise, updates momentum/state
+    # and stages its gossip payload — never materialising more than a
+    # handful of block-sized transients plus the reusable fleet-shaped
+    # scratch buffers.  Every batch and noise draw is addressed by (round,
+    # slot, agent) and every drop by (round, tag, sender, recipient), each
+    # codec stream is per-agent, and every kernel is row-wise (or
+    # row-blocked with unchanged accumulation order), so the trajectory
+    # does not depend on the block size —
+    # including under a parallel ``RoundScheduler``, because blocks own
+    # disjoint rows.  At the default block size most fleets are a single
+    # block.
 
     def _fleet_blocks(self) -> List[Tuple[int, int]]:
         """The round's ``(start, stop)`` row blocks over the whole fleet."""
@@ -636,11 +560,12 @@ class DecentralizedAlgorithm:
         ``produce(start, stop)`` returns one ``dtype`` row block per matrix
         in ``targets``.  On a communication round every block is
         codec-encoded (channel ``tag``, or ``"{tag}.{k}"`` for the ``k``-th
-        of several payloads, as in :meth:`gossip_broadcast`) into a fleet
+        of several payloads, all carried by one message) into a fleet
         scratch, the exchange is accounted, and each target receives
-        ``W @ payload``.  Otherwise the blocks are stored straight into the
-        targets.  ``serial`` forces inline blocks (for producers that run
-        the scalar model).
+        ``W @ payload`` (with this exchange's dropped messages removed from
+        ``W``, see :meth:`_lossy_mixing`).  Otherwise the blocks are stored
+        straight into the targets.  ``serial`` forces inline blocks (for
+        producers that run the scalar model).
         """
         channels = [tag]
         if len(targets) > 1:
@@ -667,9 +592,51 @@ class DecentralizedAlgorithm:
         if not communicate:
             return
         values, wire_bytes = self.gossip_wire_cost(len(targets))
-        self.record_fleet_exchange(tag, values, wire_bytes)
+        operator, dropped = self._lossy_mixing(tag)
+        self.record_fleet_exchange(tag, values, wire_bytes, dropped=dropped)
         for payload, target in zip(staged, targets):
-            self.mix_rows(payload, out=target)
+            self.mix_rows(payload, out=target, operator=operator)
+
+    def _delivered(
+        self,
+        tag: str,
+        senders: np.ndarray,
+        recipients: np.ndarray,
+        step: Optional[int] = None,
+    ) -> np.ndarray:
+        """Which messages ``senders[k] -> recipients[k]`` of ``tag`` arrive.
+
+        Each is lost with the network's ``drop_probability``, decided by
+        the ``"drop"`` stream at ``(step, tag, sender, recipient)``;
+        ``step`` defaults to the current round (async mode passes the
+        sender's local step).
+        """
+        step = self._draw_step if step is None else step
+        uniforms = self.streams.edge_uniforms(step, tag, senders, recipients)
+        return uniforms >= self.network.drop_probability
+
+    def _lossy_mixing(self, tag: str) -> Tuple[MixingOperator, int]:
+        """The round's mixing operator minus the ``tag`` exchange's dropped messages.
+
+        A dropped message ``j -> i`` zeroes ``w_ij``; the diagonal stays, so
+        each agent mixes its own payload with whatever reached it (its row
+        then sums to less than one).  Returns the operator and the number
+        of dropped messages; on a loss-free network, the round's operator
+        and 0.
+        """
+        if self.network.drop_probability == 0.0:
+            return self.mixing, 0
+        matrix = self.mixing.matrix.copy()
+        if self.mixing.format == "csr":
+            recipients = np.repeat(np.arange(self.num_agents), np.diff(matrix.indptr))
+            senders, weights = matrix.indices, matrix.data
+        else:
+            recipients, senders = np.indices(matrix.shape).reshape(2, -1)
+            weights = matrix.reshape(-1)
+        channels = np.flatnonzero((weights > 0.0) & (senders != recipients))
+        lost = channels[~self._delivered(tag, senders[channels], recipients[channels])]
+        weights[lost] = 0.0
+        return MixingOperator(matrix), int(lost.size)
 
     def close(self) -> None:
         """Release blocked-round resources (worker pool, memmap backings).
@@ -691,20 +658,11 @@ class DecentralizedAlgorithm:
         except Exception:
             pass
 
-    def _step_loop(self, round_index: int) -> None:
-        """One round via per-agent message passing (must be overridden)."""
+    def _round_body(self, round_index: int) -> None:
+        """One round for every agent (must be overridden)."""
         raise NotImplementedError(
-            f"{type(self).__name__} must implement _step_loop() (and optionally "
-            "_step_vectorized()) or override step() directly"
+            f"{type(self).__name__} must implement _round_body() or override step()"
         )
-
-    def _step_vectorized(self, round_index: int) -> None:
-        """One round via fleet-level tensor operations.
-
-        Defaults to the loop implementation so algorithms without a
-        vectorized port remain correct under either backend setting.
-        """
-        self._step_loop(round_index)
 
     def run_round(self) -> None:
         """Advance the network round counter and run :meth:`step` once."""
@@ -717,22 +675,6 @@ class DecentralizedAlgorithm:
     # ------------------------------------------------------------------
     # Gradient and gossip helpers
     # ------------------------------------------------------------------
-    def local_gradient(
-        self,
-        agent: int,
-        params: np.ndarray,
-        batch: Batch,
-    ) -> np.ndarray:
-        """Stochastic gradient of the loss at ``params`` on ``agent``'s batch.
-
-        When ``params`` belongs to a neighbour this is exactly the
-        cross-gradient ``g_{i,j}`` of eq. 12: agent ``i``'s data, agent
-        ``j``'s model.
-        """
-        inputs, labels = batch
-        _, grad = self.model.loss_and_gradient(inputs, labels, params=params)
-        return grad
-
     def fleet_gradients(
         self, param_rows: np.ndarray, batches: FleetBatches
     ) -> np.ndarray:
@@ -844,10 +786,6 @@ class DecentralizedAlgorithm:
         batches.sizes[agents - start] = sizes
         return batches
 
-    def draw_batch(self, agent: int, step: Optional[int] = None) -> Optional[Batch]:
-        """One mini-batch of ``agent``, ``None`` if it is inactive (see :meth:`_draw_rows`)."""
-        return self._draw_rows(agent, agent + 1, step)[0]
-
     def _noise_rows(
         self, agents: np.ndarray, step: Optional[int] = None
     ) -> np.ndarray:
@@ -859,24 +797,13 @@ class DecentralizedAlgorithm:
             slots = np.zeros(agents.size, dtype=np.int64)
         return self.sigma * self.streams.normal_rows(step, agents, slots, self.dimension)
 
-    def privatize(
-        self, agent: int, gradient: np.ndarray, step: Optional[int] = None
-    ) -> np.ndarray:
-        """Clip to ``C`` and add ``N(0, sigma^2 I)`` noise (Algorithm 1 lines 3–4, 9–10).
-
-        The noise is the agent's next draw of the round (or of its local
-        step ``step`` in async mode), identical to the row
-        :meth:`privatize_rows` gives the same draw.
-        """
-        clipped = clip_by_l2_norm(gradient, self.config.clip_threshold)
-        if self.sigma == 0.0:
-            return clipped
-        return clipped + self._noise_rows(np.array([agent]), step)[0]
-
     def privatize_rows(
-        self, rows: np.ndarray, agents: Optional[Sequence[int]] = None
+        self,
+        rows: np.ndarray,
+        agents: Optional[Sequence[int]] = None,
+        step: Optional[int] = None,
     ) -> np.ndarray:
-        """Row-wise clip + Gaussian noise, each row noised at its owner's address.
+        """Row-wise clip to ``C`` + ``N(0, sigma^2 I)`` noise (Algorithm 1 lines 3–4, 9–10).
 
         Parameters
         ----------
@@ -885,9 +812,11 @@ class DecentralizedAlgorithm:
         agents:
             The agent that owns (and therefore noises) each row; defaults to
             ``0..num_agents-1`` (one row per agent).  An agent's rows take
-            its next noise slots in row order, so rows owned by the same
-            agent must appear in the order the loop backend would privatize
-            them for both backends to draw identical noise.
+            its next noise slots of the round in row order.
+        step:
+            Draw every row's noise at slot 0 of this step instead (async
+            mode keys an agent's local steps by its own step count; one
+            row per agent).
         """
         clipped = clip_rows_by_l2_norm(np.asarray(rows), self.config.clip_threshold)
         owners = (
@@ -900,35 +829,46 @@ class DecentralizedAlgorithm:
                 f"got {clipped.shape[0]} gradient rows for {len(owners)} owner agents"
             )
         if self.sigma > 0.0:
-            # Inactive owners contribute zero rows and draw no noise,
-            # mirroring the loop engine which never reaches their privatize
-            # call.
+            # Inactive owners contribute zero rows and draw no noise.
             if self._all_active:
-                clipped += self._noise_rows(owners)
+                clipped += self._noise_rows(owners, step)
             else:
                 live = np.flatnonzero(self.active_mask[owners])
-                clipped[live] += self._noise_rows(owners[live])
+                clipped[live] += self._noise_rows(owners[live], step)
         return clipped
 
     def fleet_cross_gradients(
         self, batches: FleetBatches
     ) -> Tuple[np.ndarray, Dict[Tuple[int, int], int]]:
-        """Perturbed cross-gradients for every directed pair, plus a row index.
+        """Phases 1–2 exchanges: perturbed cross-gradients, plus a row index.
 
-        Row ``pair_rows[(i, j)]`` holds the clipped-and-noised gradient of
-        agent ``j``'s model evaluated on agent ``i``'s batch (the
-        cross-gradient ``g_{i,j}`` of eq. 12).  Pairs are grouped by
-        evaluator with owners ascending, so each evaluator's noise slots
-        follow its own-gradient slot in exactly the loop backend's order —
-        callers must privatize local gradients (one row per agent, agent
-        order) *before* calling this.
+        Every agent ``j`` sends its model to each neighbour ``i`` (tag
+        ``"model"``); ``i`` evaluates ``j``'s model on its own batch, clips
+        and noises the result and sends it back (``"cross_grad"``).  Row
+        ``pair_rows[(i, j)]`` holds that cross-gradient ``g_{i,j}`` (eq. 12)
+        for every pair whose reply reached ``j``; under fault injection a
+        pair whose model was dropped is never evaluated and draws no noise,
+        and a dropped reply is evaluated but left out of ``pair_rows``.
+        Both exchanges are accounted here.
 
-        The pair rows are evaluated in evaluator-aligned chunks of about
-        ``block_rows`` rows (one chunk at the default size); each
-        evaluator's rows stay inside one chunk in pair order, so it claims
-        the same noise slots under any chunking and any block schedule.
+        Pairs are grouped by evaluator with owners ascending, so each
+        evaluator's noise slots follow its own-gradient slot — callers
+        must privatize local gradients (one row per agent, agent order)
+        *before* calling this.  The pair rows are evaluated in
+        evaluator-aligned chunks of about ``block_rows`` rows (one chunk
+        at the default size); each evaluator's rows stay inside one chunk
+        in pair order, so it claims the same noise slots under any chunking
+        and any block schedule.
         """
         pairs = self.topology.directed_pairs()
+        lossy = self.network.drop_probability > 0.0
+        lost_models = 0
+        if lossy:
+            evaluators, owners = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            arrived = self._delivered("model", owners, evaluators)
+            lost_models = int(np.count_nonzero(~arrived))
+            pairs = [pair for pair, ok in zip(pairs, arrived) if ok]
+        self.record_fleet_exchange("model", self.dimension, dropped=lost_models)
         evaluators = [i for i, _ in pairs]
         owners = [j for _, j in pairs]
         cross_perturbed = np.empty((len(pairs), self.dimension), dtype=self._grad_dtype)
@@ -946,7 +886,21 @@ class DecentralizedAlgorithm:
             run_chunk, self._evaluator_chunks(evaluators), serial=self._stacked is None
         )
         pair_rows = {pair: row for row, pair in enumerate(pairs)}
-        return cross_perturbed, pair_rows
+        if not lossy:
+            self.record_fleet_exchange("cross_grad", self.dimension)
+            return cross_perturbed, pair_rows
+        returned = self._delivered(
+            "cross_grad", np.array(evaluators, dtype=np.int64), np.array(owners, dtype=np.int64)
+        )
+        self.record_fleet_exchange(
+            "cross_grad",
+            self.dimension,
+            sent=len(pairs),
+            dropped=int(np.count_nonzero(~returned)),
+        )
+        return cross_perturbed, {
+            pair: row for pair, row in pair_rows.items() if returned[row]
+        }
 
     def _evaluator_chunks(self, evaluators: Sequence[int]) -> List[Tuple[int, int]]:
         """Row chunks over the directed-pair list, cut at evaluator boundaries.
@@ -972,10 +926,6 @@ class DecentralizedAlgorithm:
                 start = k
         return chunks
 
-    def clip(self, gradient: np.ndarray) -> np.ndarray:
-        """Clip a gradient to the configured threshold without adding noise."""
-        return clip_by_l2_norm(gradient, self.config.clip_threshold)
-
     def neighbor_weights(self, agent: int) -> Dict[int, float]:
         """``{j: omega_{ij}}`` over the agent's closed neighbourhood ``M_i``."""
         return {
@@ -984,7 +934,10 @@ class DecentralizedAlgorithm:
         }
 
     def mix_rows(
-        self, matrix: np.ndarray, out: Optional[np.ndarray] = None
+        self,
+        matrix: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        operator: Optional[MixingOperator] = None,
     ) -> np.ndarray:
         """One gossip step for all agents: ``x_i <- sum_j omega_{ij} x_j`` (eqs. 24–25).
 
@@ -997,18 +950,20 @@ class DecentralizedAlgorithm:
         or a new array.  ``out`` must not overlap ``matrix``: the blocks
         read all of ``matrix`` while writing their rows.  In
         ``dtype="mixed"`` mode float32 input is mixed with float64
-        accumulation per block.
+        accumulation per block.  ``operator`` replaces the round's
+        operator (a lossy exchange's, see :meth:`_lossy_mixing`).
         """
         matrix = np.asarray(matrix)
+        operator = self.mixing if operator is None else operator
         if out is not None and np.may_share_memory(matrix, out):
             raise ValueError("mix_rows output must not overlap its input")
         if self._precision == "mixed" and matrix.dtype == np.float32:
-            return self.mixing.apply_mixed(matrix, block_rows=self._block_rows, out=out)
+            return operator.apply_mixed(matrix, block_rows=self._block_rows, out=out)
         if out is None:
             dtype = np.float32 if matrix.dtype == np.float32 else np.float64
             out = np.empty(matrix.shape, dtype=dtype)
         self._scheduler.map(
-            lambda start, stop: self.mixing.mix_block(matrix, start, stop, out),
+            lambda start, stop: operator.mix_block(matrix, start, stop, out),
             self._fleet_blocks(),
         )
         return out
@@ -1018,22 +973,24 @@ class DecentralizedAlgorithm:
         tag: str,
         floats_per_message: int,
         bytes_per_message: Optional[int] = None,
+        sent: Optional[int] = None,
+        dropped: int = 0,
     ) -> None:
-        """Account one all-neighbour exchange executed by the vectorized engine.
+        """Account one all-neighbour exchange of the round.
 
-        Mirrors the traffic the loop backend generates for the same phase:
-        one message per directed edge, each carrying ``floats_per_message``
-        floats (and ``bytes_per_message`` wire bytes; dense float64 when
-        omitted).  Hierarchical topologies
+        One message per directed channel (or ``sent`` messages, when only
+        some channels transmit), each carrying ``floats_per_message`` floats
+        (and ``bytes_per_message`` wire bytes; dense float64 when omitted),
+        ``dropped`` of them lost.  Hierarchical topologies
         (:class:`~repro.topology.hierarchical.HierarchicalTopology`) expose
-        a ``directed_edge_split`` — their traffic is accounted under
-        ``"{tag}.intra"`` (within-cluster channels, cheap local links) and
-        ``"{tag}.inter"`` (cross-cluster channels, the expensive hops)
-        separately, so bandwidth reports can price the two tiers
-        differently.
+        a ``directed_edge_split`` — a full, loss-free exchange on one is
+        accounted under ``"{tag}.intra"`` (within-cluster channels, cheap
+        local links) and ``"{tag}.inter"`` (cross-cluster channels, the
+        expensive hops) separately, so bandwidth reports can price the two
+        tiers differently; a lossy one goes under ``tag``.
         """
         split = getattr(self.topology, "directed_edge_split", None)
-        if split is not None:
+        if split is not None and sent is None and not dropped:
             intra_edges, inter_edges = split
             if intra_edges:
                 self.network.record_bulk(
@@ -1044,8 +1001,10 @@ class DecentralizedAlgorithm:
                     f"{tag}.inter", inter_edges, floats_per_message, bytes_per_message
                 )
             return
+        if sent is None:
+            sent = self.topology.num_directed_edges
         self.network.record_bulk(
-            tag, self.topology.num_directed_edges, floats_per_message, bytes_per_message
+            tag, sent, floats_per_message, bytes_per_message, dropped
         )
 
     # ------------------------------------------------------------------
@@ -1076,13 +1035,13 @@ class DecentralizedAlgorithm:
         """Decoded gossip payload of agents ``start..start+len(rows)``.
 
         Active rows go through the codec (updating their error-feedback
-        residuals); inactive rows pass through raw, exactly like the loop
-        engine where an inactive agent never reaches its broadcast.  With
-        the identity codec the input is returned unchanged.  This is the
-        vectorized engine's codec entry point; residuals and sparsifier
-        streams are per agent, so blocks may be encoded in any
-        order; call :meth:`_prepare_gossip_channels` before encoding blocks
-        in parallel.
+        residuals); inactive rows transmit nothing and pass through raw.
+        With the identity codec the input is returned unchanged.  The gossip
+        semantics are ``x_i <- sum_j w_ij C(x_j)``: every consumer, the
+        sender included, mixes the decoded value.  Residuals and sparsifier
+        streams are per agent, so blocks may be encoded in any order; call
+        :meth:`_prepare_gossip_channels` before encoding blocks in
+        parallel.
         """
         if self._compression_state is None:
             return rows
@@ -1091,75 +1050,13 @@ class DecentralizedAlgorithm:
             channel, rows, start, start + len(rows), mask
         )
 
-    def gossip_broadcast(self, agent: int, tag: str, value):
-        """Broadcast one agent's gossip payload and return what consumers mix.
-
-        The loop-engine counterpart of :meth:`compress_gossip_rows` plus
-        :meth:`record_fleet_exchange`: the payload (an array, or a tuple of
-        arrays compressed channel-by-channel as ``"{tag}.{index}"``) is
-        encoded once, sent to every neighbour at its compressed wire size,
-        and the *decoded* value is returned — the gossip semantics are
-        ``x_i <- sum_j w_ij C(x_j)``, with every consumer (the agent itself
-        included) mixing the reconstructed value, which is what makes the
-        vectorized engine's ``W @ decoded`` equivalent.  With the identity
-        codec the original ``value`` comes back and the wire carries plain
-        copies, bit-identical to the historical path.  Inactive agents
-        transmit nothing and get their raw ``value`` back.
-        """
-        if not self.is_active(agent):
-            return value
-        neighbors = self.topology.neighbors(agent, include_self=False)
-        if self._compression_state is None:
-            if isinstance(value, tuple):
-                payload = tuple(np.asarray(part).copy() for part in value)
-            else:
-                payload = value.copy()
-            self.network.broadcast(agent, neighbors, tag, payload)
-            return value
-        if isinstance(value, tuple):
-            decoded = tuple(
-                self._compression_state.compress_row(f"{tag}.{index}", agent, part)
-                for index, part in enumerate(value)
-            )
-            num_channels = len(value)
-        else:
-            decoded = self._compression_state.compress_row(tag, agent, value)
-            num_channels = 1
-        values, wire_bytes = self.gossip_wire_cost(num_channels)
-        self.network.broadcast(
-            agent,
-            neighbors,
-            tag,
-            CompressedPayload(
-                values=decoded,
-                num_values=values,
-                wire_bytes=wire_bytes,
-                codec=self.codec.name,
-            ),
-        )
-        return decoded
-
-    def gossip_receive(self, agent: int, tag: str) -> Dict[int, object]:
-        """Drain one agent's gossip mailbox, unwrapping compressed payloads."""
-        received = self.network.receive_by_sender(agent, tag)
-        if self._compression_state is None:
-            return received
-        return {
-            sender: (
-                payload.values
-                if isinstance(payload, CompressedPayload)
-                else payload
-            )
-            for sender, payload in received.items()
-        }
-
     def draw_batches(self) -> FleetBatches:
         """One fresh mini-batch per *active* agent for the current round.
 
-        A single vectorized draw over the whole fleet.  Inactive agents
+        A single vectorized draw over the whole fleet, at the same
+        addresses the round pipeline's per-block draws use.  Inactive agents
         (churned out or straggling) read back as ``None`` and claim no
-        slot — identically under both engines, so loop/vectorized
-        trajectory equivalence extends to dynamic schedules.
+        slot.
         """
         return self._draw_rows(0, self.num_agents)
 
@@ -1198,9 +1095,9 @@ class DecentralizedAlgorithm:
 
         The per-agent evaluation subsample is drawn from a dedicated
         seed-derived RNG per agent (independent of the training streams), so
-        the evaluated samples are identical under every backend and
-        evaluation path.  When the model supports stacked evaluation the
-        per-agent losses are computed with whole-fleet forward passes
+        the evaluated samples are identical under every evaluation path.
+        When the model supports stacked evaluation the per-agent losses are
+        computed with whole-fleet forward passes
         (grouped by shard shape, like :meth:`fleet_gradients`) instead of
         one Python-level ``evaluate_loss`` call per agent.
         """
@@ -1273,8 +1170,8 @@ class DecentralizedAlgorithm:
         schedules are pure functions of ``(seed, round)`` too.  Subclasses contribute
         their own matrices through :meth:`_extra_state`.
 
-        Call only at a round boundary (between :meth:`run_round` calls):
-        mid-round mailbox contents are not captured.  By default the
+        Call only at a round boundary (between :meth:`run_round` calls).
+        By default the
         returned dict owns copies of every array, so later training does not
         mutate it; it is picklable for on-disk checkpoints (see
         :mod:`repro.simulation.checkpoint`).  ``copy=False`` returns *views*

@@ -48,19 +48,6 @@ class AlgorithmConfig:
         Mini-batch size drawn by each agent per round.
     seed:
         Base seed; per-agent randomness is derived from it deterministically.
-    backend:
-        Execution engine: ``"vectorized"`` (default) keeps the fleet's
-        parameters in one ``(num_agents, dimension)`` matrix and performs the
-        gossip step as a single ``W @ X`` multiply with batched gradient and
-        clip+noise paths; ``"loop"`` steps agents one at a time through the
-        message-passing :class:`~repro.simulation.network.Network`.  Both
-        backends draw identical per-agent batches and noise, so a fixed seed
-        yields the same trajectory (up to floating-point associativity)
-        under either engine.  Algorithms automatically fall back to the loop
-        backend when the network injects message drops (which only exist as
-        per-message events) or when the model contains stochastic layers
-        such as dropout (whose shared forward-pass RNG would be consumed in
-        a different order by the re-grouped vectorized evaluations).
     mixing_backend:
         Storage format the gossip step applies ``W`` in: ``"auto"`` (the
         default) picks dense or CSR by fleet size and edge density
@@ -89,7 +76,7 @@ class AlgorithmConfig:
         assignment.  The precision tests pin the float32/mixed trajectory
         divergence from float64.
     block_rows:
-        Row-block size of the vectorized round: every stage (batch drawing,
+        Row-block size of the round pipeline: every stage (batch drawing,
         gradient evaluation, clip+noise, momentum/state updates, codec and
         gossip, applied over ``(block_rows, d)`` output chunks) runs block
         by block, never materialising more than a handful of
@@ -99,7 +86,7 @@ class AlgorithmConfig:
         as a single block.  Results are bit-identical for every block size.
     block_workers:
         Number of threads the :class:`~repro.sharding.RoundScheduler` uses
-        to execute independent row blocks of a vectorized round stage.  The
+        to execute independent row blocks of a round stage.  The
         default 1 runs blocks serially; values > 1 dispatch blocks onto a
         ``ThreadPoolExecutor`` and remain bit-identical because every block
         owns disjoint rows and draws from its own agents' addresses in the
@@ -122,7 +109,6 @@ class AlgorithmConfig:
     delta: float = 1e-5
     batch_size: int = 32
     seed: int = 0
-    backend: str = "vectorized"
     mixing_backend: str = "auto"
     compression: Optional[CompressionConfig] = None
     dtype: str = "float64"
@@ -156,8 +142,6 @@ class AlgorithmConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.sigma is None and self.epsilon is None:
             raise ValueError("either sigma or epsilon must be provided")
-        if self.backend not in ("loop", "vectorized"):
-            raise ValueError("backend must be 'loop' or 'vectorized'")
         if self.mixing_backend not in ("auto", "dense", "sparse"):
             raise ValueError("mixing_backend must be 'auto', 'dense' or 'sparse'")
         if self.dtype not in ("float64", "float32", "mixed"):

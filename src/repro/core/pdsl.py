@@ -21,18 +21,17 @@ line by line:
 4. **Gossip averaging** (lines 22–24): momentum buffers and models are mixed
    with the doubly stochastic matrix ``W`` (eqs. 24–25).
 
-Both execution backends run the same four phases.  The vectorized engine
-computes all local gradients and all per-edge cross-gradients with stacked
-forward/backward passes and performs phase 4 as two ``W @ X`` multiplies;
-phase 3's Shapley games remain per-agent (they are inherently sequential
-coalition evaluations) but draw from the same per-``(agent, round)``
-generators as the loop backend, so both backends follow the same trajectory
-for a fixed seed.
+The round pipeline computes all local gradients and all per-edge
+cross-gradients with stacked forward/backward passes and performs phase 4
+as two ``W @ X`` multiplies.  Phase 3's Shapley games run one agent at a
+time today, each from its own per-``(agent, round)`` generator, so they
+could equally be planned up front and scored in bulk.  Under fault
+injection an agent aggregates only the cross-gradients that reached it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -130,7 +129,7 @@ class PDSL(DecentralizedAlgorithm):
         ``returned`` maps contributor id to perturbed gradient and must be
         ordered neighbours-ascending-then-self: the Shapley game's player
         order (and hence the Monte-Carlo permutation stream) follows dict
-        order, so both backends build it identically.
+        order.
         """
         gamma = self.config.learning_rate
         # Candidate updates x_{i,j} = x_i - gamma * g_hat_{j,i} (eq. 15).
@@ -151,109 +150,28 @@ class PDSL(DecentralizedAlgorithm):
         return aggregated
 
     # ------------------------------------------------------------------
-    # One round of Algorithm 1 — loop backend
+    # One round of Algorithm 1
     # ------------------------------------------------------------------
-    def _step_loop(self, round_index: int) -> None:
-        gamma = self.config.learning_rate
-        alpha = self.config.momentum
-        batches = self.draw_batches()
-
-        # Phase 1 — local gradients (lines 2-4) and model broadcast (line 5).
-        # Agents inactive this round (churned out or straggling) sit every
-        # phase out: they draw no batch or noise, broadcast nothing, and the
-        # round topology's identity mixing row freezes their state.
-        own_perturbed: List[Optional[np.ndarray]] = []
-        for agent in range(self.num_agents):
-            if not self.is_active(agent):
-                own_perturbed.append(None)
-                continue
-            local_grad = self.local_gradient(agent, self.params[agent], batches[agent])
-            own_perturbed.append(self.privatize(agent, local_grad))
-            neighbors = self.topology.neighbors(agent, include_self=False)
-            self.network.broadcast(agent, neighbors, "model", self.params[agent].copy())
-
-        # Phase 2 — cross-gradients on neighbours' models (lines 6-12).
-        for agent in range(self.num_agents):
-            received_models = self.network.receive_by_sender(agent, "model")
-            for neighbor, neighbor_params in received_models.items():
-                cross_grad = self.local_gradient(agent, neighbor_params, batches[agent])
-                perturbed = self.privatize(agent, cross_grad)
-                self.network.send(agent, neighbor, "cross_grad", perturbed)
-
-        # Phase 3 — Shapley-weighted aggregation and momentum update (lines 13-21).
-        # The gradient exchanges of phases 1–2 always run at full precision;
-        # only the phase-3/4 gossip of (momentum, model) tuples goes through
-        # the compression codec and the communication interval.
-        communicate = self.gossip_now(round_index)
-        provisional: List[Tuple[np.ndarray, np.ndarray]] = []
-        shared: List[Tuple[np.ndarray, np.ndarray]] = []
-        for agent in range(self.num_agents):
-            if not self.is_active(agent):
-                provisional.append(
-                    (self.momenta[agent].copy(), self.params[agent].copy())
-                )
-                shared.append(provisional[agent])
-                continue
-            returned = self.network.receive_by_sender(agent, "cross_grad")
-            returned[agent] = own_perturbed[agent]
-            aggregated = self._aggregate_returned(agent, returned)
-
-            # Momentum-like update (eqs. 22-23).
-            momentum_hat = alpha * self.momenta[agent] + aggregated
-            params_hat = self.params[agent] - gamma * momentum_hat
-            provisional.append((momentum_hat, params_hat))
-            if communicate:
-                shared.append(
-                    self.gossip_broadcast(agent, "mix", (momentum_hat, params_hat))
-                )
-
-        if not communicate:
-            # Off-interval round: keep the local update, skip the gossip.
-            self.momenta = [momentum_hat for momentum_hat, _ in provisional]
-            self.params = [params_hat for _, params_hat in provisional]
-            return
-
-        # Phase 4 — gossip averaging of momentum and model (lines 22-24).
-        new_momenta: List[np.ndarray] = []
-        new_params: List[np.ndarray] = []
-        for agent in range(self.num_agents):
-            received_mix = self.gossip_receive(agent, "mix")
-            received_mix[agent] = shared[agent]
-            momentum_acc = np.zeros(self.dimension, dtype=np.float64)
-            params_acc = np.zeros(self.dimension, dtype=np.float64)
-            for j, (momentum_hat, params_hat) in received_mix.items():
-                weight = self.topology.weight(agent, j)
-                momentum_acc += weight * momentum_hat
-                params_acc += weight * params_hat
-            new_momenta.append(momentum_acc)
-            new_params.append(params_acc)
-
-        self.momenta = new_momenta
-        self.params = new_params
-
-    # ------------------------------------------------------------------
-    # One round of Algorithm 1 — vectorized backend
-    # ------------------------------------------------------------------
-    def _step_vectorized(self, round_index: int) -> None:
+    def _round_body(self, round_index: int) -> None:
         # Phase 1 — all local gradients, privatized in agent order (noise
-        # slot 0 per agent, as in the loop backend), block by block.
+        # slot 0 per agent), block by block.  Inactive agents draw nothing.
         batches, own_perturbed = self._local_perturbed_gradients()
-        self.record_fleet_exchange("model", self.dimension)
 
-        # Phase 2 — all cross-gradients in stacked passes over the directed
-        # pairs (evaluator i, model owner j): agent i's batch, agent j's model.
+        # Phases 1–2 exchanges — model broadcast, then all cross-gradients
+        # in stacked passes over the directed pairs (evaluator i, model
+        # owner j): agent i's batch, agent j's model.
         cross_perturbed, pair_rows = self.fleet_cross_gradients(batches)
-        self.record_fleet_exchange("cross_grad", self.dimension)
 
-        # Phase 3 — per-agent Shapley aggregation (inherently sequential
-        # coalition evaluations), then the blocked momentum update.
-        # Inactive agents run no Shapley game and keep momentum and model
-        # frozen for the round.
+        # Phase 3 — per-agent Shapley aggregation over the cross-gradients
+        # that came back, then the blocked momentum update.  Inactive
+        # agents run no Shapley game and keep momentum and model frozen
+        # for the round.
         aggregated = np.zeros_like(self.state)
         for agent in self.active_agents:
             returned = {
                 j: cross_perturbed[pair_rows[(j, agent)]]
                 for j in self.topology.neighbors(agent, include_self=False)
+                if (j, agent) in pair_rows
             }
             returned[agent] = own_perturbed[agent]
             aggregated[agent] = self._aggregate_returned(agent, returned)

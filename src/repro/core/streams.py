@@ -1,18 +1,20 @@
 """Keyed counter-based random streams for a whole fleet (Philox4x64-10).
 
-Every random draw of a training run — mini-batch indices, DP noise, and the
+Every random draw of a training run — mini-batch indices, DP noise, the
 per-agent generators of algorithm-level randomness (PDSL's Shapley
-permutations) — is a pure function of an *address* rather than the
-position of a sequential generator (Salmon et al., "Parallel Random
-Numbers: As Easy as 1, 2, 3", SC'11):
+permutations) and the fault-injection message drops — is a pure function
+of an *address* rather than the position of a sequential generator (Salmon
+et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11):
 
 * the **key** (two 64-bit words) is derived from ``(seed, purpose)``, one
   key per entry of :data:`PURPOSES`;
-* the **counter** (four 64-bit words) is ``[block, step, slot, 0]``:
+* the **counter** (four 64-bit words) is ``[block, step, slot, lane]``:
   ``step`` is the round (or, in async mode, the agent's own local-step
   count), ``slot`` the agent's draw index within that step (for the
-  ``"agent"`` purpose: the agent itself), and ``block`` the index of a
-  4-word output block inside the ``(step, slot)`` stream.
+  ``"agent"`` purpose: the agent itself; for ``"drop"``: the sender),
+  ``lane`` is 0 except for ``"drop"``, where it is the CRC-32 of the
+  message tag, and ``block`` the index of a 4-word output block inside the
+  ``(step, slot, lane)`` stream.
 
 Inside one ``(purpose, step, slot)`` stream each row owns a fixed word
 range ``[row * width, (row + 1) * width)`` (``width = d + d % 2`` for noise,
@@ -32,6 +34,7 @@ may round differently in the last place on another CPU or NumPy build.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Tuple
 
 import numpy as np
@@ -39,7 +42,7 @@ import numpy as np
 __all__ = ["PURPOSES", "FleetStreams", "box_muller"]
 
 #: Stream purposes, in key-derivation order (the index is the spawn key).
-PURPOSES: Tuple[str, ...] = ("batch", "noise", "agent")
+PURPOSES: Tuple[str, ...] = ("batch", "noise", "agent", "drop")
 
 #: Rows whose word ranges are closer than this are drawn by one
 #: ``random_raw`` call, discarding the gap: building a bit generator costs
@@ -93,12 +96,18 @@ class FleetStreams:
         }
 
     def words(
-        self, purpose: str, step: int, slot: int, start: int, count: int
+        self,
+        purpose: str,
+        step: int,
+        slot: int,
+        start: int,
+        count: int,
+        lane: int = 0,
     ) -> np.ndarray:
-        """Raw words ``[start, start + count)`` of one ``(purpose, step, slot)`` stream."""
+        """Raw words ``[start, start + count)`` of one ``(purpose, step, slot, lane)`` stream."""
         block, skip = divmod(int(start), _WORDS_PER_BLOCK)
         bits = np.random.Philox(
-            key=self._keys[purpose], counter=[block, int(step), int(slot), 0]
+            key=self._keys[purpose], counter=[block, int(step), int(slot), int(lane)]
         )
         return bits.random_raw(skip + int(count))[skip:]
 
@@ -109,6 +118,7 @@ class FleetStreams:
         rows: np.ndarray,
         slots: np.ndarray,
         width: int,
+        lane: int = 0,
     ) -> np.ndarray:
         """``(len(rows), width)`` raw words, row ``k`` at ``(step, slots[k], rows[k])``.
 
@@ -130,7 +140,7 @@ class FleetStreams:
             for run in np.split(np.arange(members.size), cuts):
                 low, high = int(ordered[run[0]]), int(ordered[run[-1]]) + 1
                 words = self.words(
-                    purpose, step, int(slot), low * width, (high - low) * width
+                    purpose, step, int(slot), low * width, (high - low) * width, lane
                 )
                 out[members[run]] = words.reshape(high - low, width)[ordered[run] - low]
         return out
@@ -141,6 +151,21 @@ class FleetStreams:
         """``(len(rows), dimension)`` standard normals (addressed as in :meth:`row_words`)."""
         width = dimension + dimension % 2
         return box_muller(self.row_words("noise", step, rows, slots, width), dimension)
+
+    def edge_uniforms(
+        self, step: int, tag: str, senders: np.ndarray, recipients: np.ndarray
+    ) -> np.ndarray:
+        """A uniform in ``[0, 1)`` per directed message ``senders[k] -> recipients[k]``.
+
+        Message ``s -> r`` of ``tag`` at ``step`` reads word ``r`` of the
+        ``("drop", step, s)`` stream in the tag's lane, so whether it is
+        dropped depends on nothing but that address: not on the block
+        schedule, not on the other messages of the round, and not on
+        anything a checkpoint would have to hold.
+        """
+        lane = zlib.crc32(tag.encode())
+        words = self.row_words("drop", step, recipients, senders, 1, lane)
+        return (words[:, 0] >> 11) * _UNIT
 
     def generator(self, purpose: str, step: int, slot: int) -> np.random.Generator:
         """A sequential generator over the whole ``(purpose, step, slot)`` stream."""

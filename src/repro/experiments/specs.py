@@ -108,7 +108,7 @@ class ExperimentSpec:
     :class:`~repro.core.config.AlgorithmConfig`): ``dtype`` selects the
     fleet-state precision (``"float64"`` historic bit-exact, ``"float32"``,
     or ``"mixed"`` — float32 state with float64 mixing accumulation), and
-    ``block_rows`` sets the row-block size of the vectorized round
+    ``block_rows`` sets the row-block size of the round pipeline
     (bit-identical for every size; ``None`` auto-sizes blocks to ~32 MiB).
     ``block_workers`` executes independent row blocks of a round on a
     thread pool (1 = serial, the default; parallel execution is

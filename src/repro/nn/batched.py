@@ -11,8 +11,8 @@ applied to all ``M`` models with one einsum.
 
 Only layer types whose stacked semantics are exact and deterministic are
 supported (``Dense``, ``ReLU``, ``Tanh``, ``Sigmoid``, ``Flatten``).  Models
-containing convolutions, pooling or dropout fall back to the per-model loop
-path — use :func:`supports_stacked` to check.  The stacked computation mirrors
+containing convolutions, pooling or dropout fall back to one scalar pass per
+model — use :func:`supports_stacked` to check.  The stacked computation mirrors
 the per-layer formulas of :mod:`repro.nn.layers` operation for operation, so
 its gradients agree with ``Model.loss_and_gradient`` to floating-point
 round-off.

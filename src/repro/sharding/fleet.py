@@ -1,6 +1,6 @@
 """Row-blocked fleet state: the ``(N, d)`` matrix as streamable shards.
 
-The vectorized engine keeps the fleet's parameters as one ``(num_agents,
+The round pipeline keeps the fleet's parameters as one ``(num_agents,
 dimension)`` matrix.  At the scales the paper's production story targets
 (10^5–10^6 agents) the matrix itself still fits — 262144 agents at d=64 in
 float64 is 128 MiB — but *whole-fleet temporaries* do not: a single

@@ -3,8 +3,8 @@
 The paper evaluates PDSL by simulating ``M`` agents exchanging models and
 gradients over a communication graph.  This package provides that substrate:
 
-* :class:`Network` — per-round mailbox message passing between agents, with
-  optional message-drop fault injection and traffic accounting;
+* :class:`Network` — per-tag traffic accounting of the messages agents
+  exchange, and the message-drop fault-injection knob;
 * :class:`Metrics` containers (:class:`RoundRecord`, :class:`TrainingHistory`)
   recording the quantities the paper plots (average training loss per round,
   test accuracy, consensus distance);
@@ -17,8 +17,8 @@ gradients over a communication graph.  This package provides that substrate:
   deterministic event queue, per-agent :class:`DeviceTrace` objects and the
   :class:`AsyncEngine` wrapper that runs an algorithm on simulated time
   (barrier mode times any algorithm's rounds in closed form and is
-  bit-identical to the plain engines; async mode runs DMSGD and gossips on
-  message arrival).
+  bit-identical to the bare synchronous round; async mode runs DMSGD and
+  gossips on message arrival).
 """
 
 from repro.simulation.checkpoint import (
@@ -26,7 +26,7 @@ from repro.simulation.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.simulation.network import Message, Network
+from repro.simulation.network import Network
 from repro.simulation.metrics import (
     RoundRecord,
     TrainingHistory,
@@ -54,7 +54,6 @@ from repro.simulation.events import (
 )
 
 __all__ = [
-    "Message",
     "Network",
     "RoundRecord",
     "TrainingHistory",

@@ -186,13 +186,6 @@ class AsyncEngine:
         """The wrapped algorithm (the engine owns timing, not numerics)."""
         return self._algorithm
 
-    @property
-    def backend(self) -> str:
-        """``"event-async"`` in async mode, else the wrapped engine's backend."""
-        if self.async_mode:
-            return "event-async"
-        return self._algorithm.backend
-
     # ------------------------------------------------------------------
     # Simulated-time observables
     # ------------------------------------------------------------------
@@ -252,14 +245,13 @@ class AsyncEngine:
         ``events_processed`` counts one compute event per active agent and
         one arrival per active edge.
 
-        Latency counters here are **pre-fault-injection**: the delegated
-        numeric round applies drop faults and departed-agent rejection with
-        its own RNG, which this timing pass must not consume (doing so
-        would break bit-identity with the bare engine).  With
+        Latency counters here are **pre-fault-injection**: the timing pass
+        prices every scheduled transmission, and the delegated numeric round
+        decides which messages drop (a pure function of each message's
+        address, so neither pass perturbs the other).  With
         ``drop_probability > 0`` the barrier-mode arrival/latency counters
         therefore describe scheduled transmissions, not confirmed
-        deliveries; async mode, which routes real payloads through
-        :meth:`Network.send`, counts actual deliveries only.
+        deliveries; async mode counts actual deliveries only.
         """
         algorithm = self._algorithm
         round_index = algorithm.rounds_completed
@@ -344,23 +336,23 @@ class AsyncEngine:
         algorithm.rounds_completed = target
 
     def _complete_local_step(self, agent: int, now: float) -> None:
-        """One finished local step: update, broadcast, reschedule."""
+        """One finished DMSGD local step (a one-row block): update, broadcast, reschedule."""
         algorithm = self._algorithm
         config = algorithm.config
         # The agent's draws are addressed by its own step count, so they do
         # not depend on how the other agents' steps interleave with it.
         step = int(self._steps_done[agent])
-        batch = algorithm.draw_batch(agent, step=step)
-        gradient = algorithm.local_gradient(agent, algorithm.params[agent], batch)
-        perturbed = algorithm.privatize(agent, gradient, step=step)
-        update = config.momentum * algorithm.momenta[agent] + perturbed
-        algorithm.momenta[agent] = update
-        algorithm.params[agent] = (
-            algorithm.params[agent] - config.learning_rate * update
+        row = slice(agent, agent + 1)
+        gradient = algorithm.fleet_gradients(
+            algorithm.state[row], algorithm._draw_rows(agent, agent + 1, step=step)
         )
+        perturbed = algorithm.privatize_rows(gradient, agents=[agent], step=step)
+        update = config.momentum * algorithm.momentum_state[row] + perturbed
+        algorithm.momentum_state[row] = update
+        algorithm.state[row] = algorithm.state[row] - config.learning_rate * update
         self._steps_done[agent] += 1
         self._busy_seconds[agent] += self._compute[agent]
-        payload = np.array(algorithm.params[agent], dtype=np.float64)
+        payload = np.array(algorithm.state[agent], dtype=np.float64)
         neighbors = algorithm.topology.neighbors(agent, include_self=False)
         arrivals = now + self._transfer_seconds(
             agent, np.array(neighbors, dtype=np.intp), payload.nbytes
@@ -372,6 +364,7 @@ class AsyncEngine:
                 agent=neighbor,
                 priority=PRIORITY_ARRIVAL,
                 sender=agent,
+                step=step,
                 sent_at=now,
                 payload=payload,
             )
@@ -385,29 +378,31 @@ class AsyncEngine:
     def _deliver(self, event) -> None:
         """One message arrival: account it, then mix with staleness weighting.
 
-        Bytes and latency are tagged at *arrival* time through
-        :meth:`Network.send` — which also applies drop fault-injection and
-        departed-agent rejection, so lost messages are simply never mixed.
+        Bytes are accounted at *arrival* time.  Under fault injection the
+        message is dropped by the ``"model"`` drop mask at the sender's
+        local step (see :meth:`DecentralizedAlgorithm._delivered`); a lost
+        message counts its bytes but no latency, and is never mixed.
         """
         algorithm = self._algorithm
         sender = int(event.data["sender"])
         recipient = event.agent
+        payload = np.asarray(event.data["payload"])
         staleness = event.time - float(event.data["sent_at"])
-        delivered = algorithm.network.send(
-            sender, recipient, "model", event.data["payload"], latency=staleness
-        )
-        if not delivered:
+        lost = algorithm.network.drop_probability > 0.0 and not algorithm._delivered(
+            "model",
+            np.array([sender]),
+            np.array([recipient]),
+            step=int(event.data["step"]),
+        )[0]
+        algorithm.network.record_bulk("model", 1, payload.size, dropped=int(lost))
+        if lost:
             return
-        # Drain immediately: async mixing is per-arrival, and empty
-        # mailboxes at round boundaries keep the checkpoint contract.
-        algorithm.network.receive(recipient, "model")
+        algorithm.network.record_latency("model", staleness)
         weight = float(algorithm.topology.weight(recipient, sender))
         if self.staleness_decay > 0.0:
             weight *= math.exp(-self.staleness_decay * staleness)
-        current = algorithm.params[recipient]
-        algorithm.params[recipient] = current + weight * (
-            np.asarray(event.data["payload"]) - current
-        )
+        current = algorithm.state[recipient]
+        algorithm.state[recipient] = current + weight * (payload - current)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore

@@ -249,9 +249,6 @@ class RunSession:
             "learning_rate": algorithm.config.learning_rate,
             "momentum": algorithm.config.momentum,
             "rounds": self.num_rounds,
-            # The effective engine (after e.g. the lossy-network fallback),
-            # not merely the configured one.
-            "backend": getattr(algorithm, "backend", "loop"),
         }
         schedule = getattr(algorithm, "schedule", None)
         if schedule is not None and not schedule.is_static:

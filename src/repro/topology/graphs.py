@@ -206,9 +206,7 @@ class Topology:
         """Every ordered pair ``(i, j)`` with ``j`` a neighbour of ``i`` (``j != i``).
 
         Sorted by ``(i, j)``, i.e. grouped by agent with neighbours ascending —
-        the exact order in which the loop backend's message-passing phases
-        visit the pairs, which the vectorized engine mirrors so both backends
-        consume per-agent randomness identically.
+        the order in which each agent claims its cross-gradient noise slots.
         """
         if self._directed_pairs_cache is None:
             self._directed_pairs_cache = [

@@ -18,8 +18,8 @@ library.  Two implementations of the same operator live here:
 * :class:`HierarchicalTopology` materialises ``W_eff`` as a CSR matrix, so
   it plugs into the engine exactly like any :class:`Topology` (and into a
   :class:`~repro.topology.schedule.StaticSchedule` / the experiment
-  harness via ``topology="hierarchical"``), with both engines bit-identical
-  as usual.  Its ``directed_edge_split`` lets
+  harness via ``topology="hierarchical"``), bit-identical under any
+  storage format as usual.  Its ``directed_edge_split`` lets
   :meth:`~repro.core.base.DecentralizedAlgorithm.record_fleet_exchange`
   account intra-cluster and inter-cluster traffic under separate tags.
 * :class:`TwoLevelMixingOperator` applies the operator in factored form —
@@ -178,8 +178,7 @@ class HierarchicalTopology(Topology):
     """A :class:`Topology` whose mixing matrix is the two-level blow-up.
 
     Behaves exactly like any topology (the engine applies the materialised
-    ``W_eff`` with the standard bit-stable kernels, both engines
-    bit-identical), plus hierarchy metadata: ``cluster_size``,
+    ``W_eff`` with the standard bit-stable kernels), plus hierarchy metadata: ``cluster_size``,
     ``num_clusters``, the intra/inter directed-channel split used for
     two-tier traffic accounting, and :meth:`two_level_operator` for the
     factored O(N d) fast path.

@@ -313,8 +313,7 @@ def validate_mixing_matrix(
     Checks, in order: squareness, symmetry (``W = W^T``) and double
     stochasticity (non-negative entries, rows and columns summing to 1).
     These are the properties gossip averaging relies on — without them the
-    ``W @ X`` step would not preserve the network-average model, and the
-    loop and vectorized engines could silently disagree.
+    ``W @ X`` step would not preserve the network-average model.
     :class:`~repro.topology.graphs.Topology` validates at construction and
     :class:`~repro.core.base.DecentralizedAlgorithm` re-validates at
     algorithm construction, so a matrix mutated in between fails fast.

@@ -74,12 +74,15 @@ def test_deterministic_given_seed(name):
 
 
 @pytest.mark.parametrize("name", ALL_BASELINES)
-def test_no_pending_messages_after_round(name):
+def test_round_leaves_only_counters_on_the_network(name):
     model, topology, shards, _ = build_components()
     algorithm = make_baseline(name, model, topology, shards)
     algorithm.run_round()
-    for agent in range(topology.num_agents):
-        assert algorithm.network.pending(agent) == 0
+    network = algorithm.network
+    assert network.messages_sent > 0
+    assert network.messages_dropped == 0
+    # Nothing is in flight between rounds: the network state is its counters.
+    assert set(network.state_dict()) == {"round", *network.traffic_summary()}
 
 
 @pytest.mark.parametrize("name", ALL_BASELINES)
@@ -165,9 +168,9 @@ class TestNetFleetSpecifics:
     def test_tracking_variables_initialised_on_first_round(self):
         model, topology, shards, _ = build_components()
         algorithm = make_baseline("DP-NET-FLEET", model, topology, shards)
-        assert all(np.all(t == 0) for t in algorithm.tracking)
+        assert np.all(algorithm.tracking_state == 0)
         algorithm.run_round()
-        assert any(np.linalg.norm(t) > 0 for t in algorithm.tracking)
+        assert np.linalg.norm(algorithm.tracking_state, axis=1).min() > 0
 
     def test_local_steps_respected(self):
         model, topology, shards, _ = build_components()

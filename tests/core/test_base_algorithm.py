@@ -11,6 +11,11 @@ from repro.nn.zoo import make_linear_classifier
 from repro.topology.graphs import fully_connected_graph, ring_graph
 
 
+def scalar_gradient(model, params, batch):
+    """The model's own (unstacked) gradient at ``params`` on ``batch``."""
+    return model.loss_and_gradient(batch[0], batch[1], params=params)[1]
+
+
 class NoOpAlgorithm(DecentralizedAlgorithm):
     """An algorithm that does nothing per round (for testing shared machinery)."""
 
@@ -72,33 +77,45 @@ class TestConstruction:
 
 
 class TestGradientHelpers:
-    def test_local_gradient_matches_model(self, components):
+    def test_one_row_gradient_matches_model(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        batch = (shards[0].inputs[:8], shards[0].labels[:8])
-        grad = algorithm.local_gradient(0, algorithm.params[0], batch)
-        _, expected = model.loss_and_gradient(batch[0], batch[1], params=algorithm.params[0])
-        np.testing.assert_allclose(grad, expected)
+        batches = algorithm._draw_rows(0, 1)
+        grad = algorithm.fleet_gradients(algorithm.state[:1], batches)[0]
+        np.testing.assert_allclose(grad, scalar_gradient(model, algorithm.params[0], batches[0]))
 
     def test_privatize_clips_norm_without_noise(self, components):
         model, topology, shards, _, _ = components
         config = AlgorithmConfig(sigma=0.0, clip_threshold=0.5, batch_size=16)
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        big = np.full(algorithm.dimension, 10.0)
-        out = algorithm.privatize(0, big)
+        big = np.full((1, algorithm.dimension), 10.0)
+        out = algorithm.privatize_rows(big, agents=[0])
         np.testing.assert_allclose(np.linalg.norm(out), 0.5)
 
     def test_privatize_adds_noise(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        v = np.zeros(algorithm.dimension)
-        assert not np.allclose(algorithm.privatize(0, v), 0.0)
+        v = np.zeros((1, algorithm.dimension))
+        assert not np.allclose(algorithm.privatize_rows(v, agents=[0]), 0.0)
 
     def test_different_agents_have_independent_noise(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        v = np.zeros(algorithm.dimension)
-        assert not np.allclose(algorithm.privatize(0, v), algorithm.privatize(1, v))
+        v = np.zeros((1, algorithm.dimension))
+        assert not np.allclose(
+            algorithm.privatize_rows(v, agents=[0]), algorithm.privatize_rows(v, agents=[1])
+        )
+
+    def test_step_address_draws_slot_zero_of_that_step(self, components):
+        # Async mode noises an agent's local step at its own step count.
+        model, topology, shards, config, _ = components
+        a = NoOpAlgorithm(model, topology, shards, config)
+        b = NoOpAlgorithm(model, topology, shards, config)
+        v = np.zeros((1, a.dimension))
+        first = a.privatize_rows(v, agents=[2], step=5)
+        np.testing.assert_array_equal(a.privatize_rows(v, agents=[2], step=5), first)
+        b._draw_step = 5
+        np.testing.assert_array_equal(b.privatize_rows(v, agents=[2]), first)
 
     def test_draw_batches_one_per_agent(self, components):
         model, topology, shards, config, _ = components
@@ -236,14 +253,16 @@ class TestFleetStateMatrix:
 
 
 class TestVectorizedHelpers:
-    def test_privatize_rows_matches_per_agent_privatize(self, components):
+    def test_privatize_rows_matches_one_row_calls(self, components):
         model, topology, shards, _, _ = components
         config = AlgorithmConfig(learning_rate=0.1, sigma=0.5, clip_threshold=1.0, batch_size=16, seed=3)
         a = NoOpAlgorithm(model, topology, shards, config)
         b = NoOpAlgorithm(model, topology, shards, config)
         rows = np.random.default_rng(0).normal(size=(4, a.dimension)) * 3.0
         vectorized = a.privatize_rows(rows)
-        looped = np.stack([b.privatize(i, rows[i]) for i in range(4)], axis=0)
+        looped = np.concatenate(
+            [b.privatize_rows(rows[i : i + 1], agents=[i]) for i in range(4)], axis=0
+        )
         np.testing.assert_allclose(vectorized, looped, rtol=1e-12, atol=1e-12)
 
     def test_privatize_rows_with_repeated_owners_advances_stream(self, components):
@@ -253,10 +272,12 @@ class TestVectorizedHelpers:
         b = NoOpAlgorithm(model, topology, shards, config)
         rows = np.zeros((3, a.dimension))
         vectorized = a.privatize_rows(rows, agents=[1, 1, 2])
-        first = b.privatize(1, rows[0])
-        second = b.privatize(1, rows[1])
-        third = b.privatize(2, rows[2])
-        np.testing.assert_allclose(vectorized, np.stack([first, second, third]), atol=1e-12)
+        first = b.privatize_rows(rows[:1], agents=[1])
+        second = b.privatize_rows(rows[1:2], agents=[1])
+        third = b.privatize_rows(rows[2:], agents=[2])
+        np.testing.assert_allclose(
+            vectorized, np.concatenate([first, second, third]), atol=1e-12
+        )
 
     def test_privatize_rows_rejects_owner_count_mismatch(self, components):
         model, topology, shards, config, _ = components
@@ -275,7 +296,7 @@ class TestVectorizedHelpers:
         cross, pair_rows = algorithm.fleet_cross_gradients(batches)
         assert set(pair_rows) == set(algorithm.topology.directed_pairs())
         for (i, j), row in pair_rows.items():
-            expected = algorithm.local_gradient(i, algorithm.state[j], batches[i])
+            expected = scalar_gradient(model, algorithm.state[j], batches[i])
             np.testing.assert_allclose(cross[row], expected, rtol=1e-10, atol=1e-12)
 
     def test_fleet_gradients_matches_local_gradient(self, components):
@@ -284,7 +305,7 @@ class TestVectorizedHelpers:
         batches = algorithm.draw_batches()
         fleet = algorithm.fleet_gradients(algorithm.state, batches)
         for agent in range(4):
-            expected = algorithm.local_gradient(agent, algorithm.state[agent], batches[agent])
+            expected = scalar_gradient(model, algorithm.state[agent], batches[agent])
             np.testing.assert_allclose(fleet[agent], expected, rtol=1e-10, atol=1e-12)
 
     def test_fleet_gradients_handles_ragged_batches(self, components):
@@ -295,7 +316,7 @@ class TestVectorizedHelpers:
         batches.sizes[2] = 5
         fleet = algorithm.fleet_gradients(algorithm.state, batches)
         for agent in range(4):
-            expected = algorithm.local_gradient(agent, algorithm.state[agent], batches[agent])
+            expected = scalar_gradient(model, algorithm.state[agent], batches[agent])
             np.testing.assert_allclose(fleet[agent], expected, rtol=1e-10, atol=1e-12)
 
     def test_mix_rows_matches_weighted_neighbour_average(self, components):
@@ -364,7 +385,7 @@ class TestVectorizedHelpers:
 
     def test_average_train_loss_subsample_rng_is_stable(self, components):
         # The per-agent evaluation subsample must not depend on training
-        # progress or backend: two fresh algorithms at the same state report
+        # progress: two fresh algorithms at the same state report
         # the same loss.
         model, topology, shards, config, _ = components
         a = NoOpAlgorithm(model, topology, shards, config)

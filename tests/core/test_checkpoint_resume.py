@@ -1,4 +1,4 @@
-"""Checkpoint/resume bit-identity for every algorithm on both engines.
+"""Checkpoint/resume bit-identity for every algorithm, one block or several.
 
 The contract under test: interrupting a run at any round boundary, persisting
 ``state_dict()`` (through a real on-disk checkpoint), rebuilding the
@@ -43,10 +43,11 @@ ALGORITHMS = {
     "PDSL": (PDSL, PDSLConfig, {"momentum": 0.5, "shapley_permutations": 2}),
 }
 
-BACKENDS = ("loop", "vectorized")
+#: Row-block sizes: one block (the default) and two-row blocks.
+BLOCK_ROWS = (None, 2)
 
 
-def build_algorithm(name, backend, dynamic=False, compression=None):
+def build_algorithm(name, block_rows=None, dynamic=False, compression=None):
     """A small but complete instance (noise on, momentum on where supported)."""
     cls, config_cls, extra = ALGORITHMS[name]
     topology = ring_graph(NUM_AGENTS)
@@ -73,7 +74,7 @@ def build_algorithm(name, backend, dynamic=False, compression=None):
         clip_threshold=1.0,
         batch_size=8,
         seed=7,
-        backend=backend,
+        block_rows=block_rows,
         compression=compression,
         **extra,
     )
@@ -96,20 +97,21 @@ def assert_same_resumable_state(a, b):
     # same next batch and noise.
     assert a.streams.seed == b.streams.seed
     np.testing.assert_array_equal(a.draw_batches().index, b.draw_batches().index)
+    zeros = np.zeros((1, a.dimension))
     np.testing.assert_array_equal(
-        a.privatize(0, np.zeros(a.dimension)), b.privatize(0, np.zeros(b.dimension))
+        a.privatize_rows(zeros, agents=[0]), b.privatize_rows(zeros, agents=[0])
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-def test_resume_bit_identical(name, backend, tmp_path):
+def test_resume_bit_identical(name, block_rows, tmp_path):
     """T rounds straight == checkpoint at T/2 + resume, for every field."""
-    straight, test = build_algorithm(name, backend)
+    straight, test = build_algorithm(name, block_rows)
     evaluation = EvaluationConfig(eval_every=1, test_data=test)
     history_straight = run_decentralized(straight, ROUNDS, evaluation=evaluation)
 
-    interrupted, test_b = build_algorithm(name, backend)
+    interrupted, test_b = build_algorithm(name, block_rows)
     first_half = RunSession(
         interrupted,
         ROUNDS,
@@ -121,7 +123,7 @@ def test_resume_bit_identical(name, backend, tmp_path):
     checkpoint = latest_checkpoint(tmp_path)
     assert checkpoint is not None
 
-    resumed, test_c = build_algorithm(name, backend)
+    resumed, test_c = build_algorithm(name, block_rows)
     second_half = RunSession.resume(
         resumed,
         checkpoint,
@@ -134,16 +136,16 @@ def test_resume_bit_identical(name, backend, tmp_path):
     assert_same_resumable_state(straight, resumed)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_resume_bit_identical_under_dynamic_schedule(backend, tmp_path):
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+def test_resume_bit_identical_under_dynamic_schedule(block_rows, tmp_path):
     """Resume restores the schedule position too (rewiring + stragglers)."""
-    straight, test = build_algorithm("DMSGD", backend, dynamic=True)
+    straight, test = build_algorithm("DMSGD", block_rows, dynamic=True)
     history_straight = run_decentralized(
         straight, ROUNDS, evaluation=EvaluationConfig(test_data=test)
     )
     assert history_straight.event_counts(), "dynamics produced no events"
 
-    interrupted, test_b = build_algorithm("DMSGD", backend, dynamic=True)
+    interrupted, test_b = build_algorithm("DMSGD", block_rows, dynamic=True)
     session = RunSession(
         interrupted,
         ROUNDS,
@@ -153,7 +155,7 @@ def test_resume_bit_identical_under_dynamic_schedule(backend, tmp_path):
     )
     session.run(max_rounds=HALF)
 
-    resumed, test_c = build_algorithm("DMSGD", backend, dynamic=True)
+    resumed, test_c = build_algorithm("DMSGD", block_rows, dynamic=True)
     history_resumed = RunSession.resume(
         resumed,
         latest_checkpoint(tmp_path),
@@ -172,8 +174,8 @@ COMPRESSED = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_resume_bit_identical_under_compression(backend, tmp_path):
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+def test_resume_bit_identical_under_compression(block_rows, tmp_path):
     """Residual buffers and the interval position ride through checkpoints.
 
     Top-k with error feedback and a communication interval of 2: the resume
@@ -182,11 +184,11 @@ def test_resume_bit_identical_under_compression(backend, tmp_path):
     resumed run gossips on the wrong rounds).  HALF = 2 lands the
     checkpoint exactly on an off-interval round, so both are exercised.
     """
-    straight, test = build_algorithm("DMSGD", backend, compression=COMPRESSED)
+    straight, test = build_algorithm("DMSGD", block_rows, compression=COMPRESSED)
     evaluation = EvaluationConfig(eval_every=1, test_data=test)
     history_straight = run_decentralized(straight, ROUNDS, evaluation=evaluation)
 
-    interrupted, test_b = build_algorithm("DMSGD", backend, compression=COMPRESSED)
+    interrupted, test_b = build_algorithm("DMSGD", block_rows, compression=COMPRESSED)
     session = RunSession(
         interrupted,
         ROUNDS,
@@ -196,7 +198,7 @@ def test_resume_bit_identical_under_compression(backend, tmp_path):
     )
     session.run(max_rounds=HALF)
 
-    resumed, test_c = build_algorithm("DMSGD", backend, compression=COMPRESSED)
+    resumed, test_c = build_algorithm("DMSGD", block_rows, compression=COMPRESSED)
     history_resumed = RunSession.resume(
         resumed,
         latest_checkpoint(tmp_path),
@@ -216,16 +218,16 @@ def test_resume_bit_identical_under_compression(backend, tmp_path):
 
 def test_resume_restores_sparsifier_rng_streams():
     """random-k's per-agent coordinate streams continue bit-exactly."""
-    straight, _ = build_algorithm("DMSGD", "vectorized", compression={"codec": "randomk", "k": 2})
+    straight, _ = build_algorithm("DMSGD", compression={"codec": "randomk", "k": 2})
     for _ in range(ROUNDS):
         straight.run_round()
 
-    other, _ = build_algorithm("DMSGD", "vectorized", compression={"codec": "randomk", "k": 2})
+    other, _ = build_algorithm("DMSGD", compression={"codec": "randomk", "k": 2})
     for _ in range(HALF):
         other.run_round()
     payload = other.state_dict()
 
-    resumed, _ = build_algorithm("DMSGD", "vectorized", compression={"codec": "randomk", "k": 2})
+    resumed, _ = build_algorithm("DMSGD", compression={"codec": "randomk", "k": 2})
     resumed.load_state_dict(payload)
     for _ in range(ROUNDS - HALF):
         resumed.run_round()
@@ -237,31 +239,31 @@ def test_resume_restores_sparsifier_rng_streams():
 
 
 def test_load_state_dict_rejects_compression_mismatch():
-    compressed, _ = build_algorithm("DMSGD", "vectorized", compression=COMPRESSED)
+    compressed, _ = build_algorithm("DMSGD", compression=COMPRESSED)
     compressed.run_round()
-    plain, _ = build_algorithm("DMSGD", "vectorized")
+    plain, _ = build_algorithm("DMSGD")
     with pytest.raises(ValueError, match="compression"):
         plain.load_state_dict(compressed.state_dict())
     with pytest.raises(ValueError, match="compression"):
-        fresh, _ = build_algorithm("DMSGD", "vectorized", compression=COMPRESSED)
+        fresh, _ = build_algorithm("DMSGD", compression=COMPRESSED)
         fresh.load_state_dict(plain.state_dict())
-    other_codec, _ = build_algorithm("DMSGD", "vectorized", compression={"codec": "int8"})
+    other_codec, _ = build_algorithm("DMSGD", compression={"codec": "int8"})
     with pytest.raises(ValueError, match="codec"):
         other_codec.load_state_dict(compressed.state_dict())
 
 
 def test_resume_preserves_netfleet_tracking_state(tmp_path):
     """The gradient-tracking matrices ride through _extra_state exactly."""
-    straight, _ = build_algorithm("DP-NET-FLEET", "vectorized")
+    straight, _ = build_algorithm("DP-NET-FLEET")
     for _ in range(ROUNDS):
         straight.run_round()
 
-    other, _ = build_algorithm("DP-NET-FLEET", "vectorized")
+    other, _ = build_algorithm("DP-NET-FLEET")
     for _ in range(HALF):
         other.run_round()
     payload = other.state_dict()
 
-    resumed, _ = build_algorithm("DP-NET-FLEET", "vectorized")
+    resumed, _ = build_algorithm("DP-NET-FLEET")
     resumed.load_state_dict(payload)
     assert resumed._initialized
     for _ in range(ROUNDS - HALF):
@@ -274,11 +276,11 @@ def test_resume_preserves_netfleet_tracking_state(tmp_path):
 
 def test_resume_preserves_pdsl_diagnostics():
     """last_shapley / last_weights survive a round-trip unchanged."""
-    original, _ = build_algorithm("PDSL", "vectorized")
+    original, _ = build_algorithm("PDSL")
     for _ in range(2):
         original.run_round()
     payload = original.state_dict()
-    restored, _ = build_algorithm("PDSL", "vectorized")
+    restored, _ = build_algorithm("PDSL")
     restored.load_state_dict(payload)
     assert restored.last_shapley == original.last_shapley
     assert restored.last_weights == original.last_weights
@@ -286,7 +288,7 @@ def test_resume_preserves_pdsl_diagnostics():
 
 def test_state_dict_is_a_snapshot():
     """Later training must not mutate a previously captured state."""
-    algorithm, _ = build_algorithm("DMSGD", "vectorized")
+    algorithm, _ = build_algorithm("DMSGD")
     algorithm.run_round()
     payload = algorithm.state_dict()
     frozen = payload["state"].copy()
@@ -295,32 +297,32 @@ def test_state_dict_is_a_snapshot():
 
 
 def test_load_state_dict_rejects_wrong_algorithm():
-    donor, _ = build_algorithm("DMSGD", "vectorized")
-    recipient, _ = build_algorithm("DP-DPSGD", "vectorized")
+    donor, _ = build_algorithm("DMSGD")
+    recipient, _ = build_algorithm("DP-DPSGD")
     with pytest.raises(ValueError, match="written by algorithm"):
         recipient.load_state_dict(donor.state_dict())
 
 
 def test_load_state_dict_rejects_wrong_shape():
-    donor, _ = build_algorithm("DMSGD", "vectorized")
+    donor, _ = build_algorithm("DMSGD")
     payload = donor.state_dict()
     payload["num_agents"] = NUM_AGENTS + 1
-    recipient, _ = build_algorithm("DMSGD", "vectorized")
+    recipient, _ = build_algorithm("DMSGD")
     with pytest.raises(ValueError, match="fleet shape"):
         recipient.load_state_dict(payload)
 
 
 def test_load_state_dict_rejects_unknown_format():
-    donor, _ = build_algorithm("DMSGD", "vectorized")
+    donor, _ = build_algorithm("DMSGD")
     payload = donor.state_dict()
     payload["state_format"] = 999
-    recipient, _ = build_algorithm("DMSGD", "vectorized")
+    recipient, _ = build_algorithm("DMSGD")
     with pytest.raises(ValueError, match="state format"):
         recipient.load_state_dict(payload)
 
 
 def test_state_dict_holds_no_per_agent_generator_states():
-    algorithm, _ = build_algorithm("PDSL", "vectorized")
+    algorithm, _ = build_algorithm("PDSL")
     algorithm.run_round()
     payload = algorithm.state_dict()
     assert payload["state_format"] == 3
@@ -330,18 +332,18 @@ def test_state_dict_holds_no_per_agent_generator_states():
 
 
 def test_load_state_dict_rejects_format_2_naming_both_formats():
-    donor, _ = build_algorithm("DMSGD", "vectorized")
+    donor, _ = build_algorithm("DMSGD")
     payload = donor.state_dict()
     payload["state_format"] = 2
-    recipient, _ = build_algorithm("DMSGD", "vectorized")
+    recipient, _ = build_algorithm("DMSGD")
     with pytest.raises(ValueError, match=r"format 2 .*format 3"):
         recipient.load_state_dict(payload)
 
 
 def test_load_state_dict_rejects_other_stream_seed():
-    donor, _ = build_algorithm("DMSGD", "vectorized")
+    donor, _ = build_algorithm("DMSGD")
     payload = donor.state_dict()
     payload["stream_seed"] = donor.streams.seed + 1
-    recipient, _ = build_algorithm("DMSGD", "vectorized")
+    recipient, _ = build_algorithm("DMSGD")
     with pytest.raises(ValueError, match="stream seed"):
         recipient.load_state_dict(payload)

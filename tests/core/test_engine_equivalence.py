@@ -1,21 +1,24 @@
-"""Loop-vs-vectorized backend equivalence for every algorithm and topology.
+"""Round-pipeline equivalence: the per-agent reference, mixing formats, schedules.
 
-The vectorized engine must be a pure performance optimisation: for a fixed
-seed it consumes exactly the same per-agent random streams (batch draws,
-Gaussian noise, Shapley permutations) as the loop backend, so the two
-backends produce the same ``TrainingHistory`` up to floating-point
-associativity of the re-ordered sums.
+The blocked pipeline must compute Algorithm 1 faithfully.  For DP-DPSGD and
+PDSL, :func:`repro.bench.reference.reference_round` runs the same rounds one
+agent at a time — one scalar ``loss_and_gradient`` per gradient, a weighted
+neighbourhood sum per gossip — reading the same keyed streams, so the two
+produce the same ``TrainingHistory`` up to floating-point associativity of
+the re-ordered sums.  Every algorithm's traffic must match one message per
+directed channel per exchange.
 
 The sparse (CSR) mixing backend carries a *stronger* contract: it applies
 the same ``W`` with the same accumulation order as the dense kernel, so
-``mixing_backend="sparse"`` must reproduce the dense vectorized engine's
-``TrainingHistory`` **bit for bit** (asserted with exact equality below).
+``mixing_backend="sparse"`` must reproduce the dense trajectory **bit for
+bit** (asserted with exact equality below).
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines import DMSGD, DPCGA, DPDPSGD, DPNetFleet, Muffliato
+from repro.bench.reference import reference_round
 from repro.core.config import (
     AlgorithmConfig,
     CGAConfig,
@@ -27,6 +30,7 @@ from repro.core.pdsl import PDSL
 from repro.data.partition import partition_dirichlet
 from repro.data.synthetic import make_classification_dataset
 from repro.nn.zoo import make_linear_classifier, make_mlp
+from repro.simulation.network import Network
 from repro.simulation.runner import EvaluationConfig, run_decentralized
 from repro.topology.graphs import (
     bipartite_graph,
@@ -47,6 +51,20 @@ ALGORITHMS = {
     "PDSL": (PDSL, PDSLConfig, {"momentum": 0.5, "shapley_permutations": 2}),
 }
 
+#: The algorithms :func:`reference_round` implements.
+REFERENCE = ["DP-DPSGD", "PDSL"]
+
+#: Floats per message of every exchange a communication round performs,
+#: as multiples of the model dimension.
+EXCHANGES = {
+    "DP-DPSGD": {"model": 1},
+    "DMSGD": {"model": 1},
+    "MUFFLIATO": {"gossip_0": 1, "gossip_1": 1},
+    "DP-CGA": {"model": 1, "cross_grad": 1, "mix": 1},
+    "DP-NET-FLEET": {"state": 2},
+    "PDSL": {"model": 1, "cross_grad": 1, "mix": 2},
+}
+
 TOPOLOGIES = {
     "ring": lambda: ring_graph(NUM_AGENTS),
     "full": lambda: fully_connected_graph(NUM_AGENTS),
@@ -56,13 +74,13 @@ TOPOLOGIES = {
 
 def build_algorithm(
     name,
-    backend,
     topology_name=None,
     sigma=0.1,
     model="linear",
     mixing_backend="auto",
     topology_factory=None,
     compression=None,
+    **config_overrides,
 ):
     cls, config_cls, extra = ALGORITHMS[name]
     topology = (topology_factory or TOPOLOGIES[topology_name])()
@@ -85,10 +103,9 @@ def build_algorithm(
         clip_threshold=1.0,
         batch_size=16,
         seed=7,
-        backend=backend,
         mixing_backend=mixing_backend,
         compression=compression,
-        **extra,
+        **{**extra, **config_overrides},
     )
     if cls is PDSL:
         algorithm = cls(net, topology, shards, config, validation=validation)
@@ -97,8 +114,11 @@ def build_algorithm(
     return algorithm, test
 
 
-def run_history(name, backend, topology_name, **kwargs):
-    algorithm, test = build_algorithm(name, backend, topology_name, **kwargs)
+def run_history(name, topology_name, reference=False, **kwargs):
+    """``ROUNDS`` evaluated rounds on the pipeline, or on the per-agent reference."""
+    algorithm, test = build_algorithm(name, topology_name, **kwargs)
+    if reference:
+        algorithm.run_round = lambda: reference_round(algorithm)
     history = run_decentralized(
         algorithm,
         num_rounds=ROUNDS,
@@ -121,92 +141,94 @@ def assert_histories_equivalent(history_a, history_b):
     )
 
 
+def assert_matches_reference(name, topology_name, **kwargs):
+    ref_alg, ref_history = run_history(name, topology_name, reference=True, **kwargs)
+    alg, history = run_history(name, topology_name, **kwargs)
+    assert_histories_equivalent(ref_history, history)
+    np.testing.assert_allclose(ref_alg.state, alg.state, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(
+        ref_alg.momentum_state, alg.momentum_state, rtol=1e-9, atol=1e-12
+    )
+    assert ref_alg.accountant.events == alg.accountant.events
+    return ref_alg, alg
+
+
 @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
-@pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
-class TestBackendEquivalence:
+@pytest.mark.parametrize("algorithm_name", REFERENCE)
+class TestReferenceEquivalence:
     def test_identical_training_history(self, algorithm_name, topology_name):
-        loop_alg, loop_history = run_history(algorithm_name, "loop", topology_name)
-        vec_alg, vec_history = run_history(algorithm_name, "vectorized", topology_name)
-        assert loop_alg.backend == "loop"
-        assert vec_alg.backend == "vectorized"
-        assert_histories_equivalent(loop_history, vec_history)
-        np.testing.assert_allclose(
-            loop_alg.state, vec_alg.state, rtol=1e-9, atol=1e-12
-        )
+        ref_alg, alg = assert_matches_reference(algorithm_name, topology_name)
+        if algorithm_name == "PDSL":
+            for ref_weights, weights in zip(ref_alg.last_weights, alg.last_weights):
+                assert ref_weights.keys() == weights.keys()
+                for j in weights:
+                    assert ref_weights[j] == pytest.approx(weights[j], rel=1e-9, abs=1e-12)
 
     def test_identical_traffic_accounting(self, algorithm_name, topology_name):
-        loop_alg, _ = run_history(algorithm_name, "loop", topology_name)
-        vec_alg, _ = run_history(algorithm_name, "vectorized", topology_name)
-        loop_traffic = loop_alg.network.traffic_summary()
-        vec_traffic = vec_alg.network.traffic_summary()
-        assert loop_traffic["messages_sent"] == vec_traffic["messages_sent"]
-        assert loop_traffic["floats_sent"] == vec_traffic["floats_sent"]
-        assert loop_traffic["traffic_by_tag"] == vec_traffic["traffic_by_tag"]
+        ref_alg, _ = run_history(algorithm_name, topology_name, reference=True)
+        alg, _ = run_history(algorithm_name, topology_name)
+        assert ref_alg.network.traffic_summary() == alg.network.traffic_summary()
 
 
-class TestBackendEquivalenceVariants:
-    """Extra equivalence coverage beyond the main grid."""
+@pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
+class TestPipelineGrid:
+    def test_deterministic_per_seed(self, algorithm_name, topology_name):
+        a, history_a = run_history(algorithm_name, topology_name)
+        b, history_b = run_history(algorithm_name, topology_name)
+        assert_histories_identical(history_a, history_b)
+        np.testing.assert_array_equal(a.state, b.state)
+        np.testing.assert_array_equal(a.momentum_state, b.momentum_state)
 
-    def test_mlp_stacked_path_matches_loop(self):
-        _, loop_history = run_history("DMSGD", "loop", "ring", model="mlp")
-        _, vec_history = run_history("DMSGD", "vectorized", "ring", model="mlp")
-        assert_histories_equivalent(loop_history, vec_history)
+    def test_one_message_per_channel_per_exchange(self, algorithm_name, topology_name):
+        algorithm, _ = run_history(algorithm_name, topology_name)
+        edges = algorithm.topology.num_directed_edges
+        dimension = algorithm.dimension
+        expected = {
+            tag: ROUNDS * edges * multiple * dimension
+            for tag, multiple in EXCHANGES[algorithm_name].items()
+        }
+        traffic = algorithm.network.traffic_summary()
+        assert traffic["traffic_by_tag"] == expected
+        assert traffic["messages_sent"] == ROUNDS * edges * len(expected)
+        assert traffic["bytes_sent"] == 8 * traffic["floats_sent"]
+        assert traffic["messages_dropped"] == 0
+
+
+class TestReferenceVariants:
+    """Extra reference coverage beyond the main grid."""
+
+    @pytest.mark.parametrize("algorithm_name", REFERENCE)
+    def test_mlp_stacked_path_matches_reference(self, algorithm_name):
+        assert_matches_reference(algorithm_name, "ring", model="mlp")
 
     def test_noise_free_trajectories_match(self):
-        loop_alg, loop_history = run_history("DP-DPSGD", "loop", "full", sigma=0.0)
-        vec_alg, vec_history = run_history("DP-DPSGD", "vectorized", "full", sigma=0.0)
-        assert_histories_equivalent(loop_history, vec_history)
-        np.testing.assert_allclose(loop_alg.state, vec_alg.state, rtol=1e-9, atol=1e-12)
+        assert_matches_reference("DP-DPSGD", "full", sigma=0.0)
 
-    def test_vectorized_backend_is_deterministic(self):
-        a, history_a = run_history("PDSL", "vectorized", "ring")
-        b, history_b = run_history("PDSL", "vectorized", "ring")
+    @pytest.mark.parametrize("algorithm_name", REFERENCE)
+    def test_communication_interval_matches_reference(self, algorithm_name):
+        ref_alg, alg = assert_matches_reference(
+            algorithm_name, "ring", compression={"communication_interval": 2}
+        )
+        assert ref_alg.network.traffic_summary() == alg.network.traffic_summary()
+
+    def test_pipeline_is_deterministic(self):
+        a, history_a = run_history("PDSL", "ring")
+        b, history_b = run_history("PDSL", "ring")
         np.testing.assert_array_equal(a.state, b.state)
         assert history_a.losses == history_b.losses
 
-    def test_lossy_network_falls_back_to_loop(self):
-        from repro.simulation.network import Network
-
-        algorithm, _ = build_algorithm("DP-DPSGD", "vectorized", "full")
-        assert algorithm.backend == "vectorized"
-        algorithm.network = Network(
-            NUM_AGENTS, drop_probability=0.3, rng=np.random.default_rng(0)
-        )
-        assert algorithm.backend == "loop"
-        algorithm.run_round()  # runs the loop path; messages actually flow
-        assert algorithm.network.messages_sent > 0
-
-    def test_stochastic_model_falls_back_to_loop(self):
-        # Dropout draws from one RNG stream shared across all forward
-        # passes; the vectorized engine's re-grouped evaluations would
-        # consume it in a different order, so such models must run on the
-        # loop engine under either backend setting.
-        from repro.core.config import AlgorithmConfig
-        from repro.data.partition import partition_iid
-        from repro.nn.layers import Dense, Dropout, ReLU
-        from repro.nn.model import Sequential
-
-        data = make_classification_dataset(200, num_features=8, num_classes=4, seed=0)
-        shards = partition_iid(data, NUM_AGENTS, np.random.default_rng(0)).shards
-        rng = np.random.default_rng(0)
-        model = Sequential(
-            [Dense(8, 16, rng), ReLU(), Dropout(0.5, np.random.default_rng(1)), Dense(16, 4, rng)]
-        )
-        config = AlgorithmConfig(sigma=0.1, batch_size=16, backend="vectorized")
-        algorithm = DPDPSGD(model, fully_connected_graph(NUM_AGENTS), shards, config)
-        assert algorithm.backend == "loop"
-        algorithm.run_round()
-        assert algorithm.network.messages_sent > 0  # the loop path really ran
-
-    def test_history_metadata_records_effective_backend(self):
-        from repro.simulation.network import Network
-
-        algorithm, test = build_algorithm("DP-DPSGD", "vectorized", "full")
-        algorithm.network = Network(
-            NUM_AGENTS, drop_probability=0.3, rng=np.random.default_rng(0)
-        )
-        history = run_decentralized(algorithm, num_rounds=1)
-        assert history.metadata["backend"] == "loop"
+    def test_reference_rejects_what_it_does_not_model(self):
+        algorithm, _ = build_algorithm("DP-DPSGD", "ring", compression={"codec": "int8"})
+        with pytest.raises(ValueError, match="codecs"):
+            reference_round(algorithm)
+        algorithm, _ = build_algorithm("DP-DPSGD", "ring")
+        algorithm.network = Network(NUM_AGENTS, drop_probability=0.5)
+        with pytest.raises(ValueError, match="drops"):
+            reference_round(algorithm)
+        algorithm, _ = build_algorithm("DMSGD", "ring")
+        with pytest.raises(TypeError, match="DMSGD"):
+            reference_round(algorithm)
 
 
 SPARSE_TOPOLOGIES = {
@@ -229,12 +251,11 @@ def assert_histories_identical(history_a, history_b):
 @pytest.mark.parametrize("topology_name", sorted(SPARSE_TOPOLOGIES))
 @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
 class TestSparseMixingEquivalence:
-    """CSR gossip must reproduce the dense vectorized engine bit for bit."""
+    """CSR gossip must reproduce the dense kernel bit for bit."""
 
     def run(self, algorithm_name, topology_name, mixing_backend):
         algorithm, test = build_algorithm(
             algorithm_name,
-            "vectorized",
             mixing_backend=mixing_backend,
             topology_factory=SPARSE_TOPOLOGIES[topology_name],
         )
@@ -263,17 +284,15 @@ class TestSparseMixingEquivalence:
 
 
 class TestScheduleEquivalence:
-    """Topology schedules: static wrapping is free, dynamics preserve engine parity."""
+    """Topology schedules: static wrapping is free, dynamics match the reference."""
 
-    @pytest.mark.parametrize("backend", ["loop", "vectorized"])
     @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
-    def test_static_schedule_is_bit_identical(self, algorithm_name, backend):
+    def test_static_schedule_is_bit_identical(self, algorithm_name):
         from repro.topology.schedule import StaticSchedule
 
-        plain_alg, plain_history = run_history(algorithm_name, backend, "ring")
+        plain_alg, plain_history = run_history(algorithm_name, "ring")
         wrapped_alg, wrapped_history = run_history(
             algorithm_name,
-            backend,
             None,
             topology_factory=lambda: StaticSchedule(ring_graph(NUM_AGENTS)),
         )
@@ -301,37 +320,20 @@ class TestScheduleEquivalence:
             seed=3,
         )
 
-    @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
-    def test_dynamic_schedule_backend_equivalence(self, algorithm_name):
-        """Churn + rewiring + stragglers: both engines stay RNG-stream equal."""
-        histories = {}
-        algorithms = {}
-        for backend in ("loop", "vectorized"):
-            algorithm, history = run_history(
-                algorithm_name,
-                backend,
-                None,
-                topology_factory=self.dynamic_schedule,
-            )
-            histories[backend] = history
-            algorithms[backend] = algorithm
-        assert algorithms["loop"].backend == "loop"
-        assert algorithms["vectorized"].backend == "vectorized"
-        assert_histories_equivalent(histories["loop"], histories["vectorized"])
-        np.testing.assert_allclose(
-            algorithms["loop"].state,
-            algorithms["vectorized"].state,
-            rtol=1e-9,
-            atol=1e-12,
+    @pytest.mark.parametrize("algorithm_name", REFERENCE)
+    def test_dynamic_schedule_matches_reference(self, algorithm_name):
+        """Churn + rewiring + stragglers: the pipeline stays RNG-stream equal."""
+        ref_alg, alg = assert_matches_reference(
+            algorithm_name, None, topology_factory=self.dynamic_schedule
         )
-        loop_traffic = algorithms["loop"].network.traffic_summary()
-        vec_traffic = algorithms["vectorized"].network.traffic_summary()
-        assert loop_traffic["messages_sent"] == vec_traffic["messages_sent"]
-        assert loop_traffic["floats_sent"] == vec_traffic["floats_sent"]
+        ref_traffic = ref_alg.network.traffic_summary()
+        traffic = alg.network.traffic_summary()
+        assert ref_traffic["messages_sent"] == traffic["messages_sent"]
+        assert ref_traffic["floats_sent"] == traffic["floats_sent"]
 
     def test_dynamic_run_records_events_and_masks(self):
         algorithm, history = run_history(
-            "DMSGD", "vectorized", None, topology_factory=self.dynamic_schedule
+            "DMSGD", None, topology_factory=self.dynamic_schedule
         )
         events = [e for record in history.records for e in record.topology_events]
         assert events, "a dynamic schedule must surface events in the history"
@@ -344,9 +346,7 @@ class TestScheduleEquivalence:
         from repro.topology.schedule import churn_schedule
 
         schedule = churn_schedule(ring_graph(6), churn_rate=0.5, rejoin_rate=0.3, seed=1)
-        algorithm, _ = build_algorithm(
-            "DMSGD", "vectorized", topology_factory=lambda: schedule
-        )
+        algorithm, _ = build_algorithm("DMSGD", topology_factory=lambda: schedule)
         for round_index in range(4):
             before = algorithm.state.copy()
             momentum_before = algorithm.momentum_state.copy()
@@ -360,22 +360,21 @@ class TestScheduleEquivalence:
             )
 
 
-@pytest.mark.parametrize("backend", ["loop", "vectorized"])
 @pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
 class TestIdentityCodecBitIdentity:
     """``compression={"codec": "identity"}`` must be a no-op, bit for bit.
 
     The compressed-gossip plumbing routes every exchanged payload through
-    :meth:`gossip_broadcast`/:meth:`compress_gossip_rows` even when the
-    codec is the identity; these regression cells pin the entire PR-5
-    baseline trajectory — history, final state, and traffic counters — for
-    every algorithm, on both engines, under static and dynamic topologies.
+    :meth:`compress_gossip_rows` even when the codec is the identity; these
+    regression cells pin the whole uncompressed trajectory — history, final
+    state, and traffic counters — for every algorithm, under static and
+    dynamic topologies.
     """
 
-    def test_static_topology_bit_identical(self, algorithm_name, backend):
-        plain_alg, plain_history = run_history(algorithm_name, backend, "ring")
+    def test_static_topology_bit_identical(self, algorithm_name):
+        plain_alg, plain_history = run_history(algorithm_name, "ring")
         codec_alg, codec_history = run_history(
-            algorithm_name, backend, "ring", compression={"codec": "identity"}
+            algorithm_name, "ring", compression={"codec": "identity"}
         )
         assert codec_alg.codec.is_identity
         assert_histories_identical(plain_history, codec_history)
@@ -387,14 +386,13 @@ class TestIdentityCodecBitIdentity:
             plain_alg.network.traffic_summary() == codec_alg.network.traffic_summary()
         )
 
-    def test_dynamic_topology_bit_identical(self, algorithm_name, backend):
+    def test_dynamic_topology_bit_identical(self, algorithm_name):
         factory = TestScheduleEquivalence.dynamic_schedule
         plain_alg, plain_history = run_history(
-            algorithm_name, backend, None, topology_factory=factory
+            algorithm_name, None, topology_factory=factory
         )
         codec_alg, codec_history = run_history(
             algorithm_name,
-            backend,
             None,
             topology_factory=factory,
             compression={"codec": "identity"},
@@ -408,37 +406,28 @@ class TestIdentityCodecBitIdentity:
 
 class TestSparseMixingVariants:
     def test_auto_selection_prefers_dense_for_small_fleets(self):
-        algorithm, _ = build_algorithm("DP-DPSGD", "vectorized", "ring")
+        algorithm, _ = build_algorithm("DP-DPSGD", "ring")
         assert algorithm.config.mixing_backend == "auto"
         assert algorithm.mixing.format == "dense"
 
     def test_sparse_override_respected_on_small_fleets(self):
-        algorithm, _ = build_algorithm(
-            "DP-DPSGD", "vectorized", "ring", mixing_backend="sparse"
-        )
+        algorithm, _ = build_algorithm("DP-DPSGD", "ring", mixing_backend="sparse")
         assert algorithm.mixing.format == "csr"
 
-    def test_sparse_mixing_with_loop_backend(self):
-        # The loop backend never applies the operator, but a sparse-stored
-        # topology must still serve neighbour queries and weights.
-        loop_alg, loop_history = run_history(
-            "DP-DPSGD", "loop", "ring", mixing_backend="sparse"
-        )
-        vec_alg, vec_history = run_history(
-            "DP-DPSGD", "vectorized", "ring", mixing_backend="sparse"
-        )
-        assert loop_alg.backend == "loop"
-        assert_histories_equivalent(loop_history, vec_history)
+    def test_sparse_mixing_matches_reference(self):
+        # The reference never applies the operator, but a sparse-stored
+        # topology must still serve its neighbour queries and weights.
+        ref_alg, _ = assert_matches_reference("DP-DPSGD", "ring", mixing_backend="sparse")
+        assert ref_alg.mixing.format == "csr"
 
     def test_sparse_stored_topology_runs_end_to_end(self):
-        from repro.core.config import AlgorithmConfig
         from repro.data.partition import partition_iid
 
         topology = ring_graph(80)  # above the auto-sparse threshold
         assert topology.mixing_is_sparse
         data = make_classification_dataset(640, num_features=8, num_classes=4, seed=0)
         shards = partition_iid(data, 80, np.random.default_rng(0)).shards
-        config = AlgorithmConfig(sigma=0.1, batch_size=8, backend="vectorized")
+        config = AlgorithmConfig(sigma=0.1, batch_size=8)
         algorithm = DPDPSGD(make_linear_classifier(8, 4, seed=0), topology, shards, config)
         assert algorithm.mixing.format == "csr"
         history = run_decentralized(algorithm, num_rounds=2)

@@ -84,11 +84,11 @@ class TestOneRound:
         assert summary["messages_dropped"] == 0
         assert set(summary["traffic_by_tag"]) == {"model", "cross_grad", "mix"}
 
-    def test_no_pending_messages_after_round(self):
+    def test_round_leaves_only_counters_on_the_network(self):
         algorithm, _ = build_pdsl(num_agents=4)
         algorithm.run_round()
-        for agent in range(4):
-            assert algorithm.network.pending(agent) == 0
+        network = algorithm.network
+        assert set(network.state_dict()) == {"round", *network.traffic_summary()}
 
     def test_exact_shapley_mode(self):
         algorithm, _ = build_pdsl(num_agents=3, shapley_permutations=0)

@@ -6,7 +6,7 @@ block), ``storage="memmap"`` and ``block_workers > 1`` are pure memory and
 speed knobs: every batch and noise draw is addressed by (round, slot, agent)
 in counter-based streams, every kernel is row-wise, and parallel blocks
 touch disjoint rows — so the trajectory must equal the default single-block
-round **bit for bit**, for every algorithm, on both engines.  These tests
+round **bit for bit**, for every algorithm.  These tests
 pin that contract, plus the scheduler's lifecycle and cross-mode
 checkpointing (a run started streamed resumes in-RAM and vice versa).
 """
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import DMSGD, DPCGA, DPDPSGD, DPNetFleet, Muffliato
+from repro.bench.reference import reference_round
 from repro.core.config import (
     AlgorithmConfig,
     CGAConfig,
@@ -33,6 +34,7 @@ from repro.topology.schedule import schedule_from_dynamics
 
 NUM_AGENTS = 5
 ROUNDS = 3
+REFERENCE = ["DP-DPSGD", "PDSL"]
 
 ALGORITHMS = {
     "DP-DPSGD": (DPDPSGD, AlgorithmConfig, {}),
@@ -44,7 +46,7 @@ ALGORITHMS = {
 }
 
 
-def build_algorithm(name, backend="vectorized", dynamics=None, **config_overrides):
+def build_algorithm(name, dynamics=None, **config_overrides):
     cls, config_cls, extra = ALGORITHMS[name]
     topology = schedule_from_dynamics(ring_graph(NUM_AGENTS), dynamics, seed=3)
     data = make_classification_dataset(
@@ -62,7 +64,6 @@ def build_algorithm(name, backend="vectorized", dynamics=None, **config_override
         clip_threshold=1.0,
         batch_size=16,
         seed=7,
-        backend=backend,
         **{**extra, **config_overrides},
     )
     if cls is PDSL:
@@ -70,10 +71,14 @@ def build_algorithm(name, backend="vectorized", dynamics=None, **config_override
     return cls(net, topology, shards, config)
 
 
-def run_rounds(name, rounds=ROUNDS, dynamics=None, **config_overrides):
+def run_rounds(name, rounds=ROUNDS, dynamics=None, reference=False, **config_overrides):
+    """The state after ``rounds`` pipeline rounds (or per-agent reference rounds)."""
     algorithm = build_algorithm(name, dynamics=dynamics, **config_overrides)
     for round_index in range(rounds):
-        algorithm.step(round_index)
+        if reference:
+            reference_round(algorithm)
+        else:
+            algorithm.step(round_index)
     state = np.array(algorithm.state)
     momentum = np.array(algorithm.momentum_state)
     algorithm.close()
@@ -114,21 +119,12 @@ class TestStreamedBitIdentity:
         np.testing.assert_array_equal(state, oneshot_baselines[name][0])
         np.testing.assert_array_equal(momentum, oneshot_baselines[name][1])
 
-    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_loop_engine_blocked_matches_loop_oneshot(self, name):
-        base_state, base_momentum = run_rounds(name, backend="loop")
-        state, momentum = run_rounds(
-            name, backend="loop", block_rows=2, storage="memmap"
-        )
-        np.testing.assert_array_equal(state, base_state)
-        np.testing.assert_array_equal(momentum, base_momentum)
-
-    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_loop_engine_matches_streamed(self, name):
-        loop_state, loop_momentum = run_rounds(name, backend="loop")
+    @pytest.mark.parametrize("name", REFERENCE)
+    def test_reference_matches_streamed(self, name):
+        ref_state, ref_momentum = run_rounds(name, reference=True)
         state, momentum = run_rounds(name, block_rows=2, storage="memmap")
-        np.testing.assert_allclose(state, loop_state, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(momentum, loop_momentum, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(state, ref_state, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(momentum, ref_momentum, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize(
         "compression",
@@ -161,14 +157,14 @@ class TestStreamedBitIdentity:
 
 
 class TestSingleRoundBody:
-    """One vectorized round body per algorithm, whatever the block size."""
+    """One round body per algorithm, whatever the block size."""
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_algorithm_has_one_loop_and_one_vectorized_body(self, name):
+    def test_algorithm_has_one_round_body(self, name):
         cls = ALGORITHMS[name][0]
-        assert "_step_loop" in vars(cls)
-        assert "_step_vectorized" in vars(cls)
-        assert not any(hasattr(klass, "_step_streamed") for klass in cls.__mro__)
+        assert "_round_body" in vars(cls)
+        for retired in ("_step_loop", "_step_vectorized", "_step_streamed"):
+            assert not any(hasattr(klass, retired) for klass in cls.__mro__)
 
     @pytest.mark.parametrize("block_workers", [1, 4])
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
@@ -187,9 +183,6 @@ class TestSingleRoundBody:
         algorithm.close()
         np.testing.assert_array_equal(state, oneshot_baselines[name][0])
         np.testing.assert_array_equal(momentum, oneshot_baselines[name][1])
-        loop_state, loop_momentum = run_rounds(name, backend="loop")
-        np.testing.assert_allclose(state, loop_state, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(momentum, loop_momentum, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_blocks_freeze_inactive_agents_at_their_own_rows(self, name):
@@ -200,8 +193,9 @@ class TestSingleRoundBody:
         state, momentum = run_rounds(name, dynamics=dynamics, block_rows=2)
         np.testing.assert_array_equal(state, base_state)
         np.testing.assert_array_equal(momentum, base_momentum)
-        loop_state, _ = run_rounds(name, dynamics=dynamics, backend="loop")
-        np.testing.assert_allclose(state, loop_state, rtol=1e-9, atol=1e-12)
+        if name in REFERENCE:
+            ref_state, _ = run_rounds(name, dynamics=dynamics, reference=True)
+            np.testing.assert_allclose(state, ref_state, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_default_blocks_with_workers_match_serial(self, name, oneshot_baselines):
@@ -311,7 +305,7 @@ class TestAgentRng:
         a = build_algorithm("PDSL")
         b = build_algorithm("PDSL")
         a.draw_batches()
-        a.privatize(1, np.zeros(a.dimension))
+        a.privatize_rows(np.zeros((1, a.dimension)), agents=[1])
         np.testing.assert_array_equal(
             a.agent_rng(1).normal(size=4), b.agent_rng(1).normal(size=4)
         )

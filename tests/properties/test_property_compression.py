@@ -8,8 +8,8 @@ The codec invariants the communication layer leans on:
 * top-k keeps exactly the k largest magnitudes and zeroes the rest;
 * int8 round-trips exactly on values that are representable levels;
 * random-k is k-sparse, deterministic per seed, and engine-order safe;
-* the loop engine's single-row kernel is bit-identical to the vectorized
-  engine's whole-fleet kernel.
+* encoding one-row blocks is bit-identical to encoding the whole fleet
+  matrix.
 """
 
 import numpy as np
@@ -219,7 +219,7 @@ def test_randomk_requires_one_rng_per_row():
 
 
 # ---------------------------------------------------------------------------
-# Loop (single-row) and vectorized (fleet-matrix) kernels are bit-identical
+# One-row blocks and the whole fleet matrix encode bit-identically
 # ---------------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
 @given(
@@ -241,8 +241,11 @@ def test_row_kernel_matches_matrix_kernel_bitwise(
     for _ in range(rounds):
         matrix = rng.normal(size=(agents, dimension))
         vectorized = fleet.compress_rows("model", matrix)
-        looped = np.stack(
-            [per_row.compress_row("model", agent, matrix[agent]) for agent in range(agents)]
+        looped = np.concatenate(
+            [
+                per_row.compress_block("model", matrix[agent : agent + 1], agent, agent + 1)
+                for agent in range(agents)
+            ]
         )
         np.testing.assert_array_equal(vectorized, looped)
     if fleet.residual("model") is not None:

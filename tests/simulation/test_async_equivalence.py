@@ -2,7 +2,7 @@
 
 The load-bearing anchor: with uniform unit traces and synchronous barriers
 the :class:`~repro.simulation.events.engine.AsyncEngine` must reproduce the
-existing vectorized engine **bit-identically** — every recorded loss,
+bare synchronous round **bit-identically** — every recorded loss,
 accuracy and consensus value, the final fleet state, and the traffic
 counters — for all six algorithms, on static and dynamic topologies.  The
 timing machinery runs (simulated clock, latency accounting, utilization)
@@ -24,6 +24,7 @@ from repro.simulation.events import (
     uniform_traces,
 )
 from repro.simulation.metrics import histories_equal
+from repro.simulation.network import Network
 from repro.simulation.runner import EvaluationConfig, RunSession, run_decentralized
 from repro.topology.graphs import ring_graph
 from repro.topology.schedule import DynamicTopologySchedule
@@ -36,7 +37,6 @@ ROUNDS = 3
 TRAFFIC_KEYS = (
     "messages_sent",
     "messages_dropped",
-    "messages_rejected",
     "floats_sent",
     "bytes_sent",
     "traffic_by_tag",
@@ -209,8 +209,11 @@ class TestBarrierTiming:
 class TestAsyncMode:
     """Genuine event-driven execution: per-agent clocks, gossip on arrival."""
 
-    def build(self, make_small_fleet, name="DMSGD", staleness_decay=0.0, seed=3):
+    def build(
+        self, make_small_fleet, name="DMSGD", staleness_decay=0.0, seed=3, drop_probability=0.0
+    ):
         algorithm, test = make_small_fleet(name)
+        algorithm.network = Network(algorithm.num_agents, drop_probability=drop_probability)
         engine = AsyncEngine(
             algorithm,
             traces=synthetic_traces(algorithm.num_agents, seed=seed),
@@ -230,7 +233,6 @@ class TestAsyncMode:
         assert all(s is not None and s > 0 for s in sims)
         assert history.total_sim_seconds() == pytest.approx(engine.simulated_time)
         assert all(0 < r.utilization <= 1 for r in history.records)
-        assert history.metadata["backend"] == "event-async"
         assert history.metadata["time_model"]["async"] is True
         assert history.metadata["time_model"]["traces"] == "heterogeneous"
         assert np.isfinite(history.losses).all()
@@ -282,6 +284,38 @@ class TestAsyncMode:
         summary_a = straight.network.traffic_summary()
         summary_b = resumed_engine.network.traffic_summary()
         assert summary_a == summary_b
+
+    def test_dropped_arrivals_are_counted_and_never_mixed(self, make_small_fleet):
+        runs = []
+        for _ in range(2):
+            engine, _ = self.build(make_small_fleet, drop_probability=0.3)
+            for _ in range(4):
+                engine.run_round()
+            runs.append(engine)
+        network = runs[0].network
+        assert network.messages_dropped > 0
+        # Only delivered messages arrive (and carry latency).
+        assert network.messages_arrived == network.messages_sent - network.messages_dropped
+        np.testing.assert_array_equal(runs[0].state, runs[1].state)
+        assert network.traffic_summary() == runs[1].network.traffic_summary()
+        reliable, _ = self.build(make_small_fleet)
+        for _ in range(4):
+            reliable.run_round()
+        assert not np.array_equal(reliable.state, runs[0].state)
+
+    def test_lossy_checkpoint_resume_mid_queue_is_bit_identical(
+        self, make_small_fleet, tmp_path
+    ):
+        straight, _ = self.build(make_small_fleet, drop_probability=0.3)
+        RunSession(straight, 6).run()
+        interrupted, _ = self.build(make_small_fleet, drop_probability=0.3)
+        session = RunSession(interrupted, 6)
+        session.run(max_rounds=3)
+        path = session.checkpoint(tmp_path / "lossy.ckpt")
+        resumed, _ = self.build(make_small_fleet, drop_probability=0.3)
+        RunSession.resume(resumed, path).run()
+        np.testing.assert_array_equal(straight.state, resumed.state)
+        assert straight.network.traffic_summary() == resumed.network.traffic_summary()
 
     def test_privacy_accounting_covers_the_fastest_agent(self, make_small_fleet):
         # Each completed local step is a separate privatized release.  With
@@ -349,7 +383,7 @@ class TestEngineWrapperContract:
         engine = AsyncEngine(algorithm)
         assert engine.name == algorithm.name
         assert engine.num_agents == algorithm.num_agents
-        assert engine.backend == algorithm.backend
+        assert engine.state is algorithm.state
         assert engine.algorithm is algorithm
 
     def test_trace_count_must_match_fleet(self, make_small_fleet):

@@ -46,7 +46,7 @@ def test_directed_pairs_cover_all_edges_in_loop_order(builder):
     topo = builder()
     pairs = topo.directed_pairs()
     assert len(pairs) == topo.num_directed_edges
-    # Grouped by agent, neighbours ascending — the loop backend's visit order.
+    # Grouped by agent, neighbours ascending — each agent's noise-slot order.
     expected = [
         (i, j)
         for i in range(topo.num_agents)
