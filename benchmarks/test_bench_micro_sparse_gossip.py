@@ -1,11 +1,13 @@
-"""Micro-benchmark: dense vs sparse (CSR) gossip mixing at fleet scale.
+"""Micro-benchmark: the CSR gossip kernel vs a dense einsum at fleet scale.
 
 Thin pytest wrapper over the registered ``gossip/sparse`` suite
 (:class:`repro.bench.suites.SparseGossipSuite`): one gossip application
-``W @ X`` under both storage formats on ring and torus topologies, with a
-raw-BLAS reference column and bit-identity between the kernels asserted at
-every measured size inside the suite itself.  The ≥10x floor on the ring at
-4096 agents routes through the shared guard (full scale + CPUs + signal).
+``W @ X`` through the CSR :class:`~repro.topology.mixing.MixingOperator`
+and through an inline ``np.einsum`` over ``operator.toarray()`` on ring and
+torus topologies, with a raw-BLAS reference column and bit-identity between
+the two asserted at every measured size inside the suite itself.  The ≥10x
+floor on the ring at 4096 agents routes through the shared guard (full
+scale + CPUs + signal).
 
 Environment knobs (shared with ``repro-bench``):
 
@@ -73,7 +75,7 @@ def test_bench_sparse_spectral_diagnostics_at_scale():
     from repro.topology.mixing import spectral_gap
 
     num_agents = max(SparseGossipSuite().agent_counts)
-    topology = ring_graph(num_agents, sparse=True)
+    topology = ring_graph(num_agents)
     start = time.perf_counter()
     gap = spectral_gap(topology.mixing_matrix)
     elapsed = time.perf_counter() - start

@@ -8,11 +8,12 @@ Each suite packages one hot path of the system behind the
 * ``engine/round-streamed`` — one full streamed round (blocked gradients,
   noise, codec, gossip; memmap state) across fleet sizes up to a million
   agents, memory-guarded, streamed-vs-default-block bit-identity asserted;
-* ``gossip/sparse`` — dense vs CSR gossip kernels (bit-identity checked);
+* ``gossip/sparse`` — dense einsum vs the CSR gossip kernel (bit-identity
+  checked);
 * ``gossip/compressed`` — dense vs top-k vs int8 gossip wire bytes
   (identity-codec bit-identity checked);
 * ``gossip/scaling-sweep`` — gossip kernels (one-shot, blocked, float32,
-  mixed-precision, hierarchical two-level) across fleet sizes up to the
+  mixed-precision) across fleet sizes up to the
   machine's memory ceiling, with too-large points skipped via the shared
   memory guard;
 * ``engine/async-round`` — the event-driven time model: event throughput
@@ -571,10 +572,15 @@ class StreamedRoundSuite(Benchmark):
 # ---------------------------------------------------------------------------
 @benchmark
 class SparseGossipSuite(Benchmark):
-    """Dense vs CSR mixing kernels (bit-identity asserted every run)."""
+    """The CSR mixing kernel vs a dense sum-of-products over the same ``W``.
+
+    The dense baseline is ``np.einsum`` over ``operator.toarray()`` — the
+    sequential accumulation the CSR kernel is pinned to — and the two are
+    asserted bit-identical every run.
+    """
 
     name = "gossip/sparse"
-    description = "dense vs CSR gossip kernels, seconds per W @ X apply"
+    description = "dense einsum vs CSR gossip kernel, seconds per W @ X apply"
     floor = FloorSpec(
         metric="speedup", minimum=10.0, min_cpus=2, min_baseline_seconds=0.05
     )
@@ -615,17 +621,20 @@ class SparseGossipSuite(Benchmark):
         metrics: Dict[str, float] = {}
         for num_agents in self.agent_counts:
             for label, topology in self.build_topologies(num_agents):
-                dense_op = topology.mixing_operator("dense")
-                csr_op = topology.mixing_operator("csr")
-                dense_w = dense_op.toarray()
+                csr_op = topology.mixing_operator()
+                dense_w = csr_op.toarray()
+
+                def dense_apply(x):
+                    return np.einsum("ij,jk->ik", dense_w, x)
+
                 rng = np.random.default_rng(0)
                 state = rng.normal(size=(topology.num_agents, self.dimension))
                 # The comparison is only meaningful while both kernels compute
                 # the same gossip step, bit for bit.
                 np.testing.assert_array_equal(
-                    dense_op.apply(state), csr_op.apply(state)
+                    dense_apply(state), csr_op.apply(state)
                 )
-                dense_s = _timed(dense_op.apply, state, rounds=self.rounds)
+                dense_s = _timed(dense_apply, state, rounds=self.rounds)
                 csr_s = _timed(csr_op.apply, state, rounds=self.rounds)
                 blas_s = _timed(lambda x: dense_w @ x, state, rounds=self.rounds)
                 metrics[f"nnz@{label}"] = float(csr_op.nnz)
@@ -759,14 +768,11 @@ class GossipScalingSweepSuite(Benchmark):
     For every ``N`` in ``REPRO_BENCH_SWEEP_AGENTS`` the suite times the
     kernels the million-agent scaling work added, on a ring fleet:
 
-    * ``seconds@N`` — one-shot auto-backend ``W @ X`` (the historic path);
+    * ``seconds@N`` — one-shot CSR ``W @ X``;
     * ``blocked_s@N`` — :meth:`MixingOperator.mix_rows_blocked` with the
       auto-sized row block (bit-identity vs one-shot asserted at N <= 4096);
     * ``f32_s@N`` / ``mixed_s@N`` — float32 state through the dtype-aware
-      kernel and the mixed-precision (float64-accumulate) kernel;
-    * ``two_level_s@N`` — the factored hierarchical operator
-      (:class:`~repro.topology.hierarchical.TwoLevelMixingOperator`), which
-      never materialises the blown-up matrix.
+      kernel and the mixed-precision (float64-accumulate) kernel.
 
     Points that would not fit in RAM are **skipped, not failed**, through
     the shared memory guard; each skip's reason is recorded in the
@@ -775,7 +781,7 @@ class GossipScalingSweepSuite(Benchmark):
     """
 
     name = "gossip/scaling-sweep"
-    description = "gossip kernels across N (blocked/f32/mixed/two-level), memory-guarded"
+    description = "gossip kernels across N (blocked/f32/mixed), memory-guarded"
     default_repeats = 3
     #: Bit-identity of the blocked kernel is asserted up to this N (cheap);
     #: beyond it the property tests own the guarantee.
@@ -810,16 +816,9 @@ class GossipScalingSweepSuite(Benchmark):
         # apply timings instead of re-timing construction.  Each point is
         # memory-guarded here: too-large Ns are dropped with their reason
         # noted, never attempted.
-        import networkx as nx
-
         from repro.bench.guard import check_memory
         from repro.sharding import resolve_block_rows
         from repro.topology.graphs import ring_graph
-        from repro.topology.hierarchical import (
-            TwoLevelMixingOperator,
-            default_cluster_size,
-        )
-        from repro.topology.mixing import metropolis_hastings_weights
 
         self._cases = []
         self._notes = {}
@@ -828,20 +827,11 @@ class GossipScalingSweepSuite(Benchmark):
             if not decision.fits:
                 self._notes[f"skip@{num_agents}"] = decision.reason
                 continue
-            operator = ring_graph(num_agents).mixing_operator()  # auto format
+            operator = ring_graph(num_agents).mixing_operator()
             state = np.random.default_rng(0).normal(
                 size=(num_agents, self.dimension)
             )
             block_rows = resolve_block_rows(num_agents, self.dimension)
-            two_level = None
-            if num_agents >= 4:
-                cluster_size = default_cluster_size(num_agents)
-                num_clusters = num_agents // cluster_size
-                if num_clusters >= 3:
-                    cluster_w = metropolis_hastings_weights(
-                        nx.cycle_graph(num_clusters), sparse=True
-                    )
-                    two_level = TwoLevelMixingOperator(cluster_w, cluster_size)
             if num_agents <= self.BIT_CHECK_MAX_AGENTS:
                 np.testing.assert_array_equal(
                     operator.apply(state),
@@ -854,7 +844,6 @@ class GossipScalingSweepSuite(Benchmark):
                     "state": state,
                     "state_f32": state.astype(np.float32),
                     "block_rows": block_rows,
-                    "two_level": two_level,
                 }
             )
 
@@ -877,10 +866,6 @@ class GossipScalingSweepSuite(Benchmark):
             metrics[f"mixed_s@{num_agents}"] = _timed(
                 operator.apply_mixed, state_f32, block_rows
             )
-            if case["two_level"] is not None:
-                metrics[f"two_level_s@{num_agents}"] = _timed(
-                    case["two_level"].apply, state
-                )
             metrics[f"nnz@{num_agents}"] = float(operator.nnz)
             metrics[f"block_rows@{num_agents}"] = float(block_rows)
         metrics["max_agents"] = float(

@@ -21,8 +21,8 @@ fleet (one block unless the fleet outgrows ``block_rows``, by default
 where the model allows it (:meth:`fleet_gradients`), clipping + Gaussian
 noise are applied row-wise (:meth:`privatize_rows`), and the gossip step is
 ``W @ X`` (:meth:`mix_rows`, dispatched through the topology's
-:class:`~repro.topology.mixing.MixingOperator`: O(M^2 d) dense or O(nnz d)
-CSR, bit-identical either way).  Each exchange is accounted on the
+:class:`~repro.topology.mixing.MixingOperator`, O(nnz d) over CSR
+storage).  Each exchange is accounted on the
 :class:`~repro.simulation.network.Network` as one message per directed
 channel.  Under fault injection (``network.drop_probability > 0``) a
 dropped message ``j -> i`` zeroes ``w_ij`` in that exchange's mixing
@@ -160,14 +160,8 @@ class DecentralizedAlgorithm:
             raise ValueError(
                 f"topology {topology.name!r} has an invalid mixing matrix: {error}"
             ) from error
-        # The gossip operator: W in dense or CSR storage, per the config's
-        # mixing_backend ("auto" selects by fleet size and edge density).
-        # Both formats apply W with the same accumulation order, so the
-        # choice is purely a performance knob — trajectories are
-        # bit-identical either way.
-        mixing_backend = getattr(config, "mixing_backend", "auto")
-        self._mixing_format = None if mixing_backend == "auto" else mixing_backend
-        self.mixing = topology.mixing_operator(self._mixing_format)
+        # The gossip operator: W in CSR storage.
+        self.mixing = topology.mixing_operator()
         self.model = model
         self.topology = topology
         self.shards = list(shards)
@@ -378,7 +372,7 @@ class DecentralizedAlgorithm:
         topology = self.schedule.topology_at(round_index)
         if topology is not self.topology:
             self.topology = topology
-            self.mixing = self.schedule.operator_at(round_index, self._mixing_format)
+            self.mixing = self.schedule.operator_at(round_index)
         mask = self.schedule.active_mask_at(round_index)
         self.active_mask = mask
         self._all_active = bool(mask.all())
@@ -627,12 +621,8 @@ class DecentralizedAlgorithm:
         if self.network.drop_probability == 0.0:
             return self.mixing, 0
         matrix = self.mixing.matrix.copy()
-        if self.mixing.format == "csr":
-            recipients = np.repeat(np.arange(self.num_agents), np.diff(matrix.indptr))
-            senders, weights = matrix.indices, matrix.data
-        else:
-            recipients, senders = np.indices(matrix.shape).reshape(2, -1)
-            weights = matrix.reshape(-1)
+        recipients = np.repeat(np.arange(self.num_agents), np.diff(matrix.indptr))
+        senders, weights = matrix.indices, matrix.data
         channels = np.flatnonzero((weights > 0.0) & (senders != recipients))
         lost = channels[~self._delivered(tag, senders[channels], recipients[channels])]
         weights[lost] = 0.0
@@ -941,10 +931,8 @@ class DecentralizedAlgorithm:
     ) -> np.ndarray:
         """One gossip step for all agents: ``x_i <- sum_j omega_{ij} x_j`` (eqs. 24–25).
 
-        Dispatches to the configured :class:`~repro.topology.mixing.MixingOperator`:
-        O(M^2 d) for dense storage, O(nnz d) for CSR — with bit-identical
-        results, so sparse topologies can opt into the cheap kernel freely.
-        The product is computed over ``(block_rows, d)`` output blocks
+        Dispatches to the round's :class:`~repro.topology.mixing.MixingOperator`
+        (CSR, O(nnz d)).  The product is computed over ``(block_rows, d)`` output blocks
         through the block scheduler (bit-identical for any block size) and
         written into ``out`` — state itself, a pinned memmap or a scratch —
         or a new array.  ``out`` must not overlap ``matrix``: the blocks

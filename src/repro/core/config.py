@@ -48,14 +48,6 @@ class AlgorithmConfig:
         Mini-batch size drawn by each agent per round.
     seed:
         Base seed; per-agent randomness is derived from it deterministically.
-    mixing_backend:
-        Storage format the gossip step applies ``W`` in: ``"auto"`` (the
-        default) picks dense or CSR by fleet size and edge density
-        (:func:`repro.topology.mixing.preferred_mixing_format`);
-        ``"dense"`` forces the O(M^2 d) dense kernel; ``"sparse"`` forces
-        the O(nnz d) CSR kernel.  The two kernels accumulate in the same
-        order and produce bit-identical results, so this is purely a
-        performance knob.
     compression:
         Gossip compression settings
         (:class:`~repro.compression.config.CompressionConfig`): codec,
@@ -109,7 +101,6 @@ class AlgorithmConfig:
     delta: float = 1e-5
     batch_size: int = 32
     seed: int = 0
-    mixing_backend: str = "auto"
     compression: Optional[CompressionConfig] = None
     dtype: str = "float64"
     block_rows: Optional[int] = None
@@ -142,8 +133,6 @@ class AlgorithmConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.sigma is None and self.epsilon is None:
             raise ValueError("either sigma or epsilon must be provided")
-        if self.mixing_backend not in ("auto", "dense", "sparse"):
-            raise ValueError("mixing_backend must be 'auto', 'dense' or 'sparse'")
         if self.dtype not in ("float64", "float32", "mixed"):
             raise ValueError("dtype must be 'float64', 'float32' or 'mixed'")
         if self.block_rows is not None and self.block_rows < 1:

@@ -8,6 +8,7 @@ and returns the per-algorithm :class:`~repro.simulation.metrics.TrainingHistory`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +40,7 @@ from repro.topology.schedule import TopologySchedule, schedule_from_dynamics
 from repro.topology.graphs import (
     Topology,
     bipartite_graph,
+    check_topology,
     erdos_renyi_graph,
     exponential_graph,
     fully_connected_graph,
@@ -88,6 +90,9 @@ def _make_topology(
     seed: int,
     cluster_size: Optional[int] = None,
 ) -> Topology:
+    # The constructors are called through this module's globals (benchmark
+    # tracing wraps them here); check_topology owns the name and size rules.
+    check_topology(name, num_agents, cluster_size)
     if name == "fully_connected":
         return fully_connected_graph(num_agents)
     if name == "hierarchical":
@@ -105,10 +110,7 @@ def _make_topology(
         cols = int(np.ceil(num_agents / max(rows, 1)))
         return grid_graph(rows, cols)
     if name == "torus":
-        side = int(round(np.sqrt(num_agents)))
-        if side * side != num_agents:
-            raise ValueError("torus topology needs a square number of agents")
-        return torus_graph(side)
+        return torus_graph(math.isqrt(num_agents))
     if name == "erdos_renyi":
         return erdos_renyi_graph(num_agents, edge_probability=0.4, seed=seed)
     if name == "random_regular":
@@ -117,13 +119,8 @@ def _make_topology(
     if name == "small_world":
         return small_world_graph(num_agents, seed=seed)
     if name == "hypercube":
-        dimension = int(round(np.log2(num_agents)))
-        if 2**dimension != num_agents:
-            raise ValueError("hypercube topology needs a power-of-two number of agents")
-        return hypercube_graph(dimension)
-    if name == "exponential":
-        return exponential_graph(num_agents)
-    raise ValueError(f"unknown topology: {name}")
+        return hypercube_graph(num_agents.bit_length() - 1)
+    return exponential_graph(num_agents)
 
 
 def _make_dataset(spec: ExperimentSpec) -> Dataset:

@@ -29,6 +29,7 @@ from repro.baselines import DMSGD, DPCGA, DPDPSGD, DPNetFleet, DPSGDNonPrivate, 
 from repro.compression.config import CompressionConfig, validate_compression
 from repro.core.pdsl import PDSL
 from repro.simulation.events import check_async_mode, validate_time_model
+from repro.topology.graphs import check_topology
 from repro.topology.schedule import validate_dynamics
 
 __all__ = [
@@ -172,6 +173,8 @@ class ExperimentSpec:
             raise ValueError("need at least two agents")
         if self.num_rounds <= 0:
             raise ValueError("num_rounds must be positive")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be a positive integer")
         unknown = [a for a in self.algorithms if a not in _ALGORITHM_CLASSES]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
@@ -192,6 +195,7 @@ class ExperimentSpec:
                 raise ValueError(
                     "cluster_size applies only with topology='hierarchical'"
                 )
+        check_topology(self.topology, self.num_agents, self.cluster_size)
         validate_time_model(self.time_model, num_agents=self.num_agents)
         if self.time_model and self.time_model.get("async", False):
             compression = CompressionConfig(**dict(self.compression or {}))

@@ -267,7 +267,7 @@ class AsyncEngine:
             # Active directed edges: the positive off-diagonal weights of
             # the round's cached CSR matrix (the pairs Topology.neighbors
             # reads) between active agents.
-            w = algorithm.schedule.operator_at(round_index, "csr").matrix
+            w = algorithm.schedule.operator_at(round_index).matrix
             senders = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
             recipients = w.indices
             live = (w.data > 0.0) & (recipients != senders)

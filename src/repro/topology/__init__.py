@@ -9,10 +9,12 @@ symmetric and doubly stochastic (Sec. III-A).  This package provides:
   (star, 2-D torus/grid, Erdős–Rényi, random-regular, Watts–Strogatz
   small-world, hypercube, exponential);
 * mixing-matrix builders (Metropolis–Hastings weights, uniform-neighbour
-  averaging) in dense or edge-wise CSR form, and the
-  :class:`~repro.topology.mixing.MixingOperator` abstraction the gossip
-  engine applies ``W`` through (dense O(M^2 d) or sparse O(nnz d), selected
-  by edge density, bit-identical results either way);
+  averaging) that assemble ``W`` edge-wise as CSR — the only storage —
+  and the :class:`~repro.topology.mixing.MixingOperator` the gossip engine
+  applies it through in O(nnz d);
+* the topology names experiment specs accept and their size rules
+  (:data:`~repro.topology.graphs.TOPOLOGY_NAMES`,
+  :func:`~repro.topology.graphs.check_topology`);
 * time-varying topologies: a :class:`~repro.topology.schedule.TopologySchedule`
   provides a (cached) graph snapshot per round — static wrapper for
   backward compatibility, plus periodic rewiring, edge failure/recovery,
@@ -25,7 +27,10 @@ symmetric and doubly stochastic (Sec. III-A).  This package provides:
 """
 
 from repro.topology.graphs import (
+    TOPOLOGY_NAMES,
     Topology,
+    check_topology,
+    default_cluster_size,
     bipartite_graph,
     erdos_renyi_graph,
     exponential_graph,
@@ -40,8 +45,6 @@ from repro.topology.graphs import (
 )
 from repro.topology.hierarchical import (
     HierarchicalTopology,
-    TwoLevelMixingOperator,
-    default_cluster_size,
     hierarchical_graph,
 )
 from repro.topology.schedule import (
@@ -58,15 +61,12 @@ from repro.topology.schedule import (
     validate_dynamics,
 )
 from repro.topology.mixing import (
-    AUTO_SPARSE_MAX_DENSITY,
-    AUTO_SPARSE_MIN_AGENTS,
     DENSE_EIG_MAX_AGENTS,
     MixingOperator,
     metropolis_hastings_weights,
     uniform_neighbor_weights,
     is_doubly_stochastic,
     is_symmetric,
-    preferred_mixing_format,
     spectral_gap,
     second_largest_eigenvalue,
     validate_mixing_matrix,
@@ -74,6 +74,8 @@ from repro.topology.mixing import (
 
 __all__ = [
     "Topology",
+    "TOPOLOGY_NAMES",
+    "check_topology",
     "fully_connected_graph",
     "ring_graph",
     "bipartite_graph",
@@ -86,7 +88,6 @@ __all__ = [
     "hypercube_graph",
     "exponential_graph",
     "HierarchicalTopology",
-    "TwoLevelMixingOperator",
     "hierarchical_graph",
     "default_cluster_size",
     "TopologyEvent",
@@ -105,11 +106,8 @@ __all__ = [
     "uniform_neighbor_weights",
     "is_doubly_stochastic",
     "is_symmetric",
-    "preferred_mixing_format",
     "spectral_gap",
     "second_largest_eigenvalue",
     "validate_mixing_matrix",
-    "AUTO_SPARSE_MAX_DENSITY",
-    "AUTO_SPARSE_MIN_AGENTS",
     "DENSE_EIG_MAX_AGENTS",
 ]

@@ -5,21 +5,17 @@ with its symmetric doubly stochastic mixing matrix ``W`` and convenience
 accessors used by the agents (neighbour sets ``M_i`` *including self*, edge
 weights ``w_{ij}``).
 
-``W`` may be stored densely (ndarray) or as a ``scipy.sparse`` CSR matrix:
-the large-graph constructors (:func:`torus_graph`,
-:func:`random_regular_graph`, :func:`small_world_graph`,
-:func:`hypercube_graph`, :func:`exponential_graph` — and the pre-existing
-ones via their ``sparse`` parameter) build CSR storage automatically once
-the dense matrix would be mostly zeros, so a 100k-agent ring never
-materialises a 10^10-entry array.  :meth:`Topology.mixing_operator` hands
-the gossip engine a :class:`~repro.topology.mixing.MixingOperator` in the
-requested (or density-auto-selected) format; conversions between the two
-formats preserve every entry exactly, so the choice of storage cannot
-change a trajectory.
+``W`` is always stored as a ``scipy.sparse`` CSR matrix.  The constructors
+assemble it edge-wise, so a 100k-agent ring never materialises a
+10^10-entry array; a caller that passes an ndarray to :class:`Topology`
+gets it converted once, entries preserved exactly.
+:meth:`Topology.mixing_operator` hands the gossip engine the cached
+:class:`~repro.topology.mixing.MixingOperator` over that matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,10 +24,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.topology.mixing import (
-    MixingMatrix,
     MixingOperator,
+    as_csr,
     metropolis_hastings_weights,
-    preferred_mixing_format,
     validate_mixing_matrix,
     second_largest_eigenvalue,
     spectral_gap,
@@ -39,6 +34,9 @@ from repro.topology.mixing import (
 
 __all__ = [
     "Topology",
+    "TOPOLOGY_NAMES",
+    "check_topology",
+    "default_cluster_size",
     "fully_connected_graph",
     "ring_graph",
     "bipartite_graph",
@@ -53,6 +51,79 @@ __all__ = [
 ]
 
 
+#: Every topology name an experiment spec may use, with the fewest agents
+#: its constructor accepts.
+_MIN_AGENTS = {
+    "fully_connected": 2,
+    "ring": 3,
+    "bipartite": 2,
+    "star": 2,
+    "grid": 2,
+    "torus": 9,
+    "erdos_renyi": 2,
+    "random_regular": 3,
+    "small_world": 5,
+    "hypercube": 2,
+    "exponential": 2,
+    "hierarchical": 4,
+}
+
+TOPOLOGY_NAMES = tuple(_MIN_AGENTS)
+
+
+def default_cluster_size(num_agents: int) -> int:
+    """The largest power of two ``<= sqrt(num_agents)`` that divides ``num_agents``.
+
+    Balancing the two tiers of a hierarchical topology: ``c ~ sqrt(N)``
+    equalises the intra-cluster fan-out (``c - 1`` local channels per agent)
+    and the number of clusters the sparse upper tier must mix (``N / c``).
+    Returns 2 when no such power divides ``num_agents`` (odd fleets), which
+    :func:`check_topology` then rejects.
+    """
+    if num_agents < 4:
+        raise ValueError("hierarchical gossip needs at least 4 agents")
+    best = 2
+    candidate = 2
+    while candidate * candidate <= num_agents:
+        if num_agents % candidate == 0:
+            best = candidate
+        candidate *= 2
+    return best
+
+
+def check_topology(
+    name: str, num_agents: int, cluster_size: Optional[int] = None
+) -> None:
+    """Raise ``ValueError`` unless topology ``name`` can be built on ``num_agents``.
+
+    The size rules of the named constructors: a minimum fleet per topology,
+    a square number of agents for ``"torus"``, a power of two for
+    ``"hypercube"``, and for ``"hierarchical"`` a ``cluster_size`` (default
+    :func:`default_cluster_size`) that divides ``num_agents``.  Experiment
+    specs call this at parse time, so a bad spec fails before anything is
+    built.
+    """
+    if name not in _MIN_AGENTS:
+        raise ValueError(
+            f"unknown topology {name!r}; expected one of {', '.join(TOPOLOGY_NAMES)}"
+        )
+    if num_agents < _MIN_AGENTS[name]:
+        raise ValueError(
+            f"{name} topology needs at least {_MIN_AGENTS[name]} agents, got {num_agents}"
+        )
+    if name == "torus" and math.isqrt(num_agents) ** 2 != num_agents:
+        raise ValueError("torus topology needs a square number of agents")
+    if name == "hypercube" and num_agents & (num_agents - 1):
+        raise ValueError("hypercube topology needs a power-of-two number of agents")
+    if name == "hierarchical":
+        c = default_cluster_size(num_agents) if cluster_size is None else int(cluster_size)
+        if c < 1 or num_agents % c:
+            raise ValueError(
+                f"cluster_size must be a positive divisor of num_agents, got {c} "
+                f"for {num_agents} agents"
+            )
+
+
 @dataclass
 class Topology:
     """A communication graph plus its doubly stochastic mixing matrix.
@@ -63,8 +134,8 @@ class Topology:
         The underlying undirected ``networkx`` graph on nodes ``0..M-1``.
     mixing_matrix:
         Symmetric doubly stochastic ``(M, M)`` matrix ``W`` with
-        ``w_{ij} > 0`` only for edges (and the diagonal).  Either a dense
-        ndarray or a CSR matrix; every accessor works with both.
+        ``w_{ij} > 0`` only for edges (and the diagonal), stored as
+        canonical CSR (an ndarray argument is converted at construction).
     name:
         Human-readable topology name used in experiment reports.
     require_connected:
@@ -77,21 +148,17 @@ class Topology:
     """
 
     graph: nx.Graph
-    mixing_matrix: MixingMatrix
+    mixing_matrix: sp.csr_array
     name: str = "topology"
     require_connected: bool = True
+    _row_cache: Dict[int, Dict[int, float]] = field(default_factory=dict, repr=False)
     _neighbor_cache: Dict[int, List[int]] = field(default_factory=dict, repr=False)
     _directed_pairs_cache: Optional[List[Tuple[int, int]]] = field(default=None, repr=False)
-    _operator_cache: Dict[str, MixingOperator] = field(default_factory=dict, repr=False)
+    _operator: Optional[MixingOperator] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if sp.issparse(self.mixing_matrix):
-            w: MixingMatrix = sp.csr_array(self.mixing_matrix)
-            w.sum_duplicates()
-            w.sort_indices()
-        else:
-            w = np.asarray(self.mixing_matrix, dtype=np.float64)
-        validate_mixing_matrix(w)
+        validate_mixing_matrix(self.mixing_matrix)
+        w = as_csr(self.mixing_matrix)
         if w.shape[0] != self.graph.number_of_nodes():
             raise ValueError("mixing matrix size does not match the number of nodes")
         if self.require_connected and not nx.is_connected(self.graph):
@@ -102,50 +169,21 @@ class Topology:
     def num_agents(self) -> int:
         return int(self.graph.number_of_nodes())
 
-    @property
-    def mixing_is_sparse(self) -> bool:
-        """True when ``W`` is stored as a CSR matrix."""
-        return bool(sp.issparse(self.mixing_matrix))
+    def mixing_operator(self) -> MixingOperator:
+        """``W`` wrapped for the gossip engine (built once, then cached)."""
+        if self._operator is None:
+            self._operator = MixingOperator(self.mixing_matrix)
+        return self._operator
 
-    @property
-    def mixing_nnz(self) -> int:
-        """Number of stored nonzero mixing weights."""
-        if self.mixing_is_sparse:
-            return int(self.mixing_matrix.nnz)
-        return int(np.count_nonzero(self.mixing_matrix))
-
-    def mixing_operator(self, format: Optional[str] = None) -> MixingOperator:
-        """``W`` wrapped for the gossip engine, in the requested storage format.
-
-        ``format`` may be ``"dense"``, ``"sparse"``/``"csr"``, or
-        ``None``/``"auto"`` to let
-        :func:`~repro.topology.mixing.preferred_mixing_format` pick by fleet
-        size and edge density.  Conversions between formats preserve every
-        matrix entry exactly, and the two operators' ``apply`` kernels are
-        bit-identical, so the format is purely a performance choice.
-        Operators are cached per format.
-        """
-        if format in (None, "auto"):
-            format = preferred_mixing_format(self.num_agents, self.mixing_nnz)
-        if format == "sparse":
-            format = "csr"
-        if format not in ("dense", "csr"):
-            raise ValueError("mixing format must be 'auto', 'dense', 'sparse' or 'csr'")
-        if format not in self._operator_cache:
-            if format == "csr":
-                matrix = (
-                    self.mixing_matrix
-                    if self.mixing_is_sparse
-                    else sp.csr_array(self.mixing_matrix)
-                )
-            else:
-                matrix = (
-                    self.mixing_matrix.toarray()
-                    if self.mixing_is_sparse
-                    else self.mixing_matrix
-                )
-            self._operator_cache[format] = MixingOperator(matrix)
-        return self._operator_cache[format]
+    def _row(self, agent: int) -> Dict[int, float]:
+        """The agent's stored mixing row as ``{j: w_agent_j}`` (cached per agent)."""
+        row = self._row_cache.get(agent)
+        if row is None:
+            w = self.mixing_matrix
+            start, stop = int(w.indptr[agent]), int(w.indptr[agent + 1])
+            row = dict(zip(w.indices[start:stop].tolist(), w.data[start:stop].tolist()))
+            self._row_cache[agent] = row
+        return row
 
     def neighbors(self, agent: int, include_self: bool = True) -> List[int]:
         """The neighbour set ``M_i`` of an agent (including the agent itself by default).
@@ -153,27 +191,21 @@ class Topology:
         Neighbourhood membership follows the mixing matrix: ``j in M_i`` iff
         ``w_{ij} > 0``, matching the paper's definition.
         """
-        if agent not in self._neighbor_cache:
-            if self.mixing_is_sparse:
-                w = self.mixing_matrix
-                start, stop = int(w.indptr[agent]), int(w.indptr[agent + 1])
-                columns = w.indices[start:stop]
-                values = w.data[start:stop]
-                members = [int(j) for j in columns[values > 0.0]]
-            else:
-                row = self.mixing_matrix[agent]
-                members = [int(j) for j in np.flatnonzero(row > 0.0)]
+        members = self._neighbor_cache.get(agent)
+        if members is None:
+            row = self._row(agent)
+            members = sorted({agent, *(j for j, w in row.items() if w > 0.0)})
             self._neighbor_cache[agent] = members
-        members = list(self._neighbor_cache[agent])
-        if not include_self:
-            members = [j for j in members if j != agent]
-        elif agent not in members:
-            members.append(agent)
-        return sorted(members)
+        if include_self:
+            return list(members)
+        return [j for j in members if j != agent]
 
     def weight(self, i: int, j: int) -> float:
-        """Mixing weight ``w_{ij}``."""
-        return float(self.mixing_matrix[i, j])
+        """Mixing weight ``w_{ij}`` (a lookup in agent ``i``'s cached row)."""
+        row = self._row_cache.get(i)
+        if row is None:
+            row = self._row(i)
+        return row.get(j, 0.0)
 
     def degree(self, agent: int) -> int:
         """Graph degree (number of neighbours excluding self)."""
@@ -191,12 +223,8 @@ class Topology:
 
     def min_weight(self) -> float:
         """``omega_min``: the smallest positive mixing weight (Theorem 1)."""
-        if self.mixing_is_sparse:
-            data = self.mixing_matrix.data
-            positive = data[data > 0.0]
-        else:
-            w = self.mixing_matrix
-            positive = w[w > 0.0]
+        data = self.mixing_matrix.data
+        positive = data[data > 0.0]
         return float(positive.min()) if positive.size else 0.0
 
     def edges(self) -> List[Tuple[int, int]]:
@@ -227,38 +255,16 @@ class Topology:
         """
         if self._directed_pairs_cache is not None:
             return len(self._directed_pairs_cache)
-        diagonal = (
-            self.mixing_matrix.diagonal()
-            if self.mixing_is_sparse
-            else np.diagonal(self.mixing_matrix)
-        )
-        positive_diagonal = int(np.count_nonzero(np.asarray(diagonal) > 0.0))
-        if self.mixing_is_sparse:
-            positive = int(np.count_nonzero(self.mixing_matrix.data > 0.0))
-        else:
-            positive = int(np.count_nonzero(self.mixing_matrix > 0.0))
-        return positive - positive_diagonal
+        w = self.mixing_matrix
+        positive_diagonal = int(np.count_nonzero(w.diagonal() > 0.0))
+        return int(np.count_nonzero(w.data > 0.0)) - positive_diagonal
 
 
-def _build(
-    graph: nx.Graph,
-    name: str,
-    mixing: Optional[MixingMatrix] = None,
-    sparse: Optional[bool] = None,
-) -> Topology:
-    """Relabel nodes to ``0..M-1`` and attach Metropolis–Hastings weights.
-
-    ``sparse=None`` auto-selects the storage format with the same density
-    rule the gossip engine uses (:func:`preferred_mixing_format`), so large
-    sparse graphs never materialise the dense matrix even transiently.
-    """
+def _build(graph: nx.Graph, name: str, mixing=None) -> Topology:
+    """Relabel nodes to ``0..M-1`` and attach ``mixing`` (default Metropolis–Hastings)."""
     graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
     if mixing is None:
-        if sparse is None:
-            m = graph.number_of_nodes()
-            nnz = 2 * graph.number_of_edges() + m
-            sparse = preferred_mixing_format(m, nnz) == "csr"
-        mixing = metropolis_hastings_weights(graph, sparse=sparse)
+        mixing = metropolis_hastings_weights(graph)
     return Topology(graph=graph, mixing_matrix=mixing, name=name)
 
 
@@ -267,7 +273,7 @@ def fully_connected_graph(num_agents: int) -> Topology:
 
     The mixing matrix is the uniform averaging matrix ``W = 11^T / M``, which
     is the natural doubly stochastic choice for a complete graph and has
-    spectral gap 1.  Always stored densely — there are no zeros to exploit.
+    spectral gap 1.  Its CSR form stores all ``M^2`` entries.
     """
     if num_agents < 2:
         raise ValueError("need at least 2 agents")
@@ -276,15 +282,15 @@ def fully_connected_graph(num_agents: int) -> Topology:
     return _build(graph, "fully_connected", mixing)
 
 
-def ring_graph(num_agents: int, sparse: Optional[bool] = None) -> Topology:
+def ring_graph(num_agents: int) -> Topology:
     """Cycle topology: each agent talks to exactly two neighbours (sparse)."""
     if num_agents < 3:
         raise ValueError("a ring needs at least 3 agents")
     graph = nx.cycle_graph(num_agents)
-    return _build(graph, "ring", sparse=sparse)
+    return _build(graph, "ring")
 
 
-def bipartite_graph(num_agents: int, sparse: Optional[bool] = None) -> Topology:
+def bipartite_graph(num_agents: int) -> Topology:
     """Complete bipartite topology splitting the agents into two halves.
 
     Agents ``0 .. ceil(M/2)-1`` form one side and the rest the other side;
@@ -298,20 +304,18 @@ def bipartite_graph(num_agents: int, sparse: Optional[bool] = None) -> Topology:
     if right == 0:
         raise ValueError("need at least 2 agents to form two sides")
     graph = nx.complete_bipartite_graph(left, right)
-    return _build(graph, "bipartite", sparse=sparse)
+    return _build(graph, "bipartite")
 
 
-def star_graph(num_agents: int, sparse: Optional[bool] = None) -> Topology:
+def star_graph(num_agents: int) -> Topology:
     """Star topology: agent 0 is the hub (useful as a quasi-centralised ablation)."""
     if num_agents < 2:
         raise ValueError("need at least 2 agents")
     graph = nx.star_graph(num_agents - 1)
-    return _build(graph, "star", sparse=sparse)
+    return _build(graph, "star")
 
 
-def grid_graph(
-    rows: int, cols: int, periodic: bool = True, sparse: Optional[bool] = None
-) -> Topology:
+def grid_graph(rows: int, cols: int, periodic: bool = True) -> Topology:
     """2-D grid / torus topology with ``rows * cols`` agents."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError("grid must contain at least 2 agents")
@@ -319,10 +323,10 @@ def grid_graph(
         # networkx requires >=3 per periodic dimension; fall back to a plain grid.
         periodic = False
     graph = nx.grid_2d_graph(rows, cols, periodic=periodic)
-    return _build(graph, "torus" if periodic else "grid", sparse=sparse)
+    return _build(graph, "torus" if periodic else "grid")
 
 
-def torus_graph(rows: int, cols: Optional[int] = None, sparse: Optional[bool] = None) -> Topology:
+def torus_graph(rows: int, cols: Optional[int] = None) -> Topology:
     """2-D torus: a periodic grid where every agent has exactly 4 neighbours.
 
     The constant degree keeps the per-agent communication cost flat as the
@@ -335,7 +339,7 @@ def torus_graph(rows: int, cols: Optional[int] = None, sparse: Optional[bool] = 
         cols = rows
     if rows < 3 or cols < 3:
         raise ValueError("a torus needs at least 3 agents per dimension")
-    return grid_graph(rows, cols, periodic=True, sparse=sparse)
+    return grid_graph(rows, cols, periodic=True)
 
 
 def erdos_renyi_graph(
@@ -343,7 +347,6 @@ def erdos_renyi_graph(
     edge_probability: float,
     seed: Optional[int] = 0,
     max_tries: int = 100,
-    sparse: Optional[bool] = None,
 ) -> Topology:
     """Random G(n, p) topology, re-sampled until connected."""
     if num_agents < 2:
@@ -354,7 +357,7 @@ def erdos_renyi_graph(
     for _ in range(max_tries):
         graph = nx.erdos_renyi_graph(num_agents, edge_probability, seed=int(rng.integers(2**31)))
         if nx.is_connected(graph):
-            return _build(graph, "erdos_renyi", sparse=sparse)
+            return _build(graph, "erdos_renyi")
     raise RuntimeError(
         "failed to sample a connected Erdos-Renyi graph; increase edge_probability"
     )
@@ -365,7 +368,6 @@ def random_regular_graph(
     degree: int = 4,
     seed: Optional[int] = 0,
     max_tries: int = 100,
-    sparse: Optional[bool] = None,
 ) -> Topology:
     """Random ``k``-regular topology, re-sampled until connected.
 
@@ -384,7 +386,7 @@ def random_regular_graph(
     for _ in range(max_tries):
         graph = nx.random_regular_graph(degree, num_agents, seed=int(rng.integers(2**31)))
         if nx.is_connected(graph):
-            return _build(graph, "random_regular", sparse=sparse)
+            return _build(graph, "random_regular")
     raise RuntimeError(
         "failed to sample a connected random regular graph; increase degree"
     )
@@ -395,7 +397,6 @@ def small_world_graph(
     nearest_neighbors: int = 4,
     rewire_probability: float = 0.1,
     seed: Optional[int] = 0,
-    sparse: Optional[bool] = None,
 ) -> Topology:
     """Watts–Strogatz small-world topology (connected variant).
 
@@ -413,10 +414,10 @@ def small_world_graph(
     graph = nx.connected_watts_strogatz_graph(
         num_agents, nearest_neighbors, rewire_probability, tries=100, seed=seed
     )
-    return _build(graph, "small_world", sparse=sparse)
+    return _build(graph, "small_world")
 
 
-def hypercube_graph(dimension: int, sparse: Optional[bool] = None) -> Topology:
+def hypercube_graph(dimension: int) -> Topology:
     """Hypercube topology on ``2**dimension`` agents.
 
     Agent ``i`` and agent ``j`` are connected iff their ids differ in exactly
@@ -427,10 +428,10 @@ def hypercube_graph(dimension: int, sparse: Optional[bool] = None) -> Topology:
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     graph = nx.hypercube_graph(dimension)
-    return _build(graph, "hypercube", sparse=sparse)
+    return _build(graph, "hypercube")
 
 
-def exponential_graph(num_agents: int, sparse: Optional[bool] = None) -> Topology:
+def exponential_graph(num_agents: int) -> Topology:
     """Exponential topology: agent ``i`` connects to ``(i ± 2^k) mod M``.
 
     Each agent has ``O(log M)`` neighbours at exponentially growing hop
@@ -447,4 +448,4 @@ def exponential_graph(num_agents: int, sparse: Optional[bool] = None) -> Topolog
         for i in range(num_agents):
             graph.add_edge(i, (i + hop) % num_agents)
         hop *= 2
-    return _build(graph, "exponential", sparse=sparse)
+    return _build(graph, "exponential")

@@ -30,27 +30,26 @@ does not converge to consensus.  Metropolis–Hastings weights
 (:func:`metropolis_hastings_weights`) satisfy all three conditions for any
 connected undirected graph, which is why they are the default.
 
-Sparse storage
---------------
+Storage
+-------
 
-On a sparse communication graph (ring, torus, random-regular, small-world)
-``W`` has O(M) nonzeros, so storing it densely costs O(M^2) memory and every
-gossip step O(M^2 d) time — at M = 4096 that is 16.7M matrix entries of
-which only ~12k are nonzero.  The weight builders therefore accept
-``sparse=True`` and assemble a ``scipy.sparse`` CSR matrix *edge-wise*,
-never materialising the dense matrix; every helper in this module
+``W`` is always a ``scipy.sparse`` CSR matrix.  On a sparse communication
+graph (ring, torus, random-regular, small-world) it has O(M) nonzeros, so
+the weight builders assemble it *edge-wise* and never materialise the dense
+``(M, M)`` array — at M = 4096 a dense ring matrix would hold 16.7M entries
+of which only ~12k are nonzero.  Every helper in this module
 (:func:`is_symmetric`, :func:`is_doubly_stochastic`,
-:func:`validate_mixing_matrix`, the spectral diagnostics) accepts either
-representation without densifying, and :class:`MixingOperator` applies
-``W @ X`` in O(nnz * d) for CSR storage.  Above ``DENSE_EIG_MAX_AGENTS``
-the spectral diagnostics switch from a full O(M^3) ``eigvalsh``
-decomposition to a Lanczos iteration (``scipy.sparse.linalg.eigsh``) that
-only needs matrix–vector products.
+:func:`validate_mixing_matrix`, the spectral diagnostics) works on the CSR
+structure without densifying (ndarray input is converted first), and
+:class:`MixingOperator` applies ``W @ X`` in O(nnz * d).  Above
+``DENSE_EIG_MAX_AGENTS`` the spectral diagnostics switch from a full
+O(M^3) ``eigvalsh`` decomposition to a Lanczos iteration
+(``scipy.sparse.linalg.eigsh``) that only needs matrix–vector products.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import networkx as nx
 import numpy as np
@@ -58,8 +57,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 __all__ = [
-    "MixingMatrix",
     "MixingOperator",
+    "as_csr",
     "metropolis_hastings_weights",
     "uniform_neighbor_weights",
     "is_symmetric",
@@ -67,10 +66,7 @@ __all__ = [
     "second_largest_eigenvalue",
     "spectral_gap",
     "validate_mixing_matrix",
-    "preferred_mixing_format",
     "DENSE_EIG_MAX_AGENTS",
-    "AUTO_SPARSE_MIN_AGENTS",
-    "AUTO_SPARSE_MAX_DENSITY",
 ]
 
 _TOLERANCE = 1e-9
@@ -79,25 +75,37 @@ _TOLERANCE = 1e-9
 #: eigendecomposition; above this they switch to Lanczos (``eigsh``).
 DENSE_EIG_MAX_AGENTS = 512
 
-#: Auto-selection rule for :func:`preferred_mixing_format`: CSR wins once the
-#: fleet is at least this large ...
-AUTO_SPARSE_MIN_AGENTS = 64
 
-#: ... and at most this fraction of the matrix entries is nonzero.  Below
-#: ~25% density the O(nnz * d) CSR product beats the dense kernel; above it
-#: the dense kernel's contiguous memory access wins.
-AUTO_SPARSE_MAX_DENSITY = 0.25
+def as_csr(matrix) -> sp.csr_array:
+    """``matrix`` (ndarray or any sparse format) as canonical float64 CSR.
 
-#: Either storage format of a mixing matrix.
-MixingMatrix = Union[np.ndarray, sp.csr_array]
+    Duplicates are summed and each row's column indices sorted ascending —
+    the order :class:`MixingOperator` accumulates in.  An ndarray keeps its
+    nonzero entries exactly.
+    """
+    if not sp.issparse(matrix):
+        matrix = np.asarray(matrix, dtype=np.float64)
+    csr = sp.csr_array(matrix, dtype=np.float64)
+    csr.sum_duplicates()
+    csr.sort_indices()
+    return csr
+
+
+def _square_csr(matrix) -> Optional[sp.csr_array]:
+    """:func:`as_csr` of ``matrix``, or ``None`` unless it is square and 2-D."""
+    if not sp.issparse(matrix):
+        matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        return None
+    return as_csr(matrix)
 
 
 def _graph_layout(graph: nx.Graph):
-    """Sorted nodes, node -> row index, and the (i, j) edge list sans self-loops."""
+    """Sorted nodes and the (i, j) row-index edge list sans self-loops."""
     nodes = sorted(graph.nodes())
     index = {node: k for k, node in enumerate(nodes)}
     edges = [(index[u], index[v]) for u, v in graph.edges() if u != v]
-    return nodes, index, edges
+    return nodes, edges
 
 
 def _assemble_csr(
@@ -116,9 +124,7 @@ def _assemble_csr(
         rows = np.concatenate([ij[:, 0], ij[:, 1]])
         cols = np.concatenate([ij[:, 1], ij[:, 0]])
         data = np.concatenate([edge_weights, edge_weights])
-        off_diagonal = sp.coo_array((data, (rows, cols)), shape=(m, m)).tocsr()
-        off_diagonal.sum_duplicates()
-        off_diagonal.sort_indices()
+        off_diagonal = as_csr(sp.coo_array((data, (rows, cols)), shape=(m, m)))
         row_sums = np.asarray(off_diagonal.sum(axis=1)).reshape(-1)
     else:
         off_diagonal = sp.csr_array((m, m), dtype=np.float64)
@@ -126,124 +132,82 @@ def _assemble_csr(
     diagonal = sp.dia_array(
         (np.asarray([1.0 - row_sums]), [0]), shape=(m, m)
     )
-    matrix = (off_diagonal + diagonal).tocsr()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-    return matrix
+    return as_csr(off_diagonal + diagonal)
 
 
-def metropolis_hastings_weights(
-    graph: nx.Graph, sparse: bool = False
-) -> MixingMatrix:
-    """Metropolis–Hastings mixing matrix for an undirected graph.
+def metropolis_hastings_weights(graph: nx.Graph) -> sp.csr_array:
+    """Metropolis–Hastings mixing matrix for an undirected graph, as CSR.
 
     ``w_{ij} = 1 / (1 + max(deg_i, deg_j))`` for each edge ``(i, j)``, zero for
     non-edges, and ``w_{ii} = 1 - sum_j w_{ij}``.  The result is symmetric,
     doubly stochastic and has strictly positive diagonal, so every agent's
-    neighbourhood ``M_i`` includes itself as the paper assumes.
-
-    With ``sparse=True`` the matrix is assembled edge-wise into CSR storage
-    without ever materialising the dense ``(M, M)`` array; the edge weights
-    are computed by the identical formula, so the two representations agree
-    to floating-point round-off (the diagonals may differ in the last ulp
-    because the residual row sums are accumulated in different orders).
+    neighbourhood ``M_i`` includes itself as the paper assumes.  It is
+    assembled edge-wise, never materialising the dense ``(M, M)`` array.
     """
-    nodes, index, edges = _graph_layout(graph)
-    m = len(nodes)
+    nodes, edges = _graph_layout(graph)
     degrees = np.asarray([graph.degree[node] for node in nodes], dtype=np.float64)
-    if sparse:
-        if edges:
-            ij = np.asarray(edges, dtype=np.int64)
-            edge_weights = 1.0 / (1.0 + np.maximum(degrees[ij[:, 0]], degrees[ij[:, 1]]))
-        else:
-            edge_weights = np.zeros(0, dtype=np.float64)
-        return _assemble_csr(m, edges, edge_weights)
-    w = np.zeros((m, m), dtype=np.float64)
-    for i, j in edges:
-        weight = 1.0 / (1.0 + max(degrees[i], degrees[j]))
-        w[i, j] = weight
-        w[j, i] = weight
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return w
+    if edges:
+        ij = np.asarray(edges, dtype=np.int64)
+        edge_weights = 1.0 / (1.0 + np.maximum(degrees[ij[:, 0]], degrees[ij[:, 1]]))
+    else:
+        edge_weights = np.zeros(0, dtype=np.float64)
+    return _assemble_csr(len(nodes), edges, edge_weights)
 
 
-def uniform_neighbor_weights(
-    graph: nx.Graph, sparse: bool = False
-) -> MixingMatrix:
-    """Uniform averaging over the *regular* closed neighbourhood.
+def uniform_neighbor_weights(graph: nx.Graph) -> sp.csr_array:
+    """Uniform averaging over the *regular* closed neighbourhood, as CSR.
 
     ``w_{ij} = 1 / (d_max + 1)`` for each edge where ``d_max`` is the maximum
     degree, and the remaining mass goes to the diagonal.  Like
     Metropolis–Hastings this is symmetric and doubly stochastic for any
     graph; on regular graphs (rings, complete graphs) it equals uniform
-    neighbourhood averaging.  ``sparse=True`` assembles CSR storage
-    edge-wise, exactly as in :func:`metropolis_hastings_weights`.
+    neighbourhood averaging.  Assembled edge-wise, exactly as in
+    :func:`metropolis_hastings_weights`.
     """
-    nodes, index, edges = _graph_layout(graph)
+    nodes, edges = _graph_layout(graph)
     m = len(nodes)
     if m == 0:
-        return sp.csr_array((0, 0), dtype=np.float64) if sparse else np.zeros((0, 0))
+        return sp.csr_array((0, 0), dtype=np.float64)
     d_max = max((graph.degree[n] for n in nodes), default=0)
-    share = 1.0 / (d_max + 1.0)
-    if sparse:
-        return _assemble_csr(m, edges, np.full(len(edges), share))
-    w = np.zeros((m, m), dtype=np.float64)
-    for i, j in edges:
-        w[i, j] = share
-        w[j, i] = share
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return w
+    return _assemble_csr(m, edges, np.full(len(edges), 1.0 / (d_max + 1.0)))
 
 
-def is_symmetric(matrix: MixingMatrix, tol: float = _TOLERANCE) -> bool:
+def is_symmetric(matrix, tol: float = _TOLERANCE) -> bool:
     """True if the matrix equals its transpose within tolerance.
 
-    CSR matrices are checked via the sparse difference ``W - W^T`` (O(nnz),
-    no densification).
+    Checked via the sparse difference ``W - W^T`` (O(nnz), no
+    densification); ndarray input is converted to CSR first.
     """
-    if sp.issparse(matrix):
-        if matrix.shape[0] != matrix.shape[1]:
-            return False
-        difference = (matrix - matrix.T).tocoo()
-        if difference.nnz == 0:
-            return True
-        return bool(np.max(np.abs(difference.data)) <= tol)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return bool(np.allclose(matrix, matrix.T, atol=tol))
+    csr = _square_csr(matrix)
+    if csr is None:
+        return False
+    difference = (csr - csr.T).tocoo()
+    if difference.nnz == 0:
+        return True
+    return bool(np.max(np.abs(difference.data)) <= tol)
 
 
-def is_doubly_stochastic(matrix: MixingMatrix, tol: float = 1e-8) -> bool:
+def is_doubly_stochastic(matrix, tol: float = 1e-8) -> bool:
     """True if all entries are non-negative and all rows and columns sum to 1.
 
-    CSR matrices are checked on their stored entries and axis sums only
-    (O(nnz), no densification).
+    Checked on the stored entries and axis sums only (O(nnz), no
+    densification); ndarray input is converted to CSR first.
     """
-    if sp.issparse(matrix):
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            return False
-        csr = matrix.tocsr()
-        if csr.nnz and float(csr.data.min()) < -tol:
-            return False
-        ones = np.ones(csr.shape[0])
-        row_sums = np.asarray(csr.sum(axis=1)).reshape(-1)
-        col_sums = np.asarray(csr.sum(axis=0)).reshape(-1)
-        return bool(
-            np.allclose(row_sums, ones, atol=tol)
-            and np.allclose(col_sums, ones, atol=tol)
-        )
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    csr = _square_csr(matrix)
+    if csr is None:
         return False
-    if (matrix < -tol).any():
+    if csr.nnz and float(csr.data.min()) < -tol:
         return False
-    ones = np.ones(matrix.shape[0])
+    ones = np.ones(csr.shape[0])
+    row_sums = np.asarray(csr.sum(axis=1)).reshape(-1)
+    col_sums = np.asarray(csr.sum(axis=0)).reshape(-1)
     return bool(
-        np.allclose(matrix.sum(axis=0), ones, atol=tol)
-        and np.allclose(matrix.sum(axis=1), ones, atol=tol)
+        np.allclose(row_sums, ones, atol=tol)
+        and np.allclose(col_sums, ones, atol=tol)
     )
 
 
-def second_largest_eigenvalue(matrix: MixingMatrix) -> float:
+def second_largest_eigenvalue(matrix) -> float:
     """``max(|lambda_2|, |lambda_M|)`` for a symmetric stochastic matrix.
 
     For the mixing matrices used here this equals ``sqrt(rho)`` in
@@ -296,7 +260,7 @@ def second_largest_eigenvalue(matrix: MixingMatrix) -> float:
     return float(sorted_by_magnitude[1])
 
 
-def spectral_gap(matrix: MixingMatrix) -> float:
+def spectral_gap(matrix) -> float:
     """``1 - max(|lambda_2|, |lambda_M|)`` = ``1 - sqrt(rho)``.
 
     Larger gap means faster consensus; this is the quantity that enters the
@@ -305,9 +269,7 @@ def spectral_gap(matrix: MixingMatrix) -> float:
     return float(1.0 - second_largest_eigenvalue(matrix))
 
 
-def validate_mixing_matrix(
-    matrix: MixingMatrix, require_contraction: bool = False
-) -> None:
+def validate_mixing_matrix(matrix, require_contraction: bool = False) -> None:
     """Raise ``ValueError`` unless the matrix satisfies Assumption 3's structure.
 
     Checks, in order: squareness, symmetry (``W = W^T``) and double
@@ -318,8 +280,8 @@ def validate_mixing_matrix(
     :class:`~repro.core.base.DecentralizedAlgorithm` re-validates at
     algorithm construction, so a matrix mutated in between fails fast.
 
-    CSR matrices are validated on their sparse structure directly — the
-    checks are O(nnz) and never densify, so validation stays cheap even for
+    The checks run on the CSR structure (ndarray input is converted first):
+    they are O(nnz) and never densify, so validation stays cheap even for
     fleet-scale graphs where the dense matrix would not fit in memory.
 
     ``require_contraction`` additionally demands ``sqrt(rho) < 1`` (strict
@@ -327,9 +289,8 @@ def validate_mixing_matrix(
     every connected graph with positive self-weights but can be violated by,
     e.g., a disconnected graph or a bipartite graph with zero diagonal.
     """
-    if not sp.issparse(matrix):
-        matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    matrix = _square_csr(matrix)
+    if matrix is None:
         raise ValueError("mixing matrix must be square")
     if not is_symmetric(matrix):
         raise ValueError("mixing matrix must be symmetric")
@@ -339,53 +300,25 @@ def validate_mixing_matrix(
         raise ValueError("mixing matrix must have spectral gap > 0 (connected topology)")
 
 
-def preferred_mixing_format(num_agents: int, nnz: int) -> str:
-    """The storage format the gossip engine should apply ``W`` in.
-
-    ``"csr"`` once the fleet has at least ``AUTO_SPARSE_MIN_AGENTS`` agents
-    *and* at most ``AUTO_SPARSE_MAX_DENSITY`` of the matrix entries are
-    nonzero — the regime where the O(nnz * d) sparse product beats the dense
-    kernel; ``"dense"`` otherwise (small fleets, dense graphs).
-    """
-    if num_agents <= 0:
-        return "dense"
-    density = nnz / float(num_agents * num_agents)
-    if num_agents >= AUTO_SPARSE_MIN_AGENTS and density <= AUTO_SPARSE_MAX_DENSITY:
-        return "csr"
-    return "dense"
-
-
 class MixingOperator:
-    """A mixing matrix in an applicable storage format: the gossip step's ``W``.
+    """The gossip step's ``W``, held as canonical CSR.
 
-    ``apply(X)`` computes ``W @ X`` — dense storage in O(M^2 d), CSR storage
-    in O(nnz * d).  Both kernels accumulate each output row over the columns
-    in ascending order with one separate multiply-add per term: the CSR
-    product iterates a row's stored entries in index order, and the dense
-    kernel uses ``np.einsum`` (a sequential sum-of-products loop) rather than
-    the BLAS ``@``, whose blocked/FMA accumulation reorders the sum and
-    perturbs the last ulp.  Because adding an exact zero never changes a
-    partial sum, the two formats therefore produce **bit-identical** results
-    for the same matrix — the property the engine-equivalence suite asserts
-    so that switching a topology to sparse storage cannot silently change a
-    trajectory.
+    ``apply(X)`` computes ``W @ X`` in O(nnz * d).  The CSR product
+    accumulates each output row over its stored entries in ascending column
+    order with one separate multiply-add per term — the same order as a
+    sequential sum-of-products over the dense row (``np.einsum``), since
+    adding an exact zero never changes a partial sum.  The tests pin the
+    kernel bitwise against that dense reference; it is what makes the
+    blocked, parallel and storage variants of a round bit-identical.
     """
 
-    __slots__ = ("matrix", "format", "_f32_matrix")
+    __slots__ = ("matrix", "_f32_matrix")
 
-    def __init__(self, matrix: MixingMatrix) -> None:
-        if sp.issparse(matrix):
-            csr = sp.csr_array(matrix)
-            csr.sum_duplicates()
-            csr.sort_indices()
-            self.matrix = csr
-            self.format = "csr"
-        else:
-            self.matrix = np.asarray(matrix, dtype=np.float64)
-            self.format = "dense"
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+    def __init__(self, matrix) -> None:
+        self.matrix = _square_csr(matrix)
+        if self.matrix is None:
             raise ValueError("mixing operator requires a square matrix")
-        self._f32_matrix: Optional[MixingMatrix] = None
+        self._f32_matrix: Optional[sp.csr_array] = None
 
     @property
     def num_agents(self) -> int:
@@ -394,9 +327,7 @@ class MixingOperator:
     @property
     def nnz(self) -> int:
         """Number of stored nonzero entries."""
-        if self.format == "csr":
-            return int(self.matrix.nnz)
-        return int(np.count_nonzero(self.matrix))
+        return int(self.matrix.nnz)
 
     @property
     def density(self) -> float:
@@ -416,7 +347,7 @@ class MixingOperator:
             )
         return rows
 
-    def _matrix_for(self, dtype: np.dtype) -> MixingMatrix:
+    def _matrix_for(self, dtype: np.dtype) -> sp.csr_array:
         """``W`` in the kernel dtype (the float32 cast is built once and cached)."""
         if dtype != np.float32:
             return self.matrix
@@ -431,13 +362,10 @@ class MixingOperator:
         vector; the result is a new ``(M, d)`` dense matrix.  Float32 input
         selects the float32 kernel (``W`` cast once, cached) so low-precision
         fleet state never pays a transient float64 copy; every other input is
-        coerced to float64 exactly as before.
+        coerced to float64.
         """
         rows = self._check_rows(rows)
-        matrix = self._matrix_for(rows.dtype)
-        if self.format == "csr":
-            return matrix @ rows
-        return np.einsum("ij,jk->ik", matrix, rows)
+        return self._matrix_for(rows.dtype) @ rows
 
     def mix_rows_blocked(
         self,
@@ -448,19 +376,17 @@ class MixingOperator:
         """``W @ rows`` computed over ``(block_rows, d)`` output chunks.
 
         Each output block is the product of the corresponding row slice of
-        ``W`` with the full input — and because both kernels (CSR row
-        iteration and the einsum sum-of-products) accumulate each output row
-        independently over the columns in ascending order, slicing the rows
-        of ``W`` changes *nothing* about any row's accumulation: the blocked
-        product is **bit-identical** to :meth:`apply` for every
-        ``block_rows``.  What it buys is peak-memory control — the largest
-        transient is one ``(block_rows, d)`` chunk instead of whatever the
-        one-shot kernel allocates — and the ability to stream the output
-        into a caller-owned buffer (``out``), e.g. a
-        :class:`~repro.sharding.FleetState` shard or a memory-mapped array.
+        ``W`` with the full input — and because the CSR kernel accumulates
+        each output row independently over its columns in ascending order,
+        slicing the rows of ``W`` changes *nothing* about any row's
+        accumulation: the blocked product is **bit-identical** to
+        :meth:`apply` for every ``block_rows``.  What it buys is peak-memory
+        control — the largest transient is one ``(block_rows, d)`` chunk —
+        and the ability to stream the output into a caller-owned buffer
+        (``out``), e.g. a :class:`~repro.sharding.FleetState` shard or a
+        memory-mapped array.
         """
         rows = self._check_rows(rows)
-        n = self.num_agents
         if block_rows < 1:
             raise ValueError("block_rows must be a positive integer")
         if out is None:
@@ -470,13 +396,9 @@ class MixingOperator:
                 f"out buffer has shape {out.shape}, expected {rows.shape}"
             )
         matrix = self._matrix_for(rows.dtype)
-        for start in range(0, n, block_rows):
-            stop = min(start + block_rows, n)
-            block = matrix[start:stop]
-            if self.format == "csr":
-                out[start:stop] = block @ rows
-            else:
-                out[start:stop] = np.einsum("ij,jk->ik", block, rows)
+        for start in range(0, self.num_agents, block_rows):
+            stop = start + block_rows
+            out[start:stop] = matrix[start:stop] @ rows
         return out
 
     def mix_block(
@@ -491,12 +413,7 @@ class MixingOperator:
         parallel schedule is bit-identical to the serial one.
         """
         rows = self._check_rows(rows)
-        matrix = self._matrix_for(rows.dtype)
-        block = matrix[start:stop]
-        if self.format == "csr":
-            out[start:stop] = block @ rows
-        else:
-            out[start:stop] = np.einsum("ij,jk->ik", block, rows)
+        out[start:stop] = self._matrix_for(rows.dtype)[start:stop] @ rows
 
     def apply_mixed(
         self,
@@ -508,7 +425,7 @@ class MixingOperator:
 
         The mixed-precision gossip kernel: state stays float32 (half the
         memory), but each output row is accumulated in float64 so repeated
-        gossip does not compound single-precision rounding.  The CSR path
+        gossip does not compound single-precision rounding.  Each block
         gathers only the block's referenced input rows
         (``rows[block.indices]``, ~nnz_block rows) and upcasts *those* to
         float64 — never the whole fleet — then segment-reduces per output
@@ -533,36 +450,28 @@ class MixingOperator:
             raise ValueError("out buffer must be a float32 array of matching shape")
         for start in range(0, n, block_rows):
             stop = min(start + block_rows, n)
-            if self.format == "csr":
-                block = self.matrix[start:stop]
-                if block.nnz == 0:
-                    out[start:stop] = 0.0
-                    continue
-                contrib = block.data[:, None] * rows[block.indices].astype(np.float64)
-                counts = np.diff(block.indptr)
-                if counts.all():
-                    acc = np.add.reduceat(contrib, block.indptr[:-1], axis=0)
-                else:
-                    # reduceat mishandles empty segments; scatter-add instead.
-                    acc = np.zeros((stop - start, rows.shape[1]), dtype=np.float64)
-                    np.add.at(
-                        acc,
-                        np.repeat(np.arange(stop - start), counts),
-                        contrib,
-                    )
+            block = self.matrix[start:stop]
+            if block.nnz == 0:
+                out[start:stop] = 0.0
+                continue
+            contrib = block.data[:, None] * rows[block.indices].astype(np.float64)
+            counts = np.diff(block.indptr)
+            if counts.all():
+                acc = np.add.reduceat(contrib, block.indptr[:-1], axis=0)
             else:
-                acc = np.einsum("ij,jk->ik", self.matrix[start:stop], rows)
+                # reduceat mishandles empty segments; scatter-add instead.
+                acc = np.zeros((stop - start, rows.shape[1]), dtype=np.float64)
+                np.add.at(
+                    acc,
+                    np.repeat(np.arange(stop - start), counts),
+                    contrib,
+                )
             out[start:stop] = acc.astype(np.float32)
         return out
 
     def toarray(self) -> np.ndarray:
-        """The matrix as a dense ndarray (converts CSR; entries are preserved exactly)."""
-        if self.format == "csr":
-            return self.matrix.toarray()
-        return self.matrix
+        """The matrix as a dense ndarray (entries are preserved exactly)."""
+        return self.matrix.toarray()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MixingOperator(format={self.format!r}, num_agents={self.num_agents}, "
-            f"nnz={self.nnz})"
-        )
+        return f"MixingOperator(num_agents={self.num_agents}, nnz={self.nnz})"

@@ -74,12 +74,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.topology.graphs import Topology
-from repro.topology.mixing import (
-    MixingMatrix,
-    MixingOperator,
-    metropolis_hastings_weights,
-    preferred_mixing_format,
-)
+from repro.topology.mixing import MixingOperator, metropolis_hastings_weights
 
 __all__ = [
     "TopologyEvent",
@@ -180,16 +175,13 @@ class TopologySchedule:
             self._snapshots.popitem(last=False)
         return snapshot
 
-    def operator_at(
-        self, round_index: int, format: Optional[str] = None
-    ) -> MixingOperator:
+    def operator_at(self, round_index: int) -> MixingOperator:
         """Round ``round_index``'s mixing matrix wrapped for the gossip engine.
 
-        ``format`` follows :meth:`Topology.mixing_operator` (``None``/"auto",
-        ``"dense"``, ``"sparse"``/``"csr"``).  Operators are cached per
-        snapshot, so repeated graphs pay construction once.
+        Operators are cached per snapshot, so repeated graphs pay
+        construction once.
         """
-        return self.topology_at(round_index).mixing_operator(format)
+        return self.topology_at(round_index).mixing_operator()
 
     def cache_info(self) -> Dict[str, int]:
         """Snapshot-cache statistics (used by the micro-benchmarks and tests)."""
@@ -223,10 +215,8 @@ class StaticSchedule(TopologySchedule):
     def topology_at(self, round_index: int) -> Topology:
         return self.base
 
-    def operator_at(
-        self, round_index: int, format: Optional[str] = None
-    ) -> MixingOperator:
-        return self.base.mixing_operator(format)
+    def operator_at(self, round_index: int) -> MixingOperator:
+        return self.base.mixing_operator()
 
     def active_mask_at(self, round_index: int) -> np.ndarray:
         return self._all_active
@@ -523,11 +513,7 @@ class DynamicTopologySchedule(TopologySchedule):
             perm = self._permutation_for_epoch(epoch)
             inverse = np.empty(self.num_agents, dtype=np.intp)
             inverse[perm] = np.arange(self.num_agents)
-            base_w = self.base.mixing_matrix
-            if sp.issparse(base_w):
-                mixing: MixingMatrix = sp.csr_array(base_w[inverse][:, inverse])
-            else:
-                mixing = base_w[np.ix_(inverse, inverse)]
+            mixing = self.base.mixing_matrix[inverse][:, inverse]
             graph = nx.Graph()
             graph.add_nodes_from(range(self.num_agents))
             graph.add_edges_from(self._edges_for_epoch(epoch))
@@ -544,12 +530,9 @@ class DynamicTopologySchedule(TopologySchedule):
             for u, v in self._edges_for_epoch(epoch)
             if (u, v) not in failed_edges and active[u] and active[v]
         )
-        nnz = 2 * graph.number_of_edges() + self.num_agents
-        sparse = preferred_mixing_format(self.num_agents, nnz) == "csr"
-        mixing = metropolis_hastings_weights(graph, sparse=sparse)
         return Topology(
             graph=graph,
-            mixing_matrix=mixing,
+            mixing_matrix=metropolis_hastings_weights(graph),
             name=f"{self.base.name}+dynamic",
             require_connected=False,
         )
@@ -641,17 +624,18 @@ class ShiftOneSchedule(TopologySchedule):
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_agents))
         graph.add_edges_from(pairs)
-        weights = np.zeros((self.num_agents, self.num_agents), dtype=np.float64)
-        np.fill_diagonal(weights, 1.0)
-        for u, v in pairs:
-            weights[u, u] = 0.5
-            weights[v, v] = 0.5
-            weights[u, v] = 0.5
-            weights[v, u] = 0.5
-        nnz = 2 * len(pairs) + self.num_agents
-        mixing: MixingMatrix = weights
-        if preferred_mixing_format(self.num_agents, nnz) == "csr":
-            mixing = sp.csr_array(weights)
+        # W = (I + P) / 2 for the matching's permutation P, assembled
+        # edge-wise; the bye agent is its own partner, so its two diagonal
+        # halves sum to 1.
+        n = self.num_agents
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        partner = np.arange(n)
+        partner[ends[:, 0]], partner[ends[:, 1]] = ends[:, 1], ends[:, 0]
+        agents = np.arange(n)
+        mixing = sp.coo_array(
+            (np.full(2 * n, 0.5), (np.tile(agents, 2), np.concatenate([agents, partner]))),
+            shape=(n, n),
+        )
         return Topology(
             graph=graph,
             mixing_matrix=mixing,

@@ -201,7 +201,7 @@ class TestShiftOnePeerSelection:
         schedule = ShiftOneSchedule(ring_graph(6))
         for round_index in range(schedule.period):
             topology = schedule.topology_at(round_index)
-            w = topology.mixing_operator("dense").toarray()
+            w = topology.mixing_operator().toarray()
             np.testing.assert_allclose(w.sum(axis=0), 1.0)
             np.testing.assert_allclose(w.sum(axis=1), 1.0)
             np.testing.assert_array_equal(w, w.T)

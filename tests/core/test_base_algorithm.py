@@ -395,18 +395,14 @@ class TestVectorizedHelpers:
             max_samples_per_agent=8
         )
 
-    def test_mix_rows_dispatches_to_configured_operator(self, components):
+    def test_mix_rows_dispatches_to_the_topology_operator(self, components):
         model, _, shards, _, _ = components
         topology = ring_graph(4)
         rows = np.random.default_rng(2).normal(size=(4, model.num_params))
-        outputs = {}
-        for mixing_backend in ("dense", "sparse"):
-            config = AlgorithmConfig(
-                sigma=0.0, batch_size=16, mixing_backend=mixing_backend
-            )
-            algorithm = NoOpAlgorithm(model, topology, shards, config)
-            assert algorithm.mixing.format == (
-                "csr" if mixing_backend == "sparse" else "dense"
-            )
-            outputs[mixing_backend] = algorithm.mix_rows(rows)
-        np.testing.assert_array_equal(outputs["dense"], outputs["sparse"])
+        config = AlgorithmConfig(sigma=0.0, batch_size=16)
+        algorithm = NoOpAlgorithm(model, topology, shards, config)
+        assert algorithm.mixing is topology.mixing_operator()
+        np.testing.assert_array_equal(
+            algorithm.mix_rows(rows),
+            np.einsum("ij,jk->ik", topology.mixing_matrix.toarray(), rows),
+        )

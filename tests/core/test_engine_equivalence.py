@@ -1,4 +1,4 @@
-"""Round-pipeline equivalence: the per-agent reference, mixing formats, schedules.
+"""Round-pipeline equivalence: the per-agent reference, schedules, codecs.
 
 The blocked pipeline must compute Algorithm 1 faithfully.  For DP-DPSGD and
 PDSL, :func:`repro.bench.reference.reference_round` runs the same rounds one
@@ -7,11 +7,6 @@ neighbourhood sum per gossip — reading the same keyed streams, so the two
 produce the same ``TrainingHistory`` up to floating-point associativity of
 the re-ordered sums.  Every algorithm's traffic must match one message per
 directed channel per exchange.
-
-The sparse (CSR) mixing backend carries a *stronger* contract: it applies
-the same ``W`` with the same accumulation order as the dense kernel, so
-``mixing_backend="sparse"`` must reproduce the dense trajectory **bit for
-bit** (asserted with exact equality below).
 """
 
 import numpy as np
@@ -77,7 +72,6 @@ def build_algorithm(
     topology_name=None,
     sigma=0.1,
     model="linear",
-    mixing_backend="auto",
     topology_factory=None,
     compression=None,
     **config_overrides,
@@ -103,7 +97,6 @@ def build_algorithm(
         clip_threshold=1.0,
         batch_size=16,
         seed=7,
-        mixing_backend=mixing_backend,
         compression=compression,
         **{**extra, **config_overrides},
     )
@@ -206,6 +199,13 @@ class TestReferenceVariants:
         assert_matches_reference("DP-DPSGD", "full", sigma=0.0)
 
     @pytest.mark.parametrize("algorithm_name", REFERENCE)
+    def test_torus_matches_reference(self, algorithm_name):
+        ref_alg, alg = assert_matches_reference(
+            algorithm_name, None, topology_factory=lambda: torus_graph(3)
+        )
+        assert ref_alg.network.traffic_summary() == alg.network.traffic_summary()
+
+    @pytest.mark.parametrize("algorithm_name", REFERENCE)
     def test_communication_interval_matches_reference(self, algorithm_name):
         ref_alg, alg = assert_matches_reference(
             algorithm_name, "ring", compression={"communication_interval": 2}
@@ -231,12 +231,6 @@ class TestReferenceVariants:
             reference_round(algorithm)
 
 
-SPARSE_TOPOLOGIES = {
-    "ring": lambda: ring_graph(NUM_AGENTS),
-    "torus": lambda: torus_graph(3),  # 9 agents, 4-regular
-}
-
-
 def assert_histories_identical(history_a, history_b):
     """Exact (bitwise) equality of every recorded quantity."""
     assert len(history_a) == len(history_b)
@@ -246,41 +240,6 @@ def assert_histories_identical(history_a, history_b):
         assert rec_a.test_accuracy == rec_b.test_accuracy
         assert rec_a.consensus == rec_b.consensus
     assert history_a.final_test_accuracy == history_b.final_test_accuracy
-
-
-@pytest.mark.parametrize("topology_name", sorted(SPARSE_TOPOLOGIES))
-@pytest.mark.parametrize("algorithm_name", sorted(ALGORITHMS))
-class TestSparseMixingEquivalence:
-    """CSR gossip must reproduce the dense kernel bit for bit."""
-
-    def run(self, algorithm_name, topology_name, mixing_backend):
-        algorithm, test = build_algorithm(
-            algorithm_name,
-            mixing_backend=mixing_backend,
-            topology_factory=SPARSE_TOPOLOGIES[topology_name],
-        )
-        history = run_decentralized(
-            algorithm,
-            num_rounds=ROUNDS,
-            evaluation=EvaluationConfig(eval_every=1, test_data=test),
-        )
-        return algorithm, history
-
-    def test_bit_identical_training_history(self, algorithm_name, topology_name):
-        dense_alg, dense_history = self.run(algorithm_name, topology_name, "dense")
-        sparse_alg, sparse_history = self.run(algorithm_name, topology_name, "sparse")
-        assert dense_alg.mixing.format == "dense"
-        assert sparse_alg.mixing.format == "csr"
-        assert_histories_identical(dense_history, sparse_history)
-        np.testing.assert_array_equal(dense_alg.state, sparse_alg.state)
-        np.testing.assert_array_equal(dense_alg.momentum_state, sparse_alg.momentum_state)
-
-    def test_identical_traffic_accounting(self, algorithm_name, topology_name):
-        dense_alg, _ = self.run(algorithm_name, topology_name, "dense")
-        sparse_alg, _ = self.run(algorithm_name, topology_name, "sparse")
-        assert (
-            dense_alg.network.traffic_summary() == sparse_alg.network.traffic_summary()
-        )
 
 
 class TestScheduleEquivalence:
@@ -404,32 +363,15 @@ class TestIdentityCodecBitIdentity:
         )
 
 
-class TestSparseMixingVariants:
-    def test_auto_selection_prefers_dense_for_small_fleets(self):
-        algorithm, _ = build_algorithm("DP-DPSGD", "ring")
-        assert algorithm.config.mixing_backend == "auto"
-        assert algorithm.mixing.format == "dense"
-
-    def test_sparse_override_respected_on_small_fleets(self):
-        algorithm, _ = build_algorithm("DP-DPSGD", "ring", mixing_backend="sparse")
-        assert algorithm.mixing.format == "csr"
-
-    def test_sparse_mixing_matches_reference(self):
-        # The reference never applies the operator, but a sparse-stored
-        # topology must still serve its neighbour queries and weights.
-        ref_alg, _ = assert_matches_reference("DP-DPSGD", "ring", mixing_backend="sparse")
-        assert ref_alg.mixing.format == "csr"
-
-    def test_sparse_stored_topology_runs_end_to_end(self):
+class TestLargerFleets:
+    def test_fleet_of_80_runs_end_to_end(self):
         from repro.data.partition import partition_iid
 
-        topology = ring_graph(80)  # above the auto-sparse threshold
-        assert topology.mixing_is_sparse
+        topology = ring_graph(80)
         data = make_classification_dataset(640, num_features=8, num_classes=4, seed=0)
         shards = partition_iid(data, 80, np.random.default_rng(0)).shards
         config = AlgorithmConfig(sigma=0.1, batch_size=8)
         algorithm = DPDPSGD(make_linear_classifier(8, 4, seed=0), topology, shards, config)
-        assert algorithm.mixing.format == "csr"
         history = run_decentralized(algorithm, num_rounds=2)
         assert len(history) >= 1
         assert np.isfinite(algorithm.state).all()

@@ -139,12 +139,11 @@ class TestDropMask:
         assert not np.array_equal(model, streams.edge_uniforms(1, "model", senders, recipients))
         assert 0.45 < float((model < 0.5).mean()) < 0.55
 
-    @pytest.mark.parametrize("mixing_backend", ["dense", "sparse"])
-    def test_lossy_operator_zeroes_exactly_the_dropped_weights(self, mixing_backend):
-        algorithm, _ = build_algorithm("DMSGD", "full", mixing_backend=mixing_backend)
+    def test_lossy_operator_zeroes_exactly_the_dropped_weights(self):
+        algorithm, _ = build_algorithm("DMSGD", "full")
         lossy(algorithm, 0.4)
-        operator, dropped = algorithm._lossy_mixing("model")
         base = algorithm.mixing.toarray()
+        operator, dropped = algorithm._lossy_mixing("model")
         lossy_w = operator.toarray()
         recipients, senders = np.nonzero((base > 0) & ~np.eye(NUM_AGENTS, dtype=bool))
         arrived = algorithm._delivered("model", senders, recipients)
@@ -153,17 +152,8 @@ class TestDropMask:
         np.testing.assert_array_equal(
             lossy_w[recipients, senders], np.where(arrived, base[recipients, senders], 0.0)
         )
-        assert operator.format == algorithm.mixing.format
-
-    def test_dense_and_sparse_lossy_runs_are_bit_identical(self):
-        runs = []
-        for mixing_backend in ("dense", "sparse"):
-            algorithm, _ = build_algorithm("PDSL", "full", mixing_backend=mixing_backend)
-            lossy(algorithm, 0.3)
-            for _ in range(3):
-                algorithm.run_round()
-            runs.append(snapshot(algorithm))
-        assert_same_snapshot(*runs)
+        # The round's own operator is left untouched.
+        np.testing.assert_array_equal(algorithm.mixing.toarray(), base)
 
     def test_cross_gradients_skip_pairs_whose_model_was_dropped(self):
         algorithm, _ = build_algorithm("PDSL", "full")

@@ -74,7 +74,7 @@ class TestFleetState:
         np.testing.assert_array_equal(fleet.to_array(), source * 2.0)
 
     def test_mix_from_matches_operator(self, rng):
-        operator = ring_graph(12).mixing_operator("csr")
+        operator = ring_graph(12).mixing_operator()
         source = FleetState(12, 5, block_rows=5)
         source.fill_from(rng.normal(size=(12, 5)))
         target = FleetState(12, 5, block_rows=5)

@@ -137,7 +137,7 @@ class TestScalingKnobs:
         assert spec.cluster_size is None
 
     def test_valid_knobs_accepted(self):
-        spec = fast_spec(topology="hierarchical").with_updates(
+        spec = fast_spec(num_agents=8, topology="hierarchical").with_updates(
             dtype="mixed", block_rows=4096, cluster_size=4
         )
         assert spec.dtype == "mixed"
@@ -159,7 +159,7 @@ class TestScalingKnobs:
     def test_knobs_survive_serialization(self):
         from repro.experiments.specs import spec_from_dict, spec_to_dict
 
-        spec = fast_spec(topology="hierarchical").with_updates(
+        spec = fast_spec(num_agents=8, topology="hierarchical").with_updates(
             dtype="float32", block_rows=128, cluster_size=4
         )
         restored = spec_from_dict(spec_to_dict(spec))
@@ -167,6 +167,48 @@ class TestScalingKnobs:
         assert restored.block_rows == 128
         assert restored.cluster_size == 4
         assert restored == spec
+
+
+class TestTopologyRulesAtParseTime:
+    """A spec that names an unbuildable topology fails when it is parsed."""
+
+    def test_unknown_topology_rejected(self):
+        with pytest.raises(ValueError, match="unknown topology 'rign'"):
+            ExperimentSpec(name="x", topology="rign")
+
+    def test_unknown_topology_override_rejected_by_grid(self):
+        from repro.experiments.specs import ExperimentGrid
+
+        with pytest.raises(ValueError, match="override #0.*unknown topology"):
+            ExperimentGrid(base=fast_spec(), overrides=[{"topology": "rign"}])
+
+    @pytest.mark.parametrize(
+        "topology, num_agents, cluster_size, message",
+        [
+            ("torus", 10, None, "square"),
+            ("hypercube", 10, None, "power-of-two"),
+            ("hierarchical", 6, 4, "divisor"),
+            ("hierarchical", 9, None, "divisor"),
+            ("ring", 2, None, "at least 3"),
+        ],
+    )
+    def test_size_rules(self, topology, num_agents, cluster_size, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(
+                name="x",
+                topology=topology,
+                num_agents=num_agents,
+                cluster_size=cluster_size,
+            )
+
+    def test_valid_sizes_accepted(self):
+        ExperimentSpec(name="x", topology="torus", num_agents=9)
+        ExperimentSpec(name="x", topology="hypercube", num_agents=16)
+        ExperimentSpec(name="x", topology="hierarchical", num_agents=8, cluster_size=4)
+
+    def test_nonpositive_eval_every_rejected(self):
+        with pytest.raises(ValueError, match="eval_every"):
+            fast_spec().with_updates(eval_every=0)
 
 
 class TestTimeModelField:

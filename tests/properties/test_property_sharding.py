@@ -49,18 +49,16 @@ def _build(name: str, **config_kwargs):
 class TestBlockedMixingBitIdentity:
     """``mix_rows_blocked`` must equal ``apply`` bit for bit."""
 
-    @pytest.mark.parametrize("fmt", ["dense", "csr"])
     @pytest.mark.parametrize("block_rows", [1, 7, NUM_AGENTS, 3 * NUM_AGENTS])
-    def test_ring(self, fmt, block_rows, rng):
-        operator = ring_graph(NUM_AGENTS).mixing_operator(fmt)
+    def test_ring(self, block_rows, rng):
+        operator = ring_graph(NUM_AGENTS).mixing_operator()
         state = rng.normal(size=(NUM_AGENTS, 9))
         np.testing.assert_array_equal(
             operator.apply(state), operator.mix_rows_blocked(state, block_rows)
         )
 
-    @pytest.mark.parametrize("fmt", ["dense", "csr"])
-    def test_torus_every_block_size(self, fmt, rng):
-        operator = torus_graph(5).mixing_operator(fmt)
+    def test_torus_every_block_size(self, rng):
+        operator = torus_graph(5).mixing_operator()
         state = rng.normal(size=(25, 4))
         expected = operator.apply(state)
         for block_rows in range(1, 26):
@@ -69,7 +67,7 @@ class TestBlockedMixingBitIdentity:
             )
 
     def test_out_buffer(self, rng):
-        operator = ring_graph(12).mixing_operator("csr")
+        operator = ring_graph(12).mixing_operator()
         state = rng.normal(size=(12, 5))
         out = np.empty_like(state)
         result = operator.mix_rows_blocked(state, 5, out=out)
@@ -77,7 +75,7 @@ class TestBlockedMixingBitIdentity:
         np.testing.assert_array_equal(out, operator.apply(state))
 
     def test_rejects_bad_block(self, rng):
-        operator = ring_graph(8).mixing_operator("csr")
+        operator = ring_graph(8).mixing_operator()
         with pytest.raises(ValueError):
             operator.mix_rows_blocked(rng.normal(size=(8, 3)), 0)
 
@@ -85,23 +83,18 @@ class TestBlockedMixingBitIdentity:
 class TestMixedPrecisionKernel:
     """``apply_mixed``: float32 in/out, float64 accumulation, blocked."""
 
-    @pytest.mark.parametrize("fmt", ["dense", "csr"])
     @pytest.mark.parametrize("block_rows", [None, 1, 7, NUM_AGENTS])
-    def test_matches_float64_reference(self, fmt, block_rows, rng):
-        operator = ring_graph(NUM_AGENTS).mixing_operator(fmt)
+    def test_matches_float64_reference(self, block_rows, rng):
+        operator = ring_graph(NUM_AGENTS).mixing_operator()
         state = rng.normal(size=(NUM_AGENTS, 9)).astype(np.float32)
         result = operator.apply_mixed(state, block_rows=block_rows)
         assert result.dtype == np.float32
-        dense_w = (
-            operator.matrix.toarray()
-            if hasattr(operator.matrix, "toarray")
-            else np.asarray(operator.matrix)
-        )
+        dense_w = operator.toarray()
         reference = (dense_w @ state.astype(np.float64)).astype(np.float32)
         np.testing.assert_allclose(result, reference, rtol=2e-6, atol=2e-7)
 
     def test_block_size_does_not_change_result(self, rng):
-        operator = ring_graph(NUM_AGENTS).mixing_operator("csr")
+        operator = ring_graph(NUM_AGENTS).mixing_operator()
         state = rng.normal(size=(NUM_AGENTS, 6)).astype(np.float32)
         reference = operator.apply_mixed(state, block_rows=None)
         for block_rows in (1, 3, 5, NUM_AGENTS):
@@ -110,7 +103,7 @@ class TestMixedPrecisionKernel:
             )
 
     def test_float32_fast_path_dtype(self, rng):
-        operator = ring_graph(NUM_AGENTS).mixing_operator("csr")
+        operator = ring_graph(NUM_AGENTS).mixing_operator()
         state = rng.normal(size=(NUM_AGENTS, 6)).astype(np.float32)
         assert operator.apply(state).dtype == np.float32
 

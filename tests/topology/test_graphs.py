@@ -3,17 +3,30 @@
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.topology.graphs import (
+    TOPOLOGY_NAMES,
     Topology,
     bipartite_graph,
+    check_topology,
     erdos_renyi_graph,
     fully_connected_graph,
     grid_graph,
     ring_graph,
     star_graph,
 )
-from repro.topology.mixing import is_doubly_stochastic, is_symmetric
+from repro.topology.hierarchical import hierarchical_graph
+from repro.topology.mixing import (
+    is_doubly_stochastic,
+    is_symmetric,
+    metropolis_hastings_weights,
+)
+from repro.topology.schedule import (
+    DynamicTopologySchedule,
+    ShiftOneSchedule,
+    periodic_rewiring_schedule,
+)
 
 
 ALL_BUILDERS = [
@@ -73,7 +86,7 @@ def test_neighbors_include_self_and_match_matrix(builder):
 class TestFullyConnected:
     def test_uniform_weights(self):
         topo = fully_connected_graph(5)
-        np.testing.assert_allclose(topo.mixing_matrix, 1.0 / 5)
+        np.testing.assert_array_equal(topo.mixing_matrix.toarray(), np.full((5, 5), 1.0 / 5))
 
     def test_everyone_is_neighbor(self):
         topo = fully_connected_graph(6)
@@ -183,3 +196,85 @@ class TestTopologyValidation:
         )
         with pytest.raises(ValueError):
             Topology(graph=graph, mixing_matrix=mixing)
+
+
+def _accessor_cases():
+    """Every harness topology name at 16 agents, plus schedule snapshots."""
+    from repro.experiments.harness import _make_topology
+
+    cases = {
+        name: (lambda name=name: _make_topology(name, 16, seed=0))
+        for name in TOPOLOGY_NAMES
+    }
+    cases["hierarchical_fully_connected"] = lambda: hierarchical_graph(
+        12, cluster_size=3, cluster_topology="fully_connected"
+    )
+    cases["rewired_snapshot"] = lambda: periodic_rewiring_schedule(
+        ring_graph(10), rewire_every=2, seed=1
+    ).topology_at(2)
+    cases["dynamic_snapshot"] = lambda: DynamicTopologySchedule(
+        ring_graph(12),
+        rewire_every=2,
+        churn_rate=0.3,
+        rejoin_rate=0.3,
+        edge_failure_rate=0.2,
+        seed=1,
+    ).topology_at(3)
+    cases["shift_one_snapshot"] = lambda: ShiftOneSchedule(ring_graph(7)).topology_at(2)
+    return cases
+
+
+ACCESSOR_CASES = _accessor_cases()
+
+
+@pytest.mark.parametrize("case", sorted(ACCESSOR_CASES))
+def test_csr_accessors_agree_with_the_dense_matrix(case):
+    topology = ACCESSOR_CASES[case]()
+    assert isinstance(topology.mixing_matrix, sp.csr_array)
+    dense = topology.mixing_matrix.toarray()
+    n = topology.num_agents
+    off_diagonal = (dense > 0.0) & ~np.eye(n, dtype=bool)
+    assert topology.num_directed_edges == int(off_diagonal.sum())
+    assert topology.min_weight() == dense[dense > 0.0].min()
+    for i in range(n):
+        expected = [int(j) for j in np.flatnonzero(off_diagonal[i])]
+        assert topology.neighbors(i, include_self=False) == expected
+        assert topology.neighbors(i) == sorted(expected + [i])
+        for j in range(n):
+            assert topology.weight(i, j) == dense[i, j]
+    assert topology.directed_pairs() == [
+        (int(i), int(j)) for i, j in zip(*np.nonzero(off_diagonal))
+    ]
+
+
+def test_ndarray_mixing_matrix_is_stored_as_identical_csr():
+    graph = nx.cycle_graph(6)
+    mixing = metropolis_hastings_weights(graph).toarray()
+    topology = Topology(graph=graph, mixing_matrix=mixing)
+    assert isinstance(topology.mixing_matrix, sp.csr_array)
+    assert topology.mixing_matrix.has_canonical_format
+    np.testing.assert_array_equal(topology.mixing_matrix.toarray(), mixing)
+    assert topology.mixing_matrix.nnz == int(np.count_nonzero(mixing))
+
+
+@pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+def test_check_topology_minimum_matches_the_constructor(name, monkeypatch):
+    """The rule table's smallest fleet is exactly the constructor's smallest."""
+    from repro.experiments import harness
+
+    smallest = min(n for n in range(1, 17) if _accepts(name, n))
+    assert harness._make_topology(name, smallest, seed=0).num_agents == smallest
+    with pytest.raises(ValueError):
+        check_topology(name, smallest - 1)
+    # Without the check, the constructor itself refuses one agent fewer.
+    monkeypatch.setattr(harness, "check_topology", lambda *args: None)
+    with pytest.raises(ValueError):
+        harness._make_topology(name, smallest - 1, seed=0)
+
+
+def _accepts(name, num_agents):
+    try:
+        check_topology(name, num_agents)
+    except ValueError:
+        return False
+    return True

@@ -1,15 +1,16 @@
-"""Hierarchical (two-level) gossip: clusters, factored mixing, traffic tags."""
+"""Hierarchical (two-level) gossip: clusters, the blown-up mixing matrix, traffic tags."""
 
+import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.topology.hierarchical import (
     HierarchicalTopology,
-    TwoLevelMixingOperator,
     default_cluster_size,
     hierarchical_graph,
 )
-from repro.topology.mixing import validate_mixing_matrix
+from repro.topology.mixing import metropolis_hastings_weights, validate_mixing_matrix
 
 
 class TestDefaultClusterSize:
@@ -36,7 +37,8 @@ class TestHierarchicalGraph:
 
     def test_effective_matrix_doubly_stochastic(self):
         topology = hierarchical_graph(24, cluster_size=4)
-        effective = topology.two_level_operator().effective_matrix()
+        effective = topology.mixing_matrix
+        assert isinstance(effective, sp.csr_array)
         validate_mixing_matrix(effective)
         np.testing.assert_allclose(effective.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(effective.sum(axis=1), 1.0, atol=1e-12)
@@ -55,8 +57,19 @@ class TestHierarchicalGraph:
 
     def test_fully_connected_cluster_level(self):
         topology = hierarchical_graph(16, cluster_size=4, cluster_topology="fully_connected")
-        effective = topology.two_level_operator().effective_matrix()
-        validate_mixing_matrix(effective)
+        validate_mixing_matrix(topology.mixing_matrix)
+        np.testing.assert_array_equal(
+            topology.mixing_matrix.toarray(), np.full((16, 16), 1.0 / 16)
+        )
+
+    def test_matrix_is_the_kronecker_blow_up(self):
+        # W_eff[i, j] = W_K[cluster(i), cluster(j)] / c, entry for entry.
+        c, k = 4, 6
+        topology = hierarchical_graph(c * k, cluster_size=c)
+        cluster_w = metropolis_hastings_weights(nx.cycle_graph(k)).toarray()
+        members = np.arange(c * k) // c
+        expected = cluster_w[np.ix_(members, members)] * (1.0 / c)
+        np.testing.assert_array_equal(topology.mixing_matrix.toarray(), expected)
 
     def test_directed_edge_split(self):
         topology = hierarchical_graph(16, cluster_size=4)
@@ -64,41 +77,14 @@ class TestHierarchicalGraph:
         # Dense intra-cluster averaging: c-1 peers per agent.
         assert intra == 16 * 3
         assert inter > 0
-        matrix = topology.mixing_matrix
-        dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
-        total = int(np.count_nonzero(dense)) - 16  # minus diagonal
+        total = int(np.count_nonzero(topology.mixing_matrix.toarray())) - 16  # minus diagonal
         assert intra + inter == total
 
 
-class TestTwoLevelMixingOperator:
-    def test_factored_apply_matches_effective_matrix(self, rng):
-        operator = hierarchical_graph(24, cluster_size=4).two_level_operator()
-        state = rng.normal(size=(24, 7))
-        expected = operator.effective_matrix() @ state
-        np.testing.assert_allclose(operator.apply(state), expected, atol=1e-12)
-
-    def test_blocked_apply_bit_identical(self, rng):
-        operator = hierarchical_graph(24, cluster_size=4).two_level_operator()
-        state = rng.normal(size=(24, 7))
-        reference = operator.apply(state)
-        for block_rows in (1, 5, 24):
-            np.testing.assert_array_equal(
-                reference, operator.mix_rows_blocked(state, block_rows)
-            )
-
-    def test_effective_operator_agrees(self, rng):
-        topology = hierarchical_graph(16, cluster_size=4)
-        operator = topology.two_level_operator()
-        state = rng.normal(size=(16, 3))
-        np.testing.assert_allclose(
-            operator.apply(state),
-            operator.effective_operator().apply(state),
-            atol=1e-12,
-        )
-
+class TestHierarchicalGossip:
     def test_consensus_contraction(self, rng):
         """Two-level gossip must shrink disagreement every application."""
-        operator = hierarchical_graph(32, cluster_size=8).two_level_operator()
+        operator = hierarchical_graph(32, cluster_size=8).mixing_operator()
         state = rng.normal(size=(32, 4))
         before = np.linalg.norm(state - state.mean(axis=0))
         after_state = operator.apply(state)
@@ -107,6 +93,17 @@ class TestTwoLevelMixingOperator:
         np.testing.assert_allclose(
             after_state.mean(axis=0), state.mean(axis=0), atol=1e-12
         )
+
+    def test_apply_averages_within_clusters(self, rng):
+        # One step maps every member of a cluster to the same row: the
+        # cluster-level mix of the cluster means.
+        operator = hierarchical_graph(24, cluster_size=4).mixing_operator()
+        state = rng.normal(size=(24, 7))
+        mixed = operator.apply(state).reshape(6, 4, 7)
+        np.testing.assert_allclose(mixed, mixed[:, :1, :].repeat(4, axis=1), atol=1e-12)
+        means = state.reshape(6, 4, 7).mean(axis=1)
+        cluster_w = metropolis_hastings_weights(nx.cycle_graph(6)).toarray()
+        np.testing.assert_allclose(mixed[:, 0, :], cluster_w @ means, atol=1e-12)
 
 
 class TestEngineIntegration:

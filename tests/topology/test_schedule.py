@@ -1,13 +1,17 @@
 """Unit tests for time-varying topology schedules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.topology.graphs import ring_graph, torus_graph
 from repro.topology.mixing import validate_mixing_matrix
 from repro.topology.schedule import (
     DYNAMICS_KEYS,
     DynamicTopologySchedule,
+    ShiftOneSchedule,
     StaticSchedule,
     churn_schedule,
     edge_failure_schedule,
@@ -28,15 +32,34 @@ class TestStaticSchedule:
         assert schedule.is_static
         for round_index in (0, 1, 17):
             assert schedule.topology_at(round_index) is base
-            assert schedule.operator_at(round_index) is base.mixing_operator(None)
+            assert schedule.operator_at(round_index) is base.mixing_operator()
             assert schedule.active_mask_at(round_index).all()
             assert schedule.events_at(round_index) == []
 
-    def test_respects_operator_format(self):
-        base = ring_graph(6)
-        schedule = StaticSchedule(base)
-        assert schedule.operator_at(0, "sparse").format == "csr"
-        assert schedule.operator_at(0, "dense").format == "dense"
+
+class TestShiftOneSnapshots:
+    @pytest.mark.parametrize("num_agents", [6, 7])
+    def test_round_matrix_is_half_identity_plus_matching(self, num_agents):
+        schedule = ShiftOneSchedule(ring_graph(num_agents))
+        for round_index in range(schedule.period):
+            expected = np.eye(num_agents)
+            for u, v in schedule.pairs_at(round_index):
+                expected[[u, u, v, v], [u, v, u, v]] = 0.5
+            topology = schedule.topology_at(round_index)
+            assert isinstance(topology.mixing_matrix, sp.csr_array)
+            np.testing.assert_array_equal(topology.mixing_matrix.toarray(), expected)
+
+    def test_snapshot_never_allocates_the_dense_matrix(self):
+        # A dense 4096 x 4096 float64 matrix alone is 128 MiB; the edge-wise
+        # CSR assembly of the 8192 nonzeros stays far below that.
+        schedule = ShiftOneSchedule(ring_graph(4096))
+        tracemalloc.start()
+        try:
+            schedule.operator_at(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
 
 class TestPeriodicRewiring:
@@ -86,8 +109,8 @@ class TestPeriodicRewiring:
         rewired = schedule.topology_at(2)
         assert rewired is not base
         validate_mixing_matrix(rewired.mixing_matrix)
-        base_w = base.mixing_operator("dense").toarray()
-        rewired_w = rewired.mixing_operator("dense").toarray()
+        base_w = base.mixing_operator().toarray()
+        rewired_w = rewired.mixing_operator().toarray()
         # Same multiset of weights, and every base edge weight reappears on
         # some relabelled edge with identical self-weights on the diagonal.
         np.testing.assert_allclose(np.sort(rewired_w.ravel()), np.sort(base_w.ravel()))
@@ -153,7 +176,7 @@ class TestChurn:
             topology = schedule.topology_at(t)
             validate_mixing_matrix(topology.mixing_matrix)
             mask = schedule.active_mask_at(t)
-            w = topology.mixing_operator("dense").toarray()
+            w = topology.mixing_operator().toarray()
             for agent in np.flatnonzero(~mask):
                 expected = np.zeros(8)
                 expected[agent] = 1.0

@@ -1,9 +1,11 @@
-"""Sparse (CSR) mixing backend: builders, validation, operators, diagnostics.
+"""CSR mixing: builders, validation, the operator kernel, diagnostics.
 
-The CSR path must be a pure storage optimisation: edge-wise builders agree
-with the dense builders, validation checks the same Assumption 3 structure
-without densifying, and the dense and CSR :class:`MixingOperator` kernels
-produce bit-identical gossip results for the same matrix.
+``W`` is always CSR.  The edge-wise builders must match the textbook dense
+construction, validation checks Assumption 3's structure without
+densifying, and the :class:`MixingOperator` kernel must reproduce a dense
+sequential sum-of-products (``np.einsum``) over the same matrix bit for
+bit — the ascending-column accumulation every blocked and parallel gossip
+variant relies on.
 """
 
 import networkx as nx
@@ -21,13 +23,11 @@ from repro.topology.graphs import (
     torus_graph,
 )
 from repro.topology.mixing import (
-    AUTO_SPARSE_MIN_AGENTS,
     DENSE_EIG_MAX_AGENTS,
     MixingOperator,
     is_doubly_stochastic,
     is_symmetric,
     metropolis_hastings_weights,
-    preferred_mixing_format,
     second_largest_eigenvalue,
     spectral_gap,
     uniform_neighbor_weights,
@@ -43,24 +43,50 @@ GRAPHS = [
 ]
 
 
-@pytest.mark.parametrize("graph", GRAPHS)
-@pytest.mark.parametrize("builder", [metropolis_hastings_weights, uniform_neighbor_weights])
-class TestCsrBuilders:
-    def test_matches_dense_builder(self, builder, graph):
-        dense = builder(graph)
-        sparse = builder(graph, sparse=True)
-        assert sp.issparse(sparse)
-        np.testing.assert_allclose(sparse.toarray(), dense, atol=1e-12)
+def dense_weights(graph, edge_weight):
+    """The textbook dense construction: edge weights, then the residual diagonal."""
+    nodes = sorted(graph.nodes())
+    index = {node: k for k, node in enumerate(nodes)}
+    w = np.zeros((len(nodes), len(nodes)))
+    for u, v in graph.edges():
+        w[index[u], index[v]] = w[index[v], index[u]] = edge_weight(u, v)
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
 
-    def test_csr_satisfies_assumption3(self, builder, graph):
-        sparse = builder(graph, sparse=True)
+
+def dense_metropolis_hastings(graph):
+    return dense_weights(
+        graph, lambda u, v: 1.0 / (1.0 + max(graph.degree[u], graph.degree[v]))
+    )
+
+
+def dense_uniform(graph):
+    d_max = max(degree for _, degree in graph.degree())
+    return dense_weights(graph, lambda u, v: 1.0 / (d_max + 1.0))
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize(
+    "builder, reference",
+    [
+        (metropolis_hastings_weights, dense_metropolis_hastings),
+        (uniform_neighbor_weights, dense_uniform),
+    ],
+)
+class TestCsrBuilders:
+    def test_matches_dense_construction(self, builder, reference, graph):
+        sparse = builder(graph)
+        assert isinstance(sparse, sp.csr_array)
+        np.testing.assert_allclose(sparse.toarray(), reference(graph), atol=1e-12)
+
+    def test_csr_satisfies_assumption3(self, builder, reference, graph):
+        sparse = builder(graph)
         assert is_symmetric(sparse)
         assert is_doubly_stochastic(sparse)
         validate_mixing_matrix(sparse)
 
-    def test_zero_weight_exactly_on_non_edges(self, builder, graph):
-        sparse = builder(graph, sparse=True)
-        dense = sparse.toarray()
+    def test_zero_weight_exactly_on_non_edges(self, builder, reference, graph):
+        dense = builder(graph).toarray()
         nodes = sorted(graph.nodes())
         index = {node: k for k, node in enumerate(nodes)}
         for u in nodes:
@@ -97,12 +123,12 @@ class TestCsrValidation:
         # A 100k-agent ring: the dense matrix would be 10^10 entries (~80 GB),
         # so merely finishing proves the checks stay on the sparse structure.
         graph = nx.cycle_graph(100_000)
-        w = metropolis_hastings_weights(graph, sparse=True)
+        w = metropolis_hastings_weights(graph)
         validate_mixing_matrix(w)
         assert w.nnz == 3 * 100_000
 
     def test_contraction_check_on_csr(self):
-        w = metropolis_hastings_weights(nx.cycle_graph(11), sparse=True)
+        w = metropolis_hastings_weights(nx.cycle_graph(11))
         validate_mixing_matrix(w, require_contraction=True)
         disconnected = sp.csr_array(sp.eye(5).tocsr())
         with pytest.raises(ValueError, match="spectral gap"):
@@ -115,7 +141,7 @@ class TestSpectralDiagnostics:
         # threshold, Lanczos above it (forced by a graph larger than
         # DENSE_EIG_MAX_AGENTS).
         n = DENSE_EIG_MAX_AGENTS + 64
-        w = metropolis_hastings_weights(nx.cycle_graph(n), sparse=True)
+        w = metropolis_hastings_weights(nx.cycle_graph(n))
         lanczos = second_largest_eigenvalue(w)
         dense = np.linalg.eigvalsh(w.toarray())
         expected = float(np.sort(np.abs(dense))[::-1][1])
@@ -123,34 +149,59 @@ class TestSpectralDiagnostics:
 
     def test_eigsh_matches_analytic_ring_value(self):
         n = 2048
-        w = metropolis_hastings_weights(nx.cycle_graph(n), sparse=True)
+        w = metropolis_hastings_weights(nx.cycle_graph(n))
         # Ring MH weights are (1 + 2 cos(2 pi k / n)) / 3; the second-largest
         # magnitude is attained at k = 1.
         analytic = (1.0 + 2.0 * np.cos(2.0 * np.pi / n)) / 3.0
         assert second_largest_eigenvalue(w) == pytest.approx(analytic, abs=1e-8)
         assert 0.0 < spectral_gap(w) < 1e-4
 
-    def test_eigsh_accepts_dense_storage_above_threshold(self):
+    def test_eigsh_accepts_ndarray_above_threshold(self):
         n = DENSE_EIG_MAX_AGENTS + 32
         w = metropolis_hastings_weights(nx.cycle_graph(n))
-        assert isinstance(w, np.ndarray)
-        assert spectral_gap(w) > 0.0
+        assert spectral_gap(w.toarray()) == pytest.approx(spectral_gap(w), abs=1e-10)
+
+
+def einsum_reference(w, rows):
+    """Dense sequential sum-of-products over ascending columns."""
+    return np.einsum("ij,jk->ik", np.asarray(w), rows)
 
 
 class TestMixingOperator:
-    def test_dense_and_csr_apply_bit_identical(self):
-        for graph in GRAPHS:
-            w = metropolis_hastings_weights(graph)
-            dense_op = MixingOperator(w)
-            csr_op = MixingOperator(sp.csr_array(w))
-            rows = np.random.default_rng(0).normal(size=(w.shape[0], 23))
-            np.testing.assert_array_equal(dense_op.apply(rows), csr_op.apply(rows))
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_apply_matches_einsum_reference_bitwise(self, graph):
+        w = metropolis_hastings_weights(graph)
+        rows = np.random.default_rng(0).normal(size=(w.shape[0], 23))
+        operator = MixingOperator(w)
+        expected = einsum_reference(w.toarray(), rows)
+        np.testing.assert_array_equal(operator.apply(rows), expected)
+        for block_rows in (1, 3, w.shape[0]):
+            np.testing.assert_array_equal(
+                operator.mix_rows_blocked(rows, block_rows), expected
+            )
+
+    def test_float32_apply_matches_einsum_reference_bitwise(self):
+        w = metropolis_hastings_weights(nx.erdos_renyi_graph(20, 0.3, seed=0))
+        rows = np.random.default_rng(2).normal(size=(20, 9)).astype(np.float32)
+        out = MixingOperator(w).apply(rows)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(
+            out, einsum_reference(w.toarray().astype(np.float32), rows)
+        )
 
     def test_apply_matches_matmul_semantics(self):
         w = metropolis_hastings_weights(nx.cycle_graph(9))
         rows = np.random.default_rng(1).normal(size=(9, 5))
-        for op in (MixingOperator(w), MixingOperator(sp.csr_array(w))):
-            np.testing.assert_allclose(op.apply(rows), w @ rows, atol=1e-12)
+        np.testing.assert_allclose(
+            MixingOperator(w).apply(rows), w.toarray() @ rows, atol=1e-12
+        )
+
+    def test_ndarray_input_becomes_canonical_csr(self):
+        w = metropolis_hastings_weights(nx.cycle_graph(7))
+        operator = MixingOperator(w.toarray())
+        assert isinstance(operator.matrix, sp.csr_array)
+        assert operator.matrix.has_canonical_format
+        np.testing.assert_array_equal(operator.toarray(), w.toarray())
 
     def test_shape_mismatch_rejected(self):
         op = MixingOperator(metropolis_hastings_weights(nx.cycle_graph(6)))
@@ -158,81 +209,22 @@ class TestMixingOperator:
             op.apply(np.zeros((5, 3)))
 
     def test_metadata(self):
-        w = metropolis_hastings_weights(nx.cycle_graph(10), sparse=True)
-        op = MixingOperator(w)
-        assert op.format == "csr"
+        op = MixingOperator(metropolis_hastings_weights(nx.cycle_graph(10)))
         assert op.num_agents == 10
         assert op.nnz == 30
         assert op.density == pytest.approx(0.3)
-        assert MixingOperator(w.toarray()).format == "dense"
-
-
-class TestFormatSelection:
-    def test_small_fleets_stay_dense(self):
-        assert preferred_mixing_format(8, 24) == "dense"
-        assert ring_graph(8).mixing_operator().format == "dense"
-
-    def test_large_sparse_fleets_use_csr(self):
-        n = AUTO_SPARSE_MIN_AGENTS
-        assert preferred_mixing_format(n, 3 * n) == "csr"
-        topology = ring_graph(4 * n)
-        assert topology.mixing_is_sparse
-        assert topology.mixing_operator().format == "csr"
-
-    def test_dense_graphs_stay_dense_at_any_size(self):
-        # Density above the threshold keeps the dense kernel even for big fleets.
-        assert preferred_mixing_format(1024, 1024 * 1024) == "dense"
-
-    def test_explicit_override(self):
-        topology = ring_graph(10)
-        assert topology.mixing_operator("sparse").format == "csr"
-        assert topology.mixing_operator("csr").format == "csr"
-        assert topology.mixing_operator("dense").format == "dense"
-        with pytest.raises(ValueError, match="mixing format"):
-            topology.mixing_operator("blocked")
-
-    def test_format_conversions_preserve_entries_exactly(self):
-        topology = ring_graph(50)
-        dense = topology.mixing_operator("dense").matrix
-        csr = topology.mixing_operator("csr").matrix
-        np.testing.assert_array_equal(csr.toarray(), dense)
 
 
 class TestSparseTopology:
-    """Topology accessors must behave identically under either storage."""
-
-    @pytest.fixture()
-    def twins(self):
+    def test_spectral_properties_match_dense_eigensolve(self):
         graph = nx.convert_node_labels_to_integers(
             nx.erdos_renyi_graph(30, 0.2, seed=3), ordering="sorted"
         )
-        dense = Topology(graph, metropolis_hastings_weights(graph), name="dense")
-        sparse = Topology(
-            graph.copy(), metropolis_hastings_weights(graph, sparse=True), name="sparse"
-        )
-        return dense, sparse
-
-    def test_neighbors_agree(self, twins):
-        dense, sparse = twins
-        assert sparse.mixing_is_sparse and not dense.mixing_is_sparse
-        for agent in range(dense.num_agents):
-            assert dense.neighbors(agent) == sparse.neighbors(agent)
-            assert dense.neighbors(agent, include_self=False) == sparse.neighbors(
-                agent, include_self=False
-            )
-
-    def test_weights_and_pairs_agree(self, twins):
-        dense, sparse = twins
-        assert dense.directed_pairs() == sparse.directed_pairs()
-        assert dense.num_directed_edges == sparse.num_directed_edges
-        for i, j in dense.directed_pairs():
-            assert dense.weight(i, j) == pytest.approx(sparse.weight(i, j), abs=1e-15)
-        assert dense.min_weight() == pytest.approx(sparse.min_weight(), abs=1e-15)
-
-    def test_spectral_properties_agree(self, twins):
-        dense, sparse = twins
-        assert dense.rho == pytest.approx(sparse.rho, abs=1e-10)
-        assert dense.spectral_gap == pytest.approx(sparse.spectral_gap, abs=1e-10)
+        topology = Topology(graph, metropolis_hastings_weights(graph))
+        eigenvalues = np.linalg.eigvalsh(topology.mixing_matrix.toarray())
+        expected = float(np.sort(np.abs(eigenvalues))[::-1][1])
+        assert topology.rho == pytest.approx(expected**2, abs=1e-10)
+        assert topology.spectral_gap == pytest.approx(1.0 - expected, abs=1e-10)
 
     def test_invalid_sparse_matrix_rejected(self):
         graph = nx.cycle_graph(5)
@@ -247,7 +239,7 @@ class TestLargeGraphConstructors:
         assert topology.num_agents == 64
         assert topology.name == "torus"
         assert all(topology.degree(a) == 4 for a in range(64))
-        assert topology.mixing_is_sparse
+        assert isinstance(topology.mixing_matrix, sp.csr_array)
 
     def test_torus_rectangular_and_validation(self):
         assert torus_graph(3, 5).num_agents == 15
