@@ -18,8 +18,9 @@ Three pieces compose:
   top-k and random-k, all operating row-wise, so any row blocking of the
   fleet encodes bit-identically;
 * :class:`CompressionState` (:mod:`repro.compression.state`) — per-agent
-  error-feedback residuals and sparsifier streams, checkpointable through
-  the algorithm's ``state_dict``.
+  error-feedback residuals, checkpointable through the algorithm's
+  ``state_dict``; random-k draws its coordinates from the run's keyed
+  ``"codec"`` stream and keeps no generator state.
 
 The identity codec is guaranteed bit-identical to the historical
 uncompressed path.
@@ -27,7 +28,6 @@ uncompressed path.
 
 from repro.compression.codecs import (
     Codec,
-    CompressedPayload,
     FP16Codec,
     IdentityCodec,
     Int8Codec,
@@ -56,7 +56,6 @@ __all__ = [
     "Int8Codec",
     "TopKCodec",
     "RandomKCodec",
-    "CompressedPayload",
     "make_codec",
     "CompressionState",
 ]

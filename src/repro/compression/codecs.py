@@ -23,7 +23,9 @@ efficient-SGD toolbox (and Bagua's low-precision decentralized algorithm):
 * :class:`TopKCodec` — keep the ``k`` largest-magnitude coordinates
   (value + int32 index, 12 bytes per kept coordinate);
 * :class:`RandomKCodec` — keep ``k`` uniformly random coordinates (unbiased
-  up to scaling; same wire format as top-k).
+  up to scaling; same wire format as top-k), chosen by raw random words the
+  caller supplies (:class:`~repro.compression.state.CompressionState` reads
+  them from the run's ``"codec"`` stream).
 
 :class:`IdentityCodec` is the no-op reference: same object back, dense
 float64 wire cost.
@@ -31,8 +33,7 @@ float64 wire cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "Int8Codec",
     "TopKCodec",
     "RandomKCodec",
-    "CompressedPayload",
     "make_codec",
 ]
 
@@ -52,21 +52,12 @@ __all__ = [
 _SPARSE_BYTES_PER_COORD = 12
 
 
-@dataclass(frozen=True)
-class CompressedPayload:
-    """A gossip message as it crosses the simulated wire.
-
-    ``values`` holds the *decoded* payload (an array, or a tuple of arrays
-    for multi-channel messages) that the receiver reconstructs;
-    ``num_values`` and ``wire_bytes`` are what the encoded form would have
-    cost — the numbers :class:`~repro.simulation.network.Network` records
-    instead of the dense float64 size.
-    """
-
-    values: Any
-    num_values: int
-    wire_bytes: int
-    codec: str
+def _kept(work: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``work`` with only the coordinates ``keep[r]`` of each row ``r`` left nonzero."""
+    rows = np.arange(work.shape[0])[:, None]
+    out = np.zeros_like(work)
+    out[rows, keep] = work[rows, keep]
+    return out
 
 
 class Codec:
@@ -76,24 +67,16 @@ class Codec:
     name: str = ""
     #: True only for :class:`IdentityCodec` (engines skip compression state).
     is_identity: bool = False
-    #: Whether :meth:`decode_rows` consumes per-agent randomness.
-    uses_rng: bool = False
 
     def wire_cost(self, dimension: int) -> Tuple[int, int]:
         """``(values_per_message, bytes_per_message)`` for one ``dimension``-vector."""
         raise NotImplementedError
 
-    def decode_rows(
-        self,
-        work: np.ndarray,
-        rngs: Optional[Sequence[np.random.Generator]] = None,
-    ) -> np.ndarray:
+    def decode_rows(self, work: np.ndarray) -> np.ndarray:
         """Reconstructed value of each row after the encode/decode round trip.
 
-        ``work`` is ``(M, dimension)``; ``rngs`` supplies one generator per
-        row for codecs with ``uses_rng`` (ignored otherwise).  Every
-        operation is per-row, so single-row and whole-fleet calls are
-        bit-identical.
+        ``work`` is ``(M, dimension)``.  Every operation is per-row, so
+        single-row and whole-fleet calls are bit-identical.
         """
         raise NotImplementedError
 
@@ -110,7 +93,7 @@ class IdentityCodec(Codec):
     def wire_cost(self, dimension: int) -> Tuple[int, int]:
         return int(dimension), 8 * int(dimension)
 
-    def decode_rows(self, work, rngs=None):
+    def decode_rows(self, work):
         return work
 
 
@@ -122,7 +105,7 @@ class FP16Codec(Codec):
     def wire_cost(self, dimension: int) -> Tuple[int, int]:
         return int(dimension), 2 * int(dimension)
 
-    def decode_rows(self, work, rngs=None):
+    def decode_rows(self, work):
         work = np.asarray(work, dtype=np.float64)
         return work.astype(np.float16).astype(np.float64)
 
@@ -142,7 +125,7 @@ class Int8Codec(Codec):
         # One int8 per coordinate plus the float64 scale.
         return int(dimension), int(dimension) + 8
 
-    def decode_rows(self, work, rngs=None):
+    def decode_rows(self, work):
         work = np.asarray(work, dtype=np.float64)
         scale = np.max(np.abs(work), axis=1, keepdims=True) / 127.0
         safe = np.where(scale > 0.0, scale, 1.0)
@@ -168,30 +151,28 @@ class TopKCodec(Codec):
         k = min(self.k, int(dimension))
         return k, _SPARSE_BYTES_PER_COORD * k
 
-    def decode_rows(self, work, rngs=None):
+    def decode_rows(self, work):
         work = np.asarray(work, dtype=np.float64)
         if self.k >= work.shape[1]:
             return work.copy()
         keep = np.argsort(-np.abs(work), axis=1, kind="stable")[:, : self.k]
-        rows = np.arange(work.shape[0])[:, None]
-        out = np.zeros_like(work)
-        out[rows, keep] = work[rows, keep]
-        return out
+        return _kept(work, keep)
 
     def describe(self) -> str:
         return f"topk(k={self.k})"
 
 
 class RandomKCodec(Codec):
-    """Keep ``k`` uniformly random coordinates per row (per-agent stream).
+    """Keep ``k`` uniformly random coordinates per row, zero the rest.
 
-    Each row draws its coordinate subset from that agent's dedicated
-    compression generator, so the selection is reproducible and identical
-    under any row blocking.  Same wire format as top-k.
+    Row ``r`` keeps the ``k`` coordinates whose entries of ``words[r]`` (one
+    raw 64-bit random word per coordinate) are smallest: the ranks of
+    independent uniform keys are a uniformly random permutation, so the kept
+    set is a uniformly random ``k``-subset, and a pure function of the row's
+    own words.  Same wire format as top-k.
     """
 
     name = "randomk"
-    uses_rng = True
 
     def __init__(self, k: int) -> None:
         if k < 1:
@@ -202,21 +183,18 @@ class RandomKCodec(Codec):
         k = min(self.k, int(dimension))
         return k, _SPARSE_BYTES_PER_COORD * k
 
-    def decode_rows(self, work, rngs=None):
+    def decode_rows(self, work, words: Optional[np.ndarray] = None):
         work = np.asarray(work, dtype=np.float64)
-        if rngs is None or len(rngs) != work.shape[0]:
+        if words is None or np.shape(words) != work.shape:
             raise ValueError(
-                f"randomk needs one rng per row: got "
-                f"{None if rngs is None else len(rngs)} for {work.shape[0]} rows"
+                f"randomk needs one random word per coordinate: got words of "
+                f"shape {None if words is None else np.shape(words)} for rows "
+                f"of shape {work.shape}"
             )
-        dimension = work.shape[1]
-        if self.k >= dimension:
+        if self.k >= work.shape[1]:
             return work.copy()
-        out = np.zeros_like(work)
-        for row, rng in enumerate(rngs):
-            keep = rng.choice(dimension, size=self.k, replace=False)
-            out[row, keep] = work[row, keep]
-        return out
+        keep = np.argpartition(words, self.k - 1, axis=1)[:, : self.k]
+        return _kept(work, keep)
 
     def describe(self) -> str:
         return f"randomk(k={self.k})"

@@ -1,16 +1,18 @@
-"""Per-agent compression state: error-feedback residuals and sparsifier streams.
+"""Per-agent compression state: error-feedback residuals.
 
 One :class:`CompressionState` lives on each algorithm instance (when a lossy
 codec is configured) and owns everything compression adds to the resumable
 state: a residual buffer per agent per gossip *channel* (a channel is one
 logical payload stream, e.g. ``"model"`` or the two halves ``"mix.0"`` /
-``"mix.1"`` of a tuple message) and, for codecs that sample coordinates, one
-dedicated random generator per agent.
+``"mix.1"`` of a tuple message).
 
-The generators are derived from ``(seed, 0xC0DEC, agent)`` — independent of
-the positional ``child_seeds`` array in
-:class:`~repro.core.base.DecentralizedAlgorithm`, whose layout is
-load-bearing for bit-identity of existing runs.
+The random-k sparsifier holds no generator state: agent ``i``'s kept
+coordinates on ``channel`` in round ``t`` are chosen by the words of the
+run's ``"codec"`` stream at ``(t, crc32(channel), i)``
+(:class:`~repro.core.streams.FleetStreams`).  Every channel is encoded at
+most once per round per agent, so each encoding has its own address, and
+the selection does not depend on the row blocking or on what a checkpoint
+holds.
 
 Error feedback implements the standard memory scheme: the transmitted value
 is ``C(x + e)`` and the new residual is ``e' = (x + e) - C(x + e)``, so the
@@ -19,23 +21,31 @@ the sum of everything ever offered — compression introduces no systematic
 drift.
 
 The round pipeline calls :meth:`compress_block` on each row block of the
-fleet matrix; :meth:`compress_rows` is the whole-fleet form, and the two
-are bit-identical per agent.
+fleet matrix; any row blocking is bit-identical per agent to one call over
+the whole fleet.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import zlib
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
-from repro.compression.codecs import Codec
+from repro.compression.codecs import Codec, RandomKCodec
+
+if TYPE_CHECKING:  # pragma: no cover - repro.core imports this module
+    from repro.core.streams import FleetStreams
 
 __all__ = ["CompressionState"]
 
 
 class CompressionState:
-    """Residual buffers and sparsifier RNG streams for one algorithm instance."""
+    """Residual buffers of one algorithm instance, plus its sparsifier stream.
+
+    ``streams`` is the run's :class:`~repro.core.streams.FleetStreams`; only
+    the random-k codec reads it, and requires it.
+    """
 
     def __init__(
         self,
@@ -43,25 +53,23 @@ class CompressionState:
         num_agents: int,
         dimension: int,
         error_feedback: bool = True,
-        seed: int = 0,
+        streams: Optional["FleetStreams"] = None,
     ) -> None:
         if num_agents < 1 or dimension < 1:
             raise ValueError("num_agents and dimension must be positive")
+        if isinstance(codec, RandomKCodec) and streams is None:
+            raise ValueError(
+                "the randomk codec draws its coordinates from the run's "
+                "FleetStreams: pass streams="
+            )
         self.codec = codec
         self.num_agents = int(num_agents)
         self.dimension = int(dimension)
         self.error_feedback = bool(error_feedback) and not codec.is_identity
+        self.streams = streams
         # Residuals are created lazily per channel: algorithms differ in how
         # many payload streams they gossip (one for DMSGD, two for PDSL).
         self._residuals: Dict[str, np.ndarray] = {}
-        self.rngs: Optional[List[np.random.Generator]] = (
-            [
-                np.random.default_rng([int(seed), 0xC0DEC, agent])
-                for agent in range(self.num_agents)
-            ]
-            if codec.uses_rng
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Compression kernels
@@ -85,19 +93,21 @@ class CompressionState:
         """
         self._residual_for(channel)
 
-    def compress_rows(
-        self,
-        channel: str,
-        matrix: np.ndarray,
-        active_mask: Optional[np.ndarray] = None,
+    def _decode(
+        self, channel: str, work: np.ndarray, agents: np.ndarray, step: int
     ) -> np.ndarray:
-        """Decoded fleet matrix after compressing every (active) agent's row.
-
-        Inactive rows pass through untouched: they transmit nothing, so
-        their residuals stay put and their sparsifier streams are not
-        consumed.
-        """
-        return self.compress_block(channel, matrix, 0, self.num_agents, active_mask)
+        """``work`` (one row per entry of ``agents``) through the codec."""
+        if not isinstance(self.codec, RandomKCodec):
+            return self.codec.decode_rows(work)
+        words = self.streams.row_words(
+            "codec",
+            step,
+            agents,
+            np.zeros(agents.size, dtype=np.int64),
+            self.dimension,
+            lane=zlib.crc32(channel.encode()),
+        )
+        return self.codec.decode_rows(work, words)
 
     def compress_block(
         self,
@@ -106,22 +116,24 @@ class CompressionState:
         start: int,
         stop: int,
         active_mask: Optional[np.ndarray] = None,
+        step: int = 0,
     ) -> np.ndarray:
-        """Compress the rows of agents ``start..stop`` (one row block of the round).
+        """Compress the rows of agents ``start..stop`` (one row block of round ``step``).
 
-        Residuals and sparsifier streams are addressed by absolute agent
+        Residuals and sparsifier draws are addressed by absolute agent
         index, so processing disjoint blocks in any order (including
         concurrently, after :meth:`ensure_channel`) is bit-identical to one
-        :meth:`compress_rows` call over the whole fleet.
-        Returns the decoded ``(stop - start, d)`` block (float64).
+        call over the whole fleet.  Inactive rows (``active_mask`` false)
+        pass through untouched: they transmit nothing, so their residuals
+        stay put and they draw nothing.  Returns the decoded
+        ``(stop - start, d)`` block (float64).
         """
         block = np.asarray(block, dtype=np.float64)
         residual = self._residual_for(channel)
         sub_mask = None if active_mask is None else active_mask[start:stop]
         if sub_mask is None or bool(sub_mask.all()):
             work = block + residual[start:stop] if residual is not None else block
-            rngs = None if self.rngs is None else self.rngs[start:stop]
-            decoded = self.codec.decode_rows(work, rngs)
+            decoded = self._decode(channel, work, np.arange(start, stop), step)
             if residual is not None:
                 residual[start:stop] = work - decoded
             return decoded
@@ -132,12 +144,7 @@ class CompressionState:
         work = block[active]
         if residual is not None:
             work = work + residual[start:stop][active]
-        rngs = (
-            None
-            if self.rngs is None
-            else [self.rngs[start + int(i)] for i in active]
-        )
-        decoded = self.codec.decode_rows(work, rngs)
+        decoded = self._decode(channel, work, start + active, step)
         out[active] = decoded
         if residual is not None:
             residual[start + active] = work - decoded
@@ -151,26 +158,31 @@ class CompressionState:
     # Checkpoint support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """Resumable compression state: residuals per channel, stream positions."""
+        """Resumable compression state: the codec's identity and the residuals."""
         return {
-            "codec": self.codec.name,
+            "codec": self.codec.describe(),
             "error_feedback": self.error_feedback,
             "residuals": {
                 channel: buffer.copy() for channel, buffer in self._residuals.items()
             },
-            "rng_states": (
-                None
-                if self.rngs is None
-                else [rng.bit_generator.state for rng in self.rngs]
-            ),
         }
 
     def load_state_dict(self, payload: Dict[str, object]) -> None:
-        """Restore a state captured by :meth:`state_dict`."""
-        if payload["codec"] != self.codec.name:
+        """Restore a state captured by :meth:`state_dict`.
+
+        The codec (with its parameters, e.g. top-k's ``k``) and the error
+        feedback setting must match the ones that wrote the payload.
+        """
+        if payload["codec"] != self.codec.describe():
             raise ValueError(
                 f"checkpoint compression state was written by codec "
-                f"{payload['codec']!r}, cannot restore into {self.codec.name!r}"
+                f"{payload['codec']!r}, cannot restore into {self.codec.describe()!r}"
+            )
+        if bool(payload["error_feedback"]) != self.error_feedback:
+            raise ValueError(
+                f"checkpoint compression state was written with "
+                f"error_feedback={bool(payload['error_feedback'])}, cannot "
+                f"restore into error_feedback={self.error_feedback}"
             )
         self._residuals = {}
         for channel, buffer in payload["residuals"].items():
@@ -181,12 +193,3 @@ class CompressionState:
                     f"{buffer.shape}, expected ({self.num_agents}, {self.dimension})"
                 )
             self._residuals[channel] = buffer.copy()
-        rng_states = payload["rng_states"]
-        if rng_states is not None:
-            if self.rngs is None:
-                raise ValueError(
-                    "checkpoint carries sparsifier rng streams but this codec "
-                    "draws no randomness"
-                )
-            for rng, state in zip(self.rngs, rng_states):
-                rng.bit_generator.state = state

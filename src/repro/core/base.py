@@ -33,9 +33,11 @@ Randomness comes from keyed counter-based streams
 (:class:`~repro.core.streams.FleetStreams`): an agent's ``k``-th batch or
 noise draw of round ``t`` is a pure function of ``(seed, t, k, agent)``, and
 whether a message is dropped is a pure function of ``(seed, t, tag,
-sender, recipient)``, so any row blocking, any worker count and any set of
-inactive agents see the same draws, and a fleet-wide draw is one vectorized
-call per row block.  The local datasets are stored once, concatenated
+sender, recipient)`` (random-k's kept coordinates: of ``(seed, t, channel,
+agent)``; the evaluation subsample: of ``(seed, agent)``), so any row
+blocking, any worker count and any set of inactive agents see the same
+draws, and a fleet-wide draw is one vectorized call per row block.  The
+local datasets are stored once, concatenated
 (:class:`~repro.data.flat.FlatShards`), so batches are index rows into one
 array.  :mod:`repro.bench.reference` runs DP-DPSGD and PDSL one agent at a
 time from the same streams, as the oracle the pipeline is tested against.
@@ -56,7 +58,7 @@ from repro.compression.state import CompressionState
 from repro.core.config import AlgorithmConfig
 from repro.core.streams import FleetStreams
 from repro.data.dataset import Dataset
-from repro.data.flat import Batch, FlatShards, FleetBatches
+from repro.data.flat import FlatShards, FleetBatches
 from repro.nn.batched import StackedSequential, supports_stacked
 from repro.nn.model import Model
 from repro.privacy.accountant import PrivacyAccountant
@@ -199,10 +201,22 @@ class DecentralizedAlgorithm:
         )
         self._fleet_backing: Dict[str, FleetState] = {}
         self._scratch: Dict[str, np.ndarray] = {}
+        # Every draw of the run is addressed by (step, slot, agent) in its
+        # keyed streams; ``_draw_step`` is the step being executed and the
+        # two counters hold each agent's batch and noise draws so far in it
+        # (the slot of its next draw), reset at the start of every round.
+        self.streams = FleetStreams(config.seed)
+        self.flat_shards = FlatShards.from_datasets(self.shards)
+        self._draw_step = 0
+        self._batch_draws = np.zeros(self.num_agents, dtype=np.int64)
+        self._noise_draws = np.zeros(self.num_agents, dtype=np.int64)
+        # average_train_loss's per-agent samples, one set per sample cap.
+        self._evaluation_sets: Dict[int, FleetBatches] = {}
         # The codec compresses gossip payloads; its per-agent error-feedback
-        # residuals and sparsifier streams live in a CompressionState.  The
-        # identity codec carries no state at all, so the legacy path stays
-        # bit-identical (and pays nothing).
+        # residuals live in a CompressionState, and random-k reads its
+        # coordinates from the "codec" stream.  The identity codec carries no
+        # state at all, so the legacy path stays bit-identical (and pays
+        # nothing).
         self.codec = make_codec(self.compression_config, self.dimension)
         self._compression_state: Optional[CompressionState] = (
             None
@@ -212,7 +226,7 @@ class DecentralizedAlgorithm:
                 self.num_agents,
                 self.dimension,
                 error_feedback=self.compression_config.error_feedback,
-                seed=config.seed,
+                streams=self.streams,
             )
         )
 
@@ -223,16 +237,6 @@ class DecentralizedAlgorithm:
         self.active_agents: List[int] = list(range(self.num_agents))
         self._all_active = True
         self.pending_events: List[TopologyEvent] = []
-
-        # Every training draw is addressed by (step, slot, agent) in the
-        # run's keyed streams; ``_draw_step`` is the step being executed and
-        # the two counters hold each agent's draws so far in it (the slot of
-        # its next draw), reset at the start of every round.
-        self.streams = FleetStreams(config.seed)
-        self.flat_shards = FlatShards.from_datasets(self.shards)
-        self._draw_step = 0
-        self._batch_draws = np.zeros(self.num_agents, dtype=np.int64)
-        self._noise_draws = np.zeros(self.num_agents, dtype=np.int64)
         self.network = Network(self.num_agents)
         self.accountant = PrivacyAccountant()
 
@@ -413,13 +417,12 @@ class DecentralizedAlgorithm:
     # and stages its gossip payload — never materialising more than a
     # handful of block-sized transients plus the reusable fleet-shaped
     # scratch buffers.  Every batch and noise draw is addressed by (round,
-    # slot, agent) and every drop by (round, tag, sender, recipient), each
-    # codec stream is per-agent, and every kernel is row-wise (or
-    # row-blocked with unchanged accumulation order), so the trajectory
-    # does not depend on the block size —
-    # including under a parallel ``RoundScheduler``, because blocks own
-    # disjoint rows.  At the default block size most fleets are a single
-    # block.
+    # slot, agent), every drop by (round, tag, sender, recipient) and every
+    # random-k selection by (round, channel, agent), and every kernel is
+    # row-wise (or row-blocked with unchanged accumulation order), so the
+    # trajectory does not depend on the block size — including under a
+    # parallel ``RoundScheduler``, because blocks own disjoint rows.  At the
+    # default block size most fleets are a single block.
 
     def _fleet_blocks(self) -> List[Tuple[int, int]]:
         """The round's ``(start, stop)`` row blocks over the whole fleet."""
@@ -707,26 +710,6 @@ class DecentralizedAlgorithm:
                 )
                 grads[rows] = group_grads
         return grads
-
-    @staticmethod
-    def _stack_groups(batches: Sequence[Batch]):
-        """Group ``(inputs, labels)`` pairs by shape and stack each group.
-
-        The stacked engine needs rectangular ``(M, B, ...)`` tensors, so
-        ragged entries (agents whose shard is smaller than the configured
-        batch or evaluation-sample size) only exclude themselves from a
-        stack, not the whole fleet.  Yields ``(row_indices, inputs, labels)``
-        per group with the original order preserved inside each group.
-        """
-        groups: Dict[Tuple, List[int]] = {}
-        for k, (inputs, labels) in enumerate(batches):
-            groups.setdefault((inputs.shape, labels.shape), []).append(k)
-        for rows in groups.values():
-            yield (
-                rows,
-                np.stack([batches[k][0] for k in rows], axis=0),
-                np.stack([batches[k][1] for k in rows], axis=0),
-            )
 
     def _claim_slots(self, counts: np.ndarray, agents: np.ndarray) -> np.ndarray:
         """Slot of each row's draw: its agent's draws so far this step, in row order.
@@ -1026,8 +1009,9 @@ class DecentralizedAlgorithm:
         residuals); inactive rows transmit nothing and pass through raw.
         With the identity codec the input is returned unchanged.  The gossip
         semantics are ``x_i <- sum_j w_ij C(x_j)``: every consumer, the
-        sender included, mixes the decoded value.  Residuals and sparsifier
-        streams are per agent, so blocks may be encoded in any order; call
+        sender included, mixes the decoded value.  Residuals and random-k
+        draws are per agent (the draws addressed by the current round), so
+        blocks may be encoded in any order; call
         :meth:`_prepare_gossip_channels` before encoding blocks in
         parallel.
         """
@@ -1035,7 +1019,7 @@ class DecentralizedAlgorithm:
             return rows
         mask = None if self._all_active else self.active_mask
         return self._compression_state.compress_block(
-            channel, rows, start, start + len(rows), mask
+            channel, rows, start, start + len(rows), mask, step=self._draw_step
         )
 
     def draw_batches(self) -> FleetBatches:
@@ -1079,38 +1063,49 @@ class DecentralizedAlgorithm:
         """Average of each agent's loss on (a sample of) its own local dataset.
 
         This is the quantity plotted in Figs. 1–6 of the paper ("average
-        training loss").
-
-        The per-agent evaluation subsample is drawn from a dedicated
-        seed-derived RNG per agent (independent of the training streams), so
-        the evaluated samples are identical under every evaluation path.
-        When the model supports stacked evaluation the per-agent losses are
-        computed with whole-fleet forward passes
-        (grouped by shard shape, like :meth:`fleet_gradients`) instead of
-        one Python-level ``evaluate_loss`` call per agent.
+        training loss").  Each agent is evaluated on the samples
+        :meth:`_evaluation_batches` fixes for it, with the stacked forward
+        passes grouped by sample count (as in :meth:`fleet_gradients`) when
+        the model supports them, else one ``evaluate_loss`` call per agent.
         """
-        shards: List[Dataset] = []
-        for agent in range(self.num_agents):
-            shard = self.shards[agent]
-            if len(shard) > max_samples_per_agent:
-                rng = np.random.default_rng(
-                    (self.config.seed * 1_000_003 + agent) % (2**63 - 1)
-                )
-                shard = shard.sample(max_samples_per_agent, rng)
-            shards.append(shard)
+        batches = self._evaluation_batches(max_samples_per_agent)
+        losses = np.empty(self.num_agents, dtype=self._grad_dtype)
         if self._stacked is None:
-            losses = [
-                self.model.evaluate_loss(
-                    shards[agent].inputs, shards[agent].labels, params=self.state[agent]
+            for agent, (inputs, labels) in enumerate(batches):
+                losses[agent] = self.model.evaluate_loss(
+                    inputs, labels, params=self.state[agent]
                 )
-                for agent in range(self.num_agents)
-            ]
-            return float(np.mean(losses))
-        losses_out = np.empty(self.num_agents, dtype=self._grad_dtype)
-        pairs = [(shard.inputs, shard.labels) for shard in shards]
-        for agents, inputs, labels in self._stack_groups(pairs):
-            losses_out[agents] = self._stacked.losses(self.state[agents], inputs, labels)
-        return float(np.mean(losses_out))
+        else:
+            for rows, inputs, labels in batches.groups():
+                losses[rows] = self._stacked.losses(self.state[rows], inputs, labels)
+        return float(np.mean(losses))
+
+    def _evaluation_batches(self, max_samples: int) -> FleetBatches:
+        """Every agent's loss-evaluation samples under the cap ``max_samples``.
+
+        An agent with at most ``max_samples`` samples is evaluated on its
+        whole shard, in order, and draws nothing.  A larger agent is
+        evaluated on a uniform subsample of ``max_samples``, drawn from the
+        ``"eval"`` stream at the round-independent address ``(0, 0,
+        agent)``, so it is the same at every evaluation and touches no
+        training stream.  Built once per cap and cached.
+        """
+        batches = self._evaluation_sets.get(max_samples)
+        if batches is not None:
+            return batches
+        shards = self.flat_shards
+        width = int(min(max_samples, shards.sizes.max()))
+        steps = np.arange(width)
+        sizes = np.minimum(shards.sizes, width)
+        index = np.where(steps < sizes[:, None], shards.starts[:, None] + steps, 0)
+        large = np.flatnonzero(shards.sizes > width)
+        if large.size:
+            words = self.streams.row_words(
+                "eval", 0, large, np.zeros(large.size, dtype=np.int64), width
+            )
+            index[large] = shards.sample(words, large, width)[0]
+        batches = self._evaluation_sets[max_samples] = FleetBatches(shards, index, sizes)
+        return batches
 
     def test_accuracy(self, test_data: Dataset, mode: str = "mean_agent") -> float:
         """Test accuracy of the trained system.
@@ -1144,7 +1139,19 @@ class DecentralizedAlgorithm:
     #: and sparsifier streams) and the network's byte counters.  Format 3
     #: replaced the per-agent generator states with the counter-based
     #: streams, whose position is ``(stream_seed, rounds_completed)``.
-    STATE_FORMAT = 3
+    #: Format 4 dropped the random-k sparsifier's per-agent generator states
+    #: (its coordinates now come from the ``"codec"`` stream) and made the
+    #: compression state record the codec's parameters.
+    STATE_FORMAT = 4
+
+    #: What changed since each older format, for the rejection message.
+    _FORMAT_CHANGES = {
+        2: "format 2 checkpoints hold per-agent generator states, which the "
+        "counter-based streams of format 3 replace",
+        3: "format 3 checkpoints hold the random-k sparsifier's per-agent "
+        "generator states, which the \"codec\" stream of format 4 replaces, "
+        "and do not record the codec's parameters",
+    }
 
     def state_dict(self, copy: bool = True) -> Dict[str, object]:
         """Everything needed to resume this run **bit-identically**.
@@ -1203,16 +1210,11 @@ class DecentralizedAlgorithm:
         """
         fmt = payload.get("state_format")
         if fmt != self.STATE_FORMAT:
+            change = self._FORMAT_CHANGES.get(fmt)
             raise ValueError(
                 f"checkpoint state format {fmt!r} does not match this code's "
                 f"format {self.STATE_FORMAT}"
-                + (
-                    " (format 2 checkpoints hold per-agent generator states, "
-                    "which the counter-based streams of format 3 replace; "
-                    "restart the run from round 0)"
-                    if fmt == 2
-                    else ""
-                )
+                + (f" ({change}; restart the run from round 0)" if change else "")
             )
         if payload["algorithm"] != self.name:
             raise ValueError(

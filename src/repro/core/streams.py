@@ -1,24 +1,32 @@
 """Keyed counter-based random streams for a whole fleet (Philox4x64-10).
 
-Every random draw of a training run — mini-batch indices, DP noise, the
-per-agent generators of algorithm-level randomness (PDSL's Shapley
-permutations) and the fault-injection message drops — is a pure function
-of an *address* rather than the position of a sequential generator (Salmon
-et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11):
+Every random draw of a run — mini-batch indices, DP noise, the per-agent
+generators of algorithm-level randomness (PDSL's Shapley permutations), the
+fault-injection message drops, the evaluation subsample and the random-k
+sparsifier's coordinates — is a pure function of an *address* rather than
+the position of a sequential generator (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC'11):
 
 * the **key** (two 64-bit words) is derived from ``(seed, purpose)``, one
-  key per entry of :data:`PURPOSES`;
+  key per entry of :data:`PURPOSES`: ``"batch"`` (mini-batch indices),
+  ``"noise"`` (DP noise), ``"agent"`` (algorithm-level generators),
+  ``"drop"`` (message drops), ``"eval"`` (the fixed subsample
+  ``average_train_loss`` evaluates) and ``"codec"`` (random-k's kept
+  coordinates).  New purposes are appended, never inserted, because a
+  purpose's index is its spawn key;
 * the **counter** (four 64-bit words) is ``[block, step, slot, lane]``:
   ``step`` is the round (or, in async mode, the agent's own local-step
-  count), ``slot`` the agent's draw index within that step (for the
-  ``"agent"`` purpose: the agent itself; for ``"drop"``: the sender),
-  ``lane`` is 0 except for ``"drop"``, where it is the CRC-32 of the
-  message tag, and ``block`` the index of a 4-word output block inside the
-  ``(step, slot, lane)`` stream.
+  count; always 0 for ``"eval"``), ``slot`` the agent's draw index within
+  that step (for the ``"agent"`` purpose: the agent itself; for
+  ``"drop"``: the sender; 0 for ``"eval"`` and ``"codec"``), ``lane`` is 0
+  except for ``"drop"`` and ``"codec"``, where it is the CRC-32 of the
+  message tag or gossip channel, and ``block`` the index of a 4-word output
+  block inside the ``(step, slot, lane)`` stream.
 
 Inside one ``(purpose, step, slot)`` stream each row owns a fixed word
 range ``[row * width, (row + 1) * width)`` (``width = d + d % 2`` for noise,
-the batch size for batch draws) — so drawing rows ``[s, e)`` returns
+the batch size for batch draws, the sample cap for the evaluation
+subsample, ``d`` for random-k) — so drawing rows ``[s, e)`` returns
 exactly the slice of the one-shot ``[0, N)`` draw, and rows that draw
 nothing (inactive agents) leave every other row's words unchanged.  A
 NumPy ``Philox`` constructed at ``counter=[b, ...]`` is the generator
@@ -42,7 +50,7 @@ import numpy as np
 __all__ = ["PURPOSES", "FleetStreams", "box_muller"]
 
 #: Stream purposes, in key-derivation order (the index is the spawn key).
-PURPOSES: Tuple[str, ...] = ("batch", "noise", "agent", "drop")
+PURPOSES: Tuple[str, ...] = ("batch", "noise", "agent", "drop", "eval", "codec")
 
 #: Rows whose word ranges are closer than this are drawn by one
 #: ``random_raw`` call, discarding the gap: building a bit generator costs

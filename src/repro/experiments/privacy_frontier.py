@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 #: Per-agent stream for the DP noise added to the observed gradients
-#: (``default_rng([seed, tag, agent])``, the codec/attack convention).
+#: (``default_rng([seed, tag, agent])``, the attack convention).
 OBSERVATION_STREAM_TAG = 0x0B5
 #: Stream drawing the held-out non-member sample from the test split.
 NON_MEMBER_STREAM_TAG = 0x707

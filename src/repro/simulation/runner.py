@@ -16,7 +16,8 @@ so callers can:
 * snapshot the run every ``checkpoint_every`` rounds and later *resume it
   bit-identically* via :meth:`RunSession.resume` — the checkpoint carries
   the algorithm's full :meth:`~repro.core.base.DecentralizedAlgorithm.state_dict`
-  (fleet matrices and every per-agent RNG stream) plus the partial
+  (fleet matrices, the stream seed and the round count, which is the
+  position of every counter-based random stream) plus the partial
   :class:`~repro.simulation.metrics.TrainingHistory`, so a killed run picks
   up where it stopped and produces the same trajectory an uninterrupted run
   would (only per-round wall-clock timings differ).

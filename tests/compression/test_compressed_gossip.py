@@ -23,6 +23,7 @@ from repro.baselines import DMSGD
 from repro.compression.state import CompressionState
 from repro.core.config import AlgorithmConfig, PDSLConfig
 from repro.core.pdsl import PDSL
+from repro.core.streams import FleetStreams
 from repro.data.partition import partition_dirichlet
 from repro.data.synthetic import make_classification_dataset
 from repro.nn.zoo import make_linear_classifier
@@ -100,14 +101,16 @@ class TestCompressedGossip:
             NUM_AGENTS,
             instance.dimension,
             error_feedback=instance.compression_config.error_feedback,
-            seed=instance.config.seed,
+            streams=FleetStreams(instance.config.seed),
         )
         encode = instance.compress_gossip_rows
         decoded = {}
 
         def recording(channel, rows, start=0):
             out = encode(channel, rows, start)
-            expected = oracle.compress_block(channel, rows, start, start + len(rows))
+            expected = oracle.compress_block(
+                channel, rows, start, start + len(rows), step=instance.rounds_completed
+            )
             np.testing.assert_array_equal(out, expected)
             decoded[channel] = np.array(out)
             return out

@@ -370,16 +370,21 @@ class TestVectorizedHelpers:
         algorithm.state += rng.normal(scale=0.3, size=algorithm.state.shape)
         assert algorithm._stacked is not None  # linear model: stacked path active
         stacked = algorithm.average_train_loss(max_samples_per_agent=16)
+        flat = algorithm.flat_shards
         reference = []
         for agent in range(algorithm.num_agents):
             shard = algorithm.shards[agent]
+            inputs, labels = shard.inputs, shard.labels
             if len(shard) > 16:
-                sub_rng = np.random.default_rng(
-                    (config.seed * 1_000_003 + agent) % (2**63 - 1)
-                )
-                shard = shard.sample(16, sub_rng)
+                # One agent's draw at the fixed "eval" address (0, 0, agent).
+                words = algorithm.streams.row_words("eval", 0, [agent], [0], 16)
+                index = flat.sample(words, [agent], 16)[0][0]
+                local = index - flat.starts[agent]
+                assert len(set(local)) == 16 and local.min() >= 0
+                assert local.max() < len(shard)
+                inputs, labels = flat.inputs[index], flat.labels[index]
             reference.append(
-                model.evaluate_loss(shard.inputs, shard.labels, params=algorithm.state[agent])
+                model.evaluate_loss(inputs, labels, params=algorithm.state[agent])
             )
         assert stacked == pytest.approx(float(np.mean(reference)), rel=1e-12)
 

@@ -47,8 +47,11 @@ ALGORITHMS = {
 BLOCK_ROWS = (None, 2)
 
 
-def build_algorithm(name, block_rows=None, dynamic=False, compression=None):
-    """A small but complete instance (noise on, momentum on where supported)."""
+def build_algorithm(name, block_rows=None, dynamic=False, compression=None, **overrides):
+    """A small but complete instance (noise on, momentum on where supported).
+
+    ``overrides`` are further config fields (e.g. ``block_workers``).
+    """
     cls, config_cls, extra = ALGORITHMS[name]
     topology = ring_graph(NUM_AGENTS)
     if dynamic:
@@ -77,6 +80,7 @@ def build_algorithm(name, block_rows=None, dynamic=False, compression=None):
         block_rows=block_rows,
         compression=compression,
         **extra,
+        **overrides,
     )
     if cls is PDSL:
         algorithm = cls(model, topology, shards, config, validation=validation)
@@ -216,26 +220,48 @@ def test_resume_bit_identical_under_compression(block_rows, tmp_path):
         assert np.any(straight_res[channel] != 0.0), "top-k left no residual?"
 
 
-def test_resume_restores_sparsifier_rng_streams():
-    """random-k's per-agent coordinate streams continue bit-exactly."""
-    straight, _ = build_algorithm("DMSGD", compression={"codec": "randomk", "k": 2})
+RANDOMK = {"codec": "randomk", "k": 2}
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+def test_randomk_resumes_bit_identically_mid_run(block_rows):
+    """random-k's coordinates are addressed by round: nothing to restore but the count."""
+    straight, _ = build_algorithm("DMSGD", block_rows, compression=RANDOMK)
     for _ in range(ROUNDS):
         straight.run_round()
 
-    other, _ = build_algorithm("DMSGD", compression={"codec": "randomk", "k": 2})
+    other, _ = build_algorithm("DMSGD", block_rows, compression=RANDOMK)
     for _ in range(HALF):
         other.run_round()
     payload = other.state_dict()
 
-    resumed, _ = build_algorithm("DMSGD", compression={"codec": "randomk", "k": 2})
+    resumed, _ = build_algorithm("DMSGD", block_rows, compression=RANDOMK)
     resumed.load_state_dict(payload)
     for _ in range(ROUNDS - HALF):
         resumed.run_round()
-    assert np.array_equal(straight.state, resumed.state)
-    for rng_a, rng_b in zip(
-        straight._compression_state.rngs, resumed._compression_state.rngs
-    ):
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert_same_resumable_state(straight, resumed)
+    residual = straight._compression_state.residual("model")
+    np.testing.assert_array_equal(residual, resumed._compression_state.residual("model"))
+
+
+def test_randomk_run_is_bit_identical_across_blocks_and_workers():
+    baseline, _ = build_algorithm("DMSGD", compression=RANDOMK)
+    for _ in range(ROUNDS):
+        baseline.run_round()
+    for block_rows in (2, 1):
+        for workers in (1, 2):
+            variant, _ = build_algorithm(
+                "DMSGD", block_rows, compression=RANDOMK, block_workers=workers
+            )
+            try:
+                for _ in range(ROUNDS):
+                    variant.run_round()
+                np.testing.assert_array_equal(variant.state, baseline.state)
+                np.testing.assert_array_equal(
+                    variant.momentum_state, baseline.momentum_state
+                )
+            finally:
+                variant.close()
 
 
 def test_load_state_dict_rejects_compression_mismatch():
@@ -250,6 +276,21 @@ def test_load_state_dict_rejects_compression_mismatch():
     other_codec, _ = build_algorithm("DMSGD", compression={"codec": "int8"})
     with pytest.raises(ValueError, match="codec"):
         other_codec.load_state_dict(compressed.state_dict())
+
+
+def test_load_state_dict_rejects_other_codec_parameters_and_error_feedback():
+    """A checkpoint restores only into the codec and error feedback that wrote it."""
+    donor, _ = build_algorithm("DMSGD", compression=COMPRESSED)
+    donor.run_round()
+    payload = donor.state_dict()
+    other_k, _ = build_algorithm("DMSGD", compression={**COMPRESSED, "k": 3})
+    with pytest.raises(ValueError, match=r"topk\(k=2\).*topk\(k=3\)"):
+        other_k.load_state_dict(payload)
+    no_feedback, _ = build_algorithm(
+        "DMSGD", compression={**COMPRESSED, "error_feedback": False}
+    )
+    with pytest.raises(ValueError, match="error_feedback=True"):
+        no_feedback.load_state_dict(payload)
 
 
 def test_resume_preserves_netfleet_tracking_state(tmp_path):
@@ -321,13 +362,26 @@ def test_load_state_dict_rejects_unknown_format():
         recipient.load_state_dict(payload)
 
 
-def test_state_dict_holds_no_per_agent_generator_states():
-    algorithm, _ = build_algorithm("PDSL")
+GENERATOR_KEYS = (
+    "sampler_states",
+    "mechanism_rng_states",
+    "agent_rng_states",
+    "rng_state",
+    "rng_states",
+)
+
+
+@pytest.mark.parametrize(
+    "name, compression", [("PDSL", None), ("DMSGD", RANDOMK)], ids=["PDSL", "randomk"]
+)
+def test_state_dict_holds_no_per_agent_generator_states(name, compression):
+    algorithm, _ = build_algorithm(name, compression=compression)
     algorithm.run_round()
     payload = algorithm.state_dict()
-    assert payload["state_format"] == 3
-    for key in ("sampler_states", "mechanism_rng_states", "agent_rng_states", "rng_state"):
+    assert payload["state_format"] == 4
+    for key in GENERATOR_KEYS:
         assert key not in payload
+        assert key not in (payload["compression"] or {})
     assert payload["stream_seed"] == algorithm.config.seed
 
 
@@ -337,6 +391,15 @@ def test_load_state_dict_rejects_format_2_naming_both_formats():
     payload["state_format"] = 2
     recipient, _ = build_algorithm("DMSGD")
     with pytest.raises(ValueError, match=r"format 2 .*format 3"):
+        recipient.load_state_dict(payload)
+
+
+def test_load_state_dict_rejects_format_3_naming_the_codec_stream():
+    donor, _ = build_algorithm("DMSGD", compression=RANDOMK)
+    payload = donor.state_dict()
+    payload["state_format"] = 3
+    recipient, _ = build_algorithm("DMSGD", compression=RANDOMK)
+    with pytest.raises(ValueError, match=r'format 3 .*"codec" stream of format 4'):
         recipient.load_state_dict(payload)
 
 

@@ -7,7 +7,8 @@ The codec invariants the communication layer leans on:
   residual equals everything ever offered — zero systematic drift;
 * top-k keeps exactly the k largest magnitudes and zeroes the rest;
 * int8 round-trips exactly on values that are representable levels;
-* random-k is k-sparse, deterministic per seed, and engine-order safe;
+* random-k keeps exactly k coordinates, a uniformly random subset that is a
+  pure function of its ``"codec"`` stream address;
 * encoding one-row blocks is bit-identical to encoding the whole fleet
   matrix.
 """
@@ -15,6 +16,7 @@ The codec invariants the communication layer leans on:
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro.compression.codecs import (
     FP16Codec,
@@ -25,14 +27,21 @@ from repro.compression.codecs import (
 )
 from repro.compression.config import CompressionConfig, validate_compression
 from repro.compression.state import CompressionState
+from repro.core.streams import FleetStreams
 
 
 def _matrix(rows, dimension, seed, scale=1.0):
     return np.random.default_rng(seed).normal(scale=scale, size=(rows, dimension))
 
 
-def _rngs(rows, seed):
-    return [np.random.default_rng([seed, 0xC0DEC, row]) for row in range(rows)]
+def _words(rows, dimension, seed):
+    """Raw random words, one per coordinate, as random-k consumes them."""
+    return np.random.default_rng(seed).bit_generator.random_raw((rows, dimension))
+
+
+def _fleet(state, matrix, step=0, active_mask=None):
+    """``state``'s encoding of the whole fleet matrix in one block."""
+    return state.compress_block("model", matrix, 0, len(matrix), active_mask, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +88,8 @@ def test_int8_roundtrip_error_bounded_by_row_scale(rows, dimension, seed, scale)
 )
 def test_sparsifiers_are_contractions(rows, dimension, k, seed):
     work = _matrix(rows, dimension, seed)
-    for codec in (TopKCodec(k), RandomKCodec(k)):
-        decoded = codec.decode_rows(work, _rngs(rows, seed))
+    randomk = RandomKCodec(k).decode_rows(work, _words(rows, dimension, seed))
+    for decoded in (TopKCodec(k).decode_rows(work), randomk):
         # Keeping a coordinate subset can only shrink the row norm, and the
         # kept coordinates are exact copies.
         assert (
@@ -103,14 +112,16 @@ def test_sparsifiers_are_contractions(rows, dimension, k, seed):
 )
 def test_error_feedback_residuals_telescope(codec_name, agents, dimension, rounds, seed):
     codec = make_codec(CompressionConfig(codec=codec_name), dimension)
-    state = CompressionState(codec, agents, dimension, error_feedback=True, seed=seed)
+    state = CompressionState(
+        codec, agents, dimension, error_feedback=True, streams=FleetStreams(seed)
+    )
     rng = np.random.default_rng(seed)
     offered = np.zeros((agents, dimension))
     transmitted = np.zeros((agents, dimension))
-    for _ in range(rounds):
+    for step in range(rounds):
         matrix = rng.normal(size=(agents, dimension))
         offered += matrix
-        transmitted += state.compress_rows("model", matrix)
+        transmitted += _fleet(state, matrix, step)
     residual = state.residual("model")
     # Sum of decoded transmissions + final residual == sum of inputs: the
     # compression error never accumulates into systematic drift.
@@ -125,9 +136,9 @@ def test_error_feedback_residuals_telescope(codec_name, agents, dimension, round
 )
 def test_without_error_feedback_no_residual_is_kept(agents, dimension, seed):
     codec = make_codec(CompressionConfig(codec="topk", k=2), dimension)
-    state = CompressionState(codec, agents, dimension, error_feedback=False, seed=seed)
+    state = CompressionState(codec, agents, dimension, error_feedback=False)
     matrix = _matrix(agents, dimension, seed)
-    decoded = state.compress_rows("model", matrix)
+    decoded = _fleet(state, matrix)
     assert state.residual("model") is None
     np.testing.assert_array_equal(decoded, codec.decode_rows(matrix))
 
@@ -188,7 +199,7 @@ def test_int8_zero_rows_stay_exactly_zero():
 
 
 # ---------------------------------------------------------------------------
-# Random-k: sparsity, determinism, per-row streams
+# Random-k: exact sparsity, determinism, uniform selection from the stream
 # ---------------------------------------------------------------------------
 @settings(max_examples=30, deadline=None)
 @given(
@@ -197,25 +208,101 @@ def test_int8_zero_rows_stay_exactly_zero():
     k=st.integers(1, 32),
     seed=st.integers(0, 10_000),
 )
-def test_randomk_is_k_sparse_and_seed_deterministic(rows, dimension, k, seed):
-    work = _matrix(rows, dimension, seed)
+def test_randomk_keeps_exactly_k_coordinates_of_its_words(rows, dimension, k, seed):
+    work = _matrix(rows, dimension, seed) + 10.0  # no zero entries
     codec = RandomKCodec(k)
-    first = codec.decode_rows(work, _rngs(rows, seed))
-    again = codec.decode_rows(work, _rngs(rows, seed))
-    np.testing.assert_array_equal(first, again)
-    effective_k = min(k, dimension)
-    assert ((first != 0.0).sum(axis=1) <= effective_k).all()
+    words = _words(rows, dimension, seed)
+    first = codec.decode_rows(work, words)
+    np.testing.assert_array_equal(first, codec.decode_rows(work, words.copy()))
     kept = first != 0.0
+    assert (kept.sum(axis=1) == min(k, dimension)).all()
     np.testing.assert_array_equal(first[kept], work[kept])
+    # The kept coordinates are the ones with the smallest words.
+    if k < dimension:
+        for row in range(rows):
+            assert words[row, kept[row]].max() < words[row, ~kept[row]].min()
 
 
-def test_randomk_requires_one_rng_per_row():
+def test_randomk_requires_one_word_per_coordinate():
     codec = RandomKCodec(2)
     work = np.ones((3, 8))
-    with pytest.raises(ValueError, match="one rng per row"):
+    with pytest.raises(ValueError, match="one random word per coordinate"):
         codec.decode_rows(work)
-    with pytest.raises(ValueError, match="one rng per row"):
-        codec.decode_rows(work, _rngs(2, 0))
+    with pytest.raises(ValueError, match="one random word per coordinate"):
+        codec.decode_rows(work, _words(2, 8, 0))
+
+
+def test_randomk_state_requires_the_run_streams():
+    with pytest.raises(ValueError, match="FleetStreams"):
+        CompressionState(RandomKCodec(2), 3, 8)
+
+
+def _randomk_state(agents, dimension, k, seed):
+    return CompressionState(
+        RandomKCodec(k),
+        agents,
+        dimension,
+        error_feedback=False,
+        streams=FleetStreams(seed),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_randomk_kept_coordinates_are_uniform_chi_square(seed):
+    # 3000 agents keep k = 3 of d = 10 coordinates from the "codec" stream:
+    # each coordinate is kept with probability 3/10, each pair with
+    # probability 1/15, and the next round selects independently.
+    agents, dimension, k = 3000, 10, 3
+    state = _randomk_state(agents, dimension, k, seed)
+    ones = np.ones((agents, dimension))
+    kept = _fleet(state, ones, step=4) != 0.0
+    assert (kept.sum(axis=1) == k).all()
+    _, p_value = stats.chisquare(kept.sum(axis=0))
+    assert p_value > 1e-3
+    counts = kept.astype(np.int64)
+    pairs = counts.T @ counts
+    _, p_value = stats.chisquare(pairs[np.triu_indices(dimension, 1)])
+    assert p_value > 1e-3
+    later = _fleet(state, ones, step=5) != 0.0
+    overlap = (kept & later).sum(axis=1)
+    # Two independent 3-of-10 subsets share Hypergeometric(10, 3, 3) coordinates.
+    expected = stats.hypergeom(dimension, k, k).pmf(np.arange(k + 1)) * agents
+    _, p_value = stats.chisquare(np.bincount(overlap, minlength=k + 1), expected)
+    assert p_value > 1e-3
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    agents=st.integers(2, 8),
+    dimension=st.integers(2, 16),
+    seed=st.integers(0, 10_000),
+    step=st.integers(0, 20),
+    data=st.data(),
+)
+def test_randomk_selection_ignores_which_other_agents_transmit(
+    agents, dimension, seed, step, data
+):
+    k = data.draw(st.integers(1, dimension))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=agents, max_size=agents)))
+    matrix = _matrix(agents, dimension, seed) + 10.0
+    everyone = _fleet(_randomk_state(agents, dimension, k, seed), matrix, step)
+    some = _fleet(_randomk_state(agents, dimension, k, seed), matrix, step, mask)
+    np.testing.assert_array_equal(some[mask], everyone[mask])
+    np.testing.assert_array_equal(some[~mask], matrix[~mask])
+
+
+def test_randomk_selection_depends_on_round_and_channel():
+    agents, dimension, k = 64, 16, 4
+    state = _randomk_state(agents, dimension, k, seed=3)
+    ones = np.ones((agents, dimension))
+
+    def kept(channel, step):
+        block = state.compress_block(channel, ones, 0, agents, step=step)
+        return block != 0.0
+
+    np.testing.assert_array_equal(kept("model", 2), kept("model", 2))
+    assert not np.array_equal(kept("model", 2), kept("model", 3))
+    assert not np.array_equal(kept("mix.0", 2), kept("mix.1", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +320,21 @@ def test_row_kernel_matches_matrix_kernel_bitwise(
     codec_name, agents, dimension, rounds, seed
 ):
     config = CompressionConfig(codec=codec_name)
-    fleet = CompressionState(make_codec(config, dimension), agents, dimension, seed=seed)
+    fleet = CompressionState(
+        make_codec(config, dimension), agents, dimension, streams=FleetStreams(seed)
+    )
     per_row = CompressionState(
-        make_codec(config, dimension), agents, dimension, seed=seed
+        make_codec(config, dimension), agents, dimension, streams=FleetStreams(seed)
     )
     rng = np.random.default_rng(seed)
-    for _ in range(rounds):
+    for step in range(rounds):
         matrix = rng.normal(size=(agents, dimension))
-        vectorized = fleet.compress_rows("model", matrix)
+        vectorized = _fleet(fleet, matrix, step)
         looped = np.concatenate(
             [
-                per_row.compress_block("model", matrix[agent : agent + 1], agent, agent + 1)
+                per_row.compress_block(
+                    "model", matrix[agent : agent + 1], agent, agent + 1, step=step
+                )
                 for agent in range(agents)
             ]
         )
@@ -262,11 +353,11 @@ def test_row_kernel_matches_matrix_kernel_bitwise(
 )
 def test_masked_rows_pass_through_untouched(agents, dimension, seed):
     config = CompressionConfig(codec="topk", k=1)
-    state = CompressionState(make_codec(config, dimension), agents, dimension, seed=seed)
+    state = CompressionState(make_codec(config, dimension), agents, dimension)
     matrix = _matrix(agents, dimension, seed)
     mask = np.zeros(agents, dtype=bool)
     mask[0] = True
-    decoded = state.compress_rows("model", matrix, active_mask=mask)
+    decoded = _fleet(state, matrix, active_mask=mask)
     np.testing.assert_array_equal(decoded[1:], matrix[1:])
     assert (state.residual("model")[1:] == 0.0).all()
 

@@ -117,29 +117,36 @@ class TestBlockedCompressionBitIdentity:
         from repro.compression.config import CompressionConfig
         from repro.compression.state import CompressionState
 
+        from repro.core.streams import FleetStreams
+
         config = CompressionConfig(**codec_kwargs)
-        return CompressionState(make_codec(config, 10), NUM_AGENTS, 10, seed=5)
+        return CompressionState(
+            make_codec(config, 10), NUM_AGENTS, 10, streams=FleetStreams(5)
+        )
 
     @staticmethod
-    def _compress_blocked(state, matrix, block_rows, mask=None):
+    def _compress_blocked(state, matrix, block_rows, mask=None, step=0):
         """``compress_block`` looped over ``(block_rows, d)`` row blocks."""
         out = np.empty_like(matrix)
         for start in range(0, NUM_AGENTS, block_rows):
             stop = min(start + block_rows, NUM_AGENTS)
             out[start:stop] = state.compress_block(
-                "model", matrix[start:stop], start, stop, mask
+                "model", matrix[start:stop], start, stop, mask, step=step
             )
         return out
 
-    @pytest.mark.parametrize("codec_kwargs", [{"codec": "topk", "k": 3}, {"codec": "int8"}])
+    @pytest.mark.parametrize(
+        "codec_kwargs",
+        [{"codec": "topk", "k": 3}, {"codec": "int8"}, {"codec": "randomk", "k": 3}],
+    )
     @pytest.mark.parametrize("block_rows", [1, 7, NUM_AGENTS])
     def test_full_fleet(self, codec_kwargs, block_rows, rng):
         matrix = rng.normal(size=(NUM_AGENTS, 10))
         one_shot = self._make_state(codec_kwargs)
         blocked = self._make_state(codec_kwargs)
-        for _ in range(3):  # residuals accumulate across calls
-            expected = one_shot.compress_rows("model", matrix)
-            actual = self._compress_blocked(blocked, matrix, block_rows)
+        for step in range(3):  # residuals accumulate across calls
+            expected = self._compress_blocked(one_shot, matrix, NUM_AGENTS, step=step)
+            actual = self._compress_blocked(blocked, matrix, block_rows, step=step)
             np.testing.assert_array_equal(expected, actual)
         for channel in ("model",):
             res_a, res_b = one_shot.residual(channel), blocked.residual(channel)
@@ -152,7 +159,7 @@ class TestBlockedCompressionBitIdentity:
         one_shot = self._make_state({"codec": "topk", "k": 3})
         blocked = self._make_state({"codec": "topk", "k": 3})
         np.testing.assert_array_equal(
-            one_shot.compress_rows("model", matrix, mask),
+            self._compress_blocked(one_shot, matrix, NUM_AGENTS, mask),
             self._compress_blocked(blocked, matrix, 5, mask),
         )
 

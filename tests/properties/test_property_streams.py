@@ -9,7 +9,8 @@ row)``, so:
 * batch indices are uniform and the noise is standard normal (chi-square,
   mean, variance and Kolmogorov–Smirnov checks at fixed seeds);
 * a run rebuilt from ``(seed, rounds_completed)`` alone draws the next round
-  exactly like the uninterrupted one.
+  exactly like the uninterrupted one;
+* the keys of the existing purposes never move (new purposes are appended).
 """
 
 import numpy as np
@@ -147,6 +148,23 @@ def test_algorithm_draws_ignore_inactive_agents():
             np.testing.assert_array_equal(part_noise[agent], full_noise[agent])
         else:
             assert part_batches[agent] is None
+
+
+#: First word of each purpose's stream at seed 0, step 0, slot 0, lane 0.
+#: A purpose's index in PURPOSES is its spawn key, so inserting a purpose
+#: before one of these (instead of appending) changes its key and every run.
+GOLDEN_FIRST_WORDS = {
+    "batch": 0xB8A059B224A7EB39,
+    "noise": 0xACA7FAC1A6E975D3,
+    "agent": 0xEED80D962F359245,
+    "drop": 0xE8B51FF58D7EDB7C,
+}
+
+
+@pytest.mark.parametrize("purpose", sorted(GOLDEN_FIRST_WORDS))
+def test_existing_purpose_keys_are_pinned(purpose):
+    word = FleetStreams(0).words(purpose, 0, 0, 0, 1)[0]
+    assert int(word) == GOLDEN_FIRST_WORDS[purpose]
 
 
 def test_batch_indices_are_uniform_chi_square():
