@@ -28,7 +28,9 @@ Each suite packages one hot path of the system behind the
 * ``attacks/inversion-fleet`` — fleet gradient inversion vs the sequential
   per-victim loop (bit-identity checked);
 * ``attacks/membership`` — fleet membership-loss scoring vs per-row calls
-  (bit-identity checked).
+  (bit-identity checked);
+* ``eval/test-accuracy`` — stacked mean-agent test accuracy vs the
+  per-agent ``Model.accuracy`` loop (per-agent equality checked).
 
 Scales resolve from the same ``REPRO_BENCH_*`` environment knobs the pytest
 wrappers under ``benchmarks/`` have always used, so one configuration drives
@@ -69,6 +71,7 @@ __all__ = [
     "NoiseRowsSuite",
     "FleetInversionSuite",
     "MembershipFleetSuite",
+    "StackedEvalSuite",
 ]
 
 #: Reduced-scale knob values for CI smoke runs: every suite executes every
@@ -106,6 +109,7 @@ SMOKE_SCALE: Dict[str, str] = {
     "REPRO_BENCH_ATTACK_BATCH": "4",
     "REPRO_BENCH_MEMBER_ROWS": "64",
     "REPRO_BENCH_MEMBER_SAMPLES": "16",
+    "REPRO_BENCH_EVAL_AGENTS": "64,256",
 }
 
 
@@ -1555,3 +1559,113 @@ class MembershipFleetSuite(Benchmark):
 
     def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
         return self.rows >= self.FULL_SCALE_ROWS, metrics.get("sequential_s")
+
+
+# ---------------------------------------------------------------------------
+# eval/test-accuracy
+# ---------------------------------------------------------------------------
+@benchmark
+class StackedEvalSuite(Benchmark):
+    """Stacked mean-agent test accuracy vs the per-agent ``accuracy`` loop.
+
+    ``loop_s@N`` times one ``Model.accuracy`` call per agent on a shared
+    512-row test set (the fastest of three), ``stacked_s@N`` the algorithm's
+    ``test_accuracy(mode="mean_agent")``, which scores the fleet through
+    :meth:`~repro.nn.batched.StackedSequential.accuracies`; ``speedup@N``
+    is their ratio.  The fleet is DP-DPSGD on a ring with a ``linear`` model
+    on 16 features and 4 classes (d = 68), its rows spread apart by random
+    offsets so every agent scores differently.  Each size asserts that the
+    stacked per-agent accuracies equal the loop's exactly.
+    """
+
+    name = "eval/test-accuracy"
+    description = "stacked vs per-agent mean-agent test accuracy, seconds per evaluation"
+    floor = FloorSpec(
+        metric="speedup", minimum=2.0, min_cpus=2, min_baseline_seconds=0.2
+    )
+    default_repeats = 1
+    default_warmup = False
+    FULL_SCALE_AGENTS = 16384
+    TEST_ROWS = 512
+    #: Interleaved timings per side; each side reports its fastest, so the
+    #: first call doubles as the warm-up.
+    TIMINGS = 3
+
+    def __init__(self) -> None:
+        self.agent_counts = _env_ints("REPRO_BENCH_EVAL_AGENTS", "1024,4096,16384")
+        self._fleets: Dict[int, Tuple[object, object]] = {}
+
+    def params(self) -> Dict[str, object]:
+        return {"agents": self.agent_counts, "test_rows": self.TEST_ROWS}
+
+    @classmethod
+    def build(cls, num_agents: int):
+        """``(algorithm, test_data)`` for one fleet size."""
+        from repro.baselines import DPDPSGD
+        from repro.core.config import AlgorithmConfig
+        from repro.data.partition import partition_iid
+        from repro.data.synthetic import make_classification_dataset
+        from repro.nn.zoo import make_linear_classifier
+        from repro.topology.graphs import ring_graph
+
+        data = make_classification_dataset(
+            num_samples=4 * num_agents + cls.TEST_ROWS,
+            num_features=16,
+            num_classes=4,
+            cluster_std=1.0,
+            seed=0,
+        )
+        rng = np.random.default_rng(0)
+        test = data.sample(cls.TEST_ROWS, rng)
+        shards = partition_iid(data, num_agents, rng).shards
+        config = AlgorithmConfig(learning_rate=0.05, sigma=0.5, batch_size=4, seed=0)
+        algorithm = DPDPSGD(
+            make_linear_classifier(16, 4, seed=0), ring_graph(num_agents), shards, config
+        )
+        algorithm.state = algorithm.state + rng.normal(size=algorithm.state.shape)
+        return algorithm, test
+
+    def setup(self) -> None:
+        self._fleets = {n: self.build(n) for n in self.agent_counts}
+
+    def teardown(self) -> None:
+        self._fleets = {}
+
+    def run(self) -> Dict[str, float]:
+        from repro.nn.batched import StackedSequential
+
+        metrics: Dict[str, float] = {}
+        for num_agents, (algorithm, test) in self._fleets.items():
+            model = algorithm.model
+            loop_s = stacked_s = math.inf
+            for _ in range(self.TIMINGS):
+                started = time.perf_counter()
+                loop = np.array(
+                    [
+                        model.accuracy(test.inputs, test.labels, params=row)
+                        for row in algorithm.state
+                    ]
+                )
+                loop_accuracy = float(np.mean(loop))
+                loop_s = min(loop_s, time.perf_counter() - started)
+
+                started = time.perf_counter()
+                stacked_accuracy = algorithm.test_accuracy(test)
+                stacked_s = min(stacked_s, time.perf_counter() - started)
+
+            per_agent = StackedSequential(model).accuracies(
+                algorithm.state, test.inputs, test.labels
+            )
+            np.testing.assert_array_equal(per_agent, loop)
+            metrics[f"loop_s@{num_agents}"] = loop_s
+            metrics[f"stacked_s@{num_agents}"] = stacked_s
+            metrics[f"speedup@{num_agents}"] = loop_s / stacked_s
+            metrics[f"loop_accuracy@{num_agents}"] = loop_accuracy
+            metrics[f"stacked_accuracy@{num_agents}"] = stacked_accuracy
+        largest = max(self.agent_counts)
+        metrics["speedup"] = metrics[f"speedup@{largest}"]
+        return metrics
+
+    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
+        largest = max(self.agent_counts)
+        return largest >= self.FULL_SCALE_AGENTS, metrics.get(f"loop_s@{largest}")

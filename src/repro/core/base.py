@@ -1112,17 +1112,30 @@ class DecentralizedAlgorithm:
 
         ``mode="mean_agent"`` averages each agent's own accuracy (the natural
         decentralized metric); ``mode="average_model"`` evaluates the single
-        network-average model.
+        network-average model.  A stacked model scores the fleet block by
+        block with :meth:`~repro.nn.batched.StackedSequential.accuracies`
+        on the shared test set, equal per agent to the one ``accuracy`` call
+        per agent that other models take.
         """
         if mode == "average_model":
             return self.model.accuracy(
                 test_data.inputs, test_data.labels, params=self.average_parameters()
             )
         if mode == "mean_agent":
-            accuracies = [
-                self.model.accuracy(test_data.inputs, test_data.labels, params=row)
-                for row in self.state
-            ]
+            if self._stacked is None:
+                accuracies = [
+                    self.model.accuracy(test_data.inputs, test_data.labels, params=row)
+                    for row in self.state
+                ]
+            else:
+                accuracies = np.concatenate(
+                    [
+                        self._stacked.accuracies(
+                            self.state[start:stop], test_data.inputs, test_data.labels
+                        )
+                        for start, stop in self._fleet_blocks()
+                    ]
+                )
             return float(np.mean(accuracies))
         raise ValueError("mode must be 'mean_agent' or 'average_model'")
 

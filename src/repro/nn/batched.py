@@ -6,16 +6,18 @@ gradients, one point per directed edge for cross-gradients.  Doing that with
 the scalar :class:`~repro.nn.model.Model` interface costs one Python-level
 forward/backward pass per point.  :class:`StackedSequential` instead treats
 the whole fleet as a single tensor computation: parameters live in an
-``(M, d)`` matrix, activations in ``(M, B, ...)`` tensors, and each layer is
-applied to all ``M`` models with one einsum.
+``(M, d)`` matrix, activations in ``(M, B, ...)`` tensors, and each dense
+layer is applied to all ``M`` models with one batched ``np.matmul``.
 
 Only layer types whose stacked semantics are exact and deterministic are
 supported (``Dense``, ``ReLU``, ``Tanh``, ``Sigmoid``, ``Flatten``).  Models
 containing convolutions, pooling or dropout fall back to one scalar pass per
 model — use :func:`supports_stacked` to check.  The stacked computation mirrors
-the per-layer formulas of :mod:`repro.nn.layers` operation for operation, so
-its gradients agree with ``Model.loss_and_gradient`` to floating-point
-round-off.
+the per-layer formulas of :mod:`repro.nn.layers` operation for operation, and a
+batched ``np.matmul`` runs the same inner kernel per model as the scalar
+``Dense``'s ``x @ W``, ``x.T @ g`` and ``g @ W.T``, so losses, gradients and
+predictions are bit-identical to ``Model.loss_and_gradient`` and
+``Model.accuracy`` row by row.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from repro.nn.model import Model, Sequential
 __all__ = ["supports_stacked", "StackedSequential"]
 
 _ACTIVATIONS = (ReLU, Tanh, Sigmoid)
+
+#: Bytes of one chunk's widest activation in
+#: :meth:`StackedSequential.accuracies`.  A forward-only pass touches each
+#: activation once, so chunks that stay in cache run fastest.  On 1024 MLP
+#: agents (d = 1386) and 1000 test rows, 64 MB chunks (``max_chunk_elements``)
+#: took 0.52 s and 1 MB chunks 0.31 s, on a 2-CPU host.
+_ACCURACY_CHUNK_BYTES = 1 << 20
 
 
 def supports_stacked(model: Model) -> bool:
@@ -65,7 +74,8 @@ class StackedSequential:
     max_chunk_elements:
         Upper bound on ``M * B * width`` per processed chunk, used to split
         very large stacks (e.g. all cross-gradient pairs of a dense graph)
-        into memory-bounded pieces.
+        into memory-bounded pieces.  :meth:`accuracies` sizes its chunks by
+        activation bytes instead.
     """
 
     def __init__(self, template: Sequential, max_chunk_elements: int = 8_000_000) -> None:
@@ -110,18 +120,27 @@ class StackedSequential:
     # Forward / backward over a stack
     # ------------------------------------------------------------------
     def _forward(
-        self, params: np.ndarray, x: np.ndarray
+        self, params: np.ndarray, x: np.ndarray, shared: bool = False
     ) -> Tuple[np.ndarray, List[Tuple]]:
-        """Stacked forward pass; returns ``(logits, caches)``."""
+        """Stacked forward pass; returns ``(logits, caches)``.
+
+        ``x`` is an ``(M, B, ...)`` stack, batch ``k`` under model ``k``, or
+        with ``shared=True`` one ``(B, ...)`` batch for every model:
+        ``np.matmul`` broadcasts it against the ``(M, i, o)`` weights of the
+        first dense layer, so it is never copied per model.
+        """
         caches: List[Tuple] = []
         m = params.shape[0]
+        # Leading axes Flatten keeps: the batch, plus the stack once x has one.
+        lead = 1 if shared else 2
         for spec in self._plan:
             kind = spec[0]
             if kind == "dense":
                 _, n_in, n_out, w_slice, b_slice = spec
                 weight = params[:, w_slice].reshape(m, n_in, n_out)
                 caches.append((x, weight))
-                x = np.einsum("mbi,mio->mbo", x, weight)
+                x = np.matmul(x, weight)
+                lead = 2
                 if b_slice is not None:
                     x = x + params[:, b_slice][:, None, :]
             elif kind == "relu":
@@ -136,7 +155,7 @@ class StackedSequential:
                 caches.append((x,))
             elif kind == "flatten":
                 caches.append((x.shape,))
-                x = x.reshape(x.shape[0], x.shape[1], -1)
+                x = x.reshape(x.shape[:lead] + (-1,))
         return x, caches
 
     def _backward(
@@ -150,10 +169,10 @@ class StackedSequential:
                 _, n_in, n_out, w_slice, b_slice = spec
                 x, weight = cache
                 m = x.shape[0]
-                grads_out[:, w_slice] = np.einsum("mbi,mbo->mio", x, g).reshape(m, -1)
+                grads_out[:, w_slice] = np.matmul(x.transpose(0, 2, 1), g).reshape(m, -1)
                 if b_slice is not None:
                     grads_out[:, b_slice] = g.sum(axis=1)
-                g = np.einsum("mbo,mio->mbi", g, weight)
+                g = np.matmul(g, weight.transpose(0, 2, 1))
             elif kind == "relu":
                 g = g * cache[0]
             elif kind == "tanh":
@@ -232,9 +251,8 @@ class StackedSequential:
         -------
         (losses, grads):
             ``(M,)`` per-model mean losses and the ``(M, d)`` matrix of flat
-            gradients (``out`` when given), matching
-            ``Model.loss_and_gradient`` row by row up to floating-point
-            round-off.
+            gradients (``out`` when given), bit-identical row by row to
+            ``Model.loss_and_gradient``.
         """
         params, inputs, labels, chunk = self._validate_stack(params, inputs, labels)
         m = params.shape[0]
@@ -274,9 +292,44 @@ class StackedSequential:
         for start in range(0, m, chunk):
             stop = min(m, start + chunk)
             logits, _ = self._forward(params[start:stop], inputs[start:stop])
-            chunk_losses, _ = self._softmax_cross_entropy(logits, labels[start:stop])
-            losses[start:stop] = chunk_losses
+            losses[start:stop] = per_example_cross_entropy(
+                logits, labels[start:stop]
+            ).mean(axis=1)
         return losses
+
+    def accuracies(
+        self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+    ) -> np.ndarray:
+        """Classification accuracy of every stacked model on one shared test set.
+
+        ``inputs`` is a single ``(B, ...)`` batch with ``(B,)`` integer
+        ``labels``, scored under each of the ``M`` rows of ``params``
+        (forward only, in chunks of about :data:`_ACCURACY_CHUNK_BYTES` of
+        activations).  The batch is shared, never copied per model.  Entry
+        ``k`` equals ``Model.accuracy(inputs, labels, params=params[k])``
+        exactly: the logits are bit-identical and the prediction is the same
+        ``argmax``, so ties and NaN rows resolve the same way.  An empty test
+        set scores 0.0, as ``Model.accuracy`` does.
+        """
+        params = np.asarray(params, dtype=np.float64)
+        inputs = np.asarray(inputs, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        if params.ndim != 2 or params.shape[1] != self.dimension:
+            raise ValueError(
+                f"params must have shape (M, {self.dimension}), got {params.shape}"
+            )
+        if labels.ndim != 1 or inputs.shape[:1] != labels.shape:
+            raise ValueError("inputs and labels must have the same batch size")
+        m, batch = params.shape[0], labels.shape[0]
+        out = np.zeros(m, dtype=np.float64)
+        if batch == 0:
+            return out
+        chunk = max(1, _ACCURACY_CHUNK_BYTES // (batch * self._widest * 8))
+        for start in range(0, m, chunk):
+            stop = min(m, start + chunk)
+            logits, _ = self._forward(params[start:stop], inputs, shared=True)
+            out[start:stop] = (logits.argmax(axis=-1) == labels).mean(axis=1)
+        return out
 
     def per_example_losses(
         self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray

@@ -40,7 +40,8 @@ def per_example_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndar
     stacked ``(M, B, K)`` with ``(M, B)`` — reducing only the trailing class
     axis.  This is the shared per-example-loss helper used by the attacks
     (membership inference scores raw per-example losses) and by the stacked
-    engine's :meth:`~repro.nn.batched.StackedSequential.per_example_losses`.
+    engine's :meth:`~repro.nn.batched.StackedSequential.per_example_losses`
+    and forward-only :meth:`~repro.nn.batched.StackedSequential.losses`.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

@@ -122,6 +122,7 @@ class TestRegistry:
             "checkpoint/roundtrip",
             "game/shapley-mc",
             "privacy/noise-rows",
+            "eval/test-accuracy",
         ):
             assert expected in names
         assert names == sorted(names)

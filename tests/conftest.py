@@ -49,8 +49,10 @@ def make_small_fleet():
     (Gaussian-cluster data, Dirichlet partition, linear model, seed-pinned
     config), without each suite re-copying the boilerplate.  ``topology``
     accepts a :class:`Topology`, a :class:`TopologySchedule`, or ``None``
-    (a 5-agent ring).  Identical arguments build identically-seeded fleets,
-    so two calls produce bit-identical trajectories.
+    (a 5-agent ring).  ``model`` is ``"linear"``, ``"mlp"`` or a model
+    instance for 8 features and 4 classes.  Identical arguments build
+    identically-seeded fleets, so two calls produce bit-identical
+    trajectories.
     """
     from repro.core.pdsl import PDSL
     from repro.data.partition import partition_dirichlet
@@ -69,7 +71,9 @@ def make_small_fleet():
         ).shards
         validation = data.sample(60, rng)
         test = data.sample(80, np.random.default_rng(2))
-        if model == "linear":
+        if not isinstance(model, str):
+            net = model
+        elif model == "linear":
             net = make_linear_classifier(8, 4, seed=0)
         else:
             net = make_mlp(8, 4, hidden_sizes=(8,), seed=0)

@@ -1,16 +1,19 @@
-"""``average_train_loss``: fixed per-agent samples, and no effect on training.
+"""Evaluation: ``average_train_loss`` and ``test_accuracy``.
 
 Each agent is evaluated on its whole shard when it holds at most the sample
 cap, else on a subsample drawn once from the ``"eval"`` stream at a
 round-independent address.  Evaluation reads no training stream and writes
 no state, so a run evaluated every round trains exactly like one evaluated
 only at the end, and the loss does not depend on the row blocking, the
-worker count or the storage.
+worker count or the storage.  The stacked test accuracy equals the
+per-agent ``Model.accuracy`` loop exactly.
 """
 
 import numpy as np
 import pytest
 
+from repro.nn.layers import Dense, Dropout, ReLU
+from repro.nn.model import Sequential
 from repro.simulation.runner import EvaluationConfig, RunSession
 
 CAP = 64
@@ -99,3 +102,48 @@ def test_loss_is_identical_across_blocks_workers_and_storage(
         storage=storage,
     )
     assert loss == _trained_loss(make_small_fleet)
+
+
+def _per_agent_accuracies(algorithm, test):
+    return np.array(
+        [
+            algorithm.model.accuracy(test.inputs, test.labels, params=row)
+            for row in algorithm.state
+        ]
+    )
+
+
+@pytest.mark.parametrize("storage", ["ram", "memmap"])
+@pytest.mark.parametrize("block_rows", [None, 2])
+def test_stacked_test_accuracy_equals_the_per_agent_loop(
+    make_small_fleet, block_rows, storage
+):
+    algorithm, test = _run(
+        make_small_fleet, "DMSGD", False, model="mlp", block_rows=block_rows, storage=storage
+    )
+    try:
+        assert algorithm._stacked is not None
+        # Spread the agents apart so a row mix-up would change the scores.
+        noise = np.random.default_rng(3).normal(size=algorithm.state.shape)
+        algorithm.state = algorithm.state + noise
+        per_agent = _per_agent_accuracies(algorithm, test)
+        np.testing.assert_array_equal(
+            algorithm._stacked.accuracies(algorithm.state, test.inputs, test.labels),
+            per_agent,
+        )
+        assert len(set(per_agent.tolist())) > 2
+        assert algorithm.test_accuracy(test) == float(np.mean(per_agent))
+    finally:
+        algorithm.close()
+
+
+def test_dropout_model_takes_the_per_agent_loop(make_small_fleet):
+    rng = np.random.default_rng(0)
+    model = Sequential(
+        [Dense(8, 16, rng), ReLU(), Dropout(0.5, np.random.default_rng(1)), Dense(16, 4, rng)]
+    )
+    algorithm, test = _run(make_small_fleet, "DMSGD", False, model=model)
+    assert algorithm._stacked is None
+    assert algorithm.test_accuracy(test) == float(
+        np.mean(_per_agent_accuracies(algorithm, test))
+    )

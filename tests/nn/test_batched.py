@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import batched
 from repro.nn.batched import StackedSequential, supports_stacked
 from repro.nn.layers import Dense, Dropout, Flatten, ReLU, Sigmoid, Tanh
 from repro.nn.model import Sequential
@@ -68,8 +69,8 @@ class TestStackedGradients:
             expected_loss, expected_grad = model.loss_and_gradient(
                 inputs[k], labels[k], params=params[k]
             )
-            assert losses[k] == pytest.approx(expected_loss, rel=1e-12)
-            np.testing.assert_allclose(grads[k], expected_grad, rtol=1e-10, atol=1e-12)
+            assert losses[k] == expected_loss
+            np.testing.assert_array_equal(grads[k], expected_grad)
 
     def test_chunked_evaluation_matches_unchunked(self):
         rng = np.random.default_rng(3)
@@ -109,3 +110,111 @@ class TestStackedGradients:
             engine.loss_and_gradients(params[:, :-1], inputs, labels)
         with pytest.raises(ValueError):
             engine.loss_and_gradients(params, inputs[:2], labels)
+
+
+class TestStackedLosses:
+    @pytest.mark.parametrize("hidden", [(), (8,)], ids=["linear", "mlp"])
+    def test_forward_only_losses_match_the_fused_loss_and_the_scalar_model(self, hidden):
+        rng = np.random.default_rng(5)
+        model = make_mlp(6, 3, hidden_sizes=hidden, seed=0)
+        engine = StackedSequential(model)
+        m, batch = 6, 10
+        params = random_params(model, m, rng)
+        inputs = rng.normal(size=(m, batch, 6))
+        labels = rng.integers(0, 3, size=(m, batch))
+        losses = engine.losses(params, inputs, labels)
+        fused, _ = engine.loss_and_gradients(params, inputs, labels)
+        np.testing.assert_array_equal(losses, fused)
+        np.testing.assert_array_equal(
+            losses, engine.per_example_losses(params, inputs, labels).mean(axis=1)
+        )
+        for k in range(m):
+            assert losses[k] == model.evaluate_loss(inputs[k], labels[k], params=params[k])
+
+
+def scalar_accuracies(model, params, inputs, labels):
+    return np.array([model.accuracy(inputs, labels, params=row) for row in params])
+
+
+class TestStackedAccuracies:
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda rng: make_linear_classifier(6, 3, seed=rng),
+            lambda rng: make_mlp(6, 3, hidden_sizes=(8,), seed=rng),
+            lambda rng: Sequential(
+                [Dense(6, 8, rng), Tanh(), Dense(8, 5, rng), Sigmoid(), Dense(5, 3, rng)]
+            ),
+        ],
+    )
+    def test_matches_per_model_accuracy(self, factory):
+        rng = np.random.default_rng(6)
+        model = factory(rng)
+        params = random_params(model, 9, rng)
+        inputs = rng.normal(size=(40, 6))
+        labels = rng.integers(0, 3, size=40)
+        np.testing.assert_array_equal(
+            StackedSequential(model).accuracies(params, inputs, labels),
+            scalar_accuracies(model, params, inputs, labels),
+        )
+
+    def test_logit_ties_and_nan_rows_resolve_like_argmax(self):
+        # Integer-valued inputs and parameters give exactly tied logits; a
+        # NaN parameter makes every logit of its row NaN in one class.
+        rng = np.random.default_rng(7)
+        model = make_linear_classifier(4, 3, seed=0)
+        params = rng.integers(-1, 2, size=(8, model.num_params)).astype(np.float64)
+        params[3, 0] = np.nan
+        inputs = rng.integers(-1, 2, size=(60, 4)).astype(np.float64)
+        labels = rng.integers(0, 3, size=60)
+        logits = np.stack(
+            [inputs @ row[:12].reshape(4, 3) + row[12:] for row in params]
+        )
+        top = np.nanmax(logits, axis=-1, keepdims=True)
+        assert ((logits == top).sum(axis=-1) > 1).any()
+        assert np.isnan(logits[3]).any()
+        stacked = StackedSequential(model).accuracies(params, inputs, labels)
+        np.testing.assert_array_equal(
+            stacked, scalar_accuracies(model, params, inputs, labels)
+        )
+
+    def test_empty_test_set_scores_zero(self):
+        model = make_mlp(6, 3, hidden_sizes=(8,), seed=0)
+        params = random_params(model, 4, np.random.default_rng(8))
+        inputs, labels = np.zeros((0, 6)), np.zeros(0, dtype=np.int64)
+        assert model.accuracy(inputs, labels, params=params[0]) == 0.0
+        np.testing.assert_array_equal(
+            StackedSequential(model).accuracies(params, inputs, labels), np.zeros(4)
+        )
+
+    def test_flatten_first_model_scores_image_batches(self):
+        rng = np.random.default_rng(9)
+        model = Sequential([Flatten(), Dense(6, 5, rng), ReLU(), Dense(5, 3, rng)])
+        params = random_params(model, 5, rng)
+        inputs = rng.normal(size=(30, 2, 3))
+        labels = rng.integers(0, 3, size=30)
+        np.testing.assert_array_equal(
+            StackedSequential(model).accuracies(params, inputs, labels),
+            scalar_accuracies(model, params, inputs, labels),
+        )
+
+    def test_chunking_does_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        model = make_mlp(6, 3, hidden_sizes=(8,), seed=0)
+        engine = StackedSequential(model)
+        params = random_params(model, 7, rng)
+        inputs = rng.normal(size=(25, 6))
+        labels = rng.integers(0, 3, size=25)
+        whole = engine.accuracies(params, inputs, labels)
+        monkeypatch.setattr(batched, "_ACCURACY_CHUNK_BYTES", 1)
+        np.testing.assert_array_equal(engine.accuracies(params, inputs, labels), whole)
+
+    def test_shape_validation(self):
+        model = make_linear_classifier(6, 3, seed=0)
+        engine = StackedSequential(model)
+        params = random_params(model, 3, np.random.default_rng(0))
+        inputs, labels = np.zeros((5, 6)), np.zeros(5, dtype=np.int64)
+        with pytest.raises(ValueError):
+            engine.accuracies(params[:, :-1], inputs, labels)
+        with pytest.raises(ValueError):
+            engine.accuracies(params, inputs, labels[:4])
