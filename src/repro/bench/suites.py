@@ -22,8 +22,8 @@ Each suite packages one hot path of the system behind the
 * ``topology/dynamic-cache`` — schedule snapshot LRU vs naive rebuild;
 * ``orchestrator/pool`` — process-pool grid vs serial (plus warm store);
 * ``checkpoint/roundtrip`` — ``state_dict`` → save → load → restore;
-* ``game/shapley-mc`` — the vectorized Monte-Carlo Shapley estimator plus
-  the fleet-scale prefix walk (axiom-checked in-sweep);
+* ``game/shapley-mc`` — the Monte-Carlo Shapley permutation walk on a
+  neighbourhood-sized game;
 * ``privacy/noise-rows`` — counter-based Gaussian noise rows for a fleet;
 * ``attacks/inversion-fleet`` — fleet gradient inversion vs the sequential
   per-victim loop (bit-identity checked);
@@ -99,8 +99,6 @@ SMOKE_SCALE: Dict[str, str] = {
     "REPRO_BENCH_CKPT_ROUNDS": "2",
     "REPRO_BENCH_SHAPLEY_PLAYERS": "8",
     "REPRO_BENCH_SHAPLEY_PERMS": "50",
-    "REPRO_BENCH_SHAPLEY_FLEET": "256",
-    "REPRO_BENCH_SHAPLEY_FLEET_PERMS": "1",
     "REPRO_BENCH_NOISE_AGENTS": "256",
     "REPRO_BENCH_NOISE_DIM": "32",
     "REPRO_BENCH_SWEEP_AGENTS": "64,256",
@@ -1135,64 +1133,32 @@ class CheckpointRoundtripSuite(Benchmark):
 # ---------------------------------------------------------------------------
 @benchmark
 class MonteCarloShapleySuite(Benchmark):
-    """Permutation-sampling Shapley: the small-game estimator and the fleet walk.
+    """Permutation-sampling Shapley on the neighbourhood-sized games PDSL plays.
 
-    Two regimes share the suite: the neighbourhood-sized games PDSL plays
-    every round (``REPRO_BENCH_SHAPLEY_PLAYERS`` players through
-    :func:`~repro.game.shapley.monte_carlo_shapley`), and fleet-scale player
-    counts (``REPRO_BENCH_SHAPLEY_FLEET``) through the prefix-walk
-    :func:`~repro.game.shapley.monte_carlo_shapley_fleet`, which drops the
-    coalition canonicalisation/memoisation bookkeeping that dominates once
-    every prefix is unique.  The fleet estimator is cross-validated in-sweep:
-    exact stream agreement with the generic estimator at a small N, and at
-    the largest N the efficiency axiom (the estimates telescope to
-    ``v(grand) - v(empty)`` exactly per permutation) plus per-player
-    exactness on an additive game.
+    Times :func:`~repro.game.shapley.monte_carlo_shapley` on a
+    ``REPRO_BENCH_SHAPLEY_PLAYERS``-player game with a cheap superadditive
+    characteristic, so the walk's bookkeeping, not the characteristic,
+    dominates, and reports how many unique coalitions it evaluated.
     """
 
     name = "game/shapley-mc"
-    description = "Monte-Carlo Shapley: small games and the fleet prefix walk"
+    description = "Monte-Carlo Shapley: the permutation walk on a small game"
     default_repeats = 3
-    #: Exact-agreement cross-check between the two estimators runs at this
-    #: player count (the generic estimator's sequential walk is O(N^3) with
-    #: set hashing, so fleet sizes are out of its reach by construction).
-    CROSS_CHECK_PLAYERS = 128
 
     def __init__(self) -> None:
         self.players = _env_int("REPRO_BENCH_SHAPLEY_PLAYERS", 12, minimum=2)
         self.permutations = _env_int("REPRO_BENCH_SHAPLEY_PERMS", 200)
-        self.fleet_players = _env_ints("REPRO_BENCH_SHAPLEY_FLEET", "4096,16384")
-        self.fleet_permutations = _env_int("REPRO_BENCH_SHAPLEY_FLEET_PERMS", 2)
         self._weights: Optional[np.ndarray] = None
-        self._notes: Dict[str, str] = {}
 
     def params(self) -> Dict[str, object]:
-        return {
-            "players": self.players,
-            "permutations": self.permutations,
-            "fleet_players": self.fleet_players,
-            "fleet_permutations": self.fleet_permutations,
-        }
-
-    def notes(self) -> Dict[str, str]:
-        return dict(self._notes)
+        return {"players": self.players, "permutations": self.permutations}
 
     def setup(self) -> None:
         self._weights = np.random.default_rng(3).normal(size=self.players) ** 2
-        self._notes = {}
-
-    @staticmethod
-    def _fleet_characteristic(weights: np.ndarray):
-        def characteristic(members) -> float:
-            members = np.asarray(members, dtype=np.int64)
-            return float(weights[members].sum()) + 0.01 * len(members) ** 2
-
-        return characteristic
 
     def run(self) -> Dict[str, float]:
-        from repro.bench.guard import check_memory
         from repro.game.cooperative import CooperativeGame
-        from repro.game.shapley import monte_carlo_shapley, monte_carlo_shapley_fleet
+        from repro.game.shapley import monte_carlo_shapley
 
         weights = self._weights
         assert weights is not None
@@ -1206,81 +1172,10 @@ class MonteCarloShapleySuite(Benchmark):
         # or the repeated timings would measure the cache, not the estimator.
         game = CooperativeGame(list(range(self.players)), characteristic)
         monte_carlo_shapley(game, self.permutations, np.random.default_rng(0))
-        metrics: Dict[str, float] = {
+        return {
             "unique_coalitions": float(game.num_evaluations),
             "permutations": float(self.permutations),
         }
-
-        # Cross-check: both estimators consume one rng.permutation per round,
-        # so on the same seed they must agree to float round-off.
-        cross_n = self.CROSS_CHECK_PLAYERS
-        cross_w = np.random.default_rng(3).normal(size=cross_n) ** 2
-        fleet_char = self._fleet_characteristic(cross_w)
-        cross_game = CooperativeGame(
-            list(range(cross_n)),
-            lambda coalition: fleet_char(np.fromiter(coalition, dtype=np.int64)),
-        )
-        generic = monte_carlo_shapley(cross_game, 2, np.random.default_rng(5))
-        walked = monte_carlo_shapley_fleet(
-            fleet_char, cross_n, 2, np.random.default_rng(5)
-        )
-        np.testing.assert_allclose(
-            np.asarray([generic[i] for i in range(cross_n)]),
-            walked,
-            rtol=1e-12,
-            atol=1e-12,
-        )
-
-        ran_sizes: List[int] = []
-        for num_players in self.fleet_players:
-            # O(N) memory but O(N^2) characteristic work per permutation —
-            # the guard keeps absurd sizes out on small machines.
-            decision = check_memory(num_players * 64 + (16 << 20))
-            if not decision.fits:
-                self._notes[f"skip@{num_players}"] = decision.reason
-                continue
-            fleet_w = np.random.default_rng(3).normal(size=num_players) ** 2
-            fleet_char = self._fleet_characteristic(fleet_w)
-            started = time.perf_counter()
-            estimates = monte_carlo_shapley_fleet(
-                fleet_char,
-                num_players,
-                self.fleet_permutations,
-                np.random.default_rng(5),
-            )
-            metrics[f"fleet_s@{num_players}"] = time.perf_counter() - started
-            ran_sizes.append(num_players)
-        if ran_sizes:
-            # Axioms at the largest N that ran.  Efficiency: prefix marginals
-            # telescope, so the estimate total equals the grand-coalition
-            # value exactly.  Additivity/dummy: on a purely additive game
-            # every marginal is the player's own weight, so per-player
-            # estimates are exact (zero-weight players get exactly zero).
-            largest = max(ran_sizes)
-            fleet_w = np.random.default_rng(3).normal(size=largest) ** 2
-            fleet_char = self._fleet_characteristic(fleet_w)
-            estimates = monte_carlo_shapley_fleet(
-                fleet_char, largest, 1, np.random.default_rng(5)
-            )
-            grand = fleet_char(np.arange(largest))
-            np.testing.assert_allclose(estimates.sum(), grand, rtol=1e-9, atol=1e-9)
-            additive = monte_carlo_shapley_fleet(
-                lambda members: float(
-                    fleet_w[np.asarray(members, dtype=np.int64)].sum()
-                ),
-                largest,
-                1,
-                np.random.default_rng(7),
-            )
-            # Each marginal is the difference of two prefix sums of ~N
-            # weights, so its float error scales with eps * sum(|w|), not
-            # with the (possibly tiny) weight itself — the absolute
-            # tolerance must carry that factor.
-            np.testing.assert_allclose(
-                additive, fleet_w, rtol=1e-9, atol=1e-12 * max(1.0, fleet_w.sum())
-            )
-        metrics["fleet_max_players"] = float(max(ran_sizes, default=0))
-        return metrics
 
 
 # ---------------------------------------------------------------------------

@@ -140,17 +140,28 @@ class FleetStreams:
         rows = np.asarray(rows, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
         out = np.empty((rows.size, width), dtype=np.uint64)
-        for slot in np.unique(slots):
-            members = np.flatnonzero(slots == slot)
-            members = members[np.argsort(rows[members], kind="stable")]
-            ordered = rows[members]
-            cuts = np.flatnonzero((np.diff(ordered) - 1) * width > _MAX_GAP_WORDS) + 1
-            for run in np.split(np.arange(members.size), cuts):
-                low, high = int(ordered[run[0]]), int(ordered[run[-1]]) + 1
-                words = self.words(
-                    purpose, step, int(slot), low * width, (high - low) * width, lane
-                )
-                out[members[run]] = words.reshape(high - low, width)[ordered[run] - low]
+        if rows.size == 0:
+            return out
+        # One sort groups the rows by slot, ascending within a slot; a run
+        # ends where the slot changes or the next row is too far away.
+        order = np.lexsort((rows, slots))
+        ordered, ordered_slots = rows[order], slots[order]
+        cuts = np.flatnonzero(
+            (np.diff(ordered_slots) != 0)
+            | ((np.diff(ordered) - 1) * width > _MAX_GAP_WORDS)
+        ) + 1
+        bounds = [0, *cuts.tolist(), order.size]
+        row_list, slot_list = ordered.tolist(), ordered_slots.tolist()
+        pieces = []
+        for begin, stop in zip(bounds[:-1], bounds[1:]):
+            low, high = row_list[begin], row_list[stop - 1] + 1
+            words = self.words(
+                purpose, step, slot_list[begin], low * width, (high - low) * width, lane
+            ).reshape(high - low, width)
+            if high - low != stop - begin:
+                words = words[ordered[begin:stop] - low]
+            pieces.append(words)
+        out[order] = np.concatenate(pieces)
         return out
 
     def normal_rows(

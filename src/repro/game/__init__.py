@@ -3,16 +3,16 @@
 Implements Sec. III-C of the paper:
 
 * :class:`CooperativeGame` — a set of players and a characteristic function
-  ``v : 2^Z -> R`` with ``v(emptyset) = 0``;
+  ``v : 2^Z -> R`` with ``v(emptyset) = 0``, every evaluation memoised;
 * :func:`exact_shapley` — the exact Shapley value via the subset form (eq. 8);
 * :func:`monte_carlo_shapley` — the permutation-sampling estimator of
-  Algorithm 2 (Castro et al. 2009);
+  Algorithm 2 (Castro et al. 2009), one bitmask walk for any player count;
 * :func:`normalize_shapley` — min–max normalisation (eq. 19);
 * axiom checkers (efficiency/balance, symmetry, dummy/zero-element,
   additivity) used by the property-based tests.
 """
 
-from repro.game.cooperative import CooperativeGame, coalition_key
+from repro.game.cooperative import CooperativeGame
 from repro.game.shapley import (
     exact_shapley,
     monte_carlo_shapley,
@@ -28,7 +28,6 @@ from repro.game.axioms import (
 
 __all__ = [
     "CooperativeGame",
-    "coalition_key",
     "exact_shapley",
     "monte_carlo_shapley",
     "normalize_shapley",

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
-__all__ = ["CooperativeGame", "coalition_key"]
+__all__ = ["CooperativeGame"]
 
 Player = Hashable
-
-
-def coalition_key(coalition: Iterable[Player]) -> FrozenSet[Player]:
-    """Canonical hashable representation of a coalition (an unordered player set)."""
-    return frozenset(coalition)
 
 
 class CooperativeGame:
@@ -25,19 +20,16 @@ class CooperativeGame:
     characteristic:
         A callable mapping a tuple of players (a coalition) to a real payoff.
         ``v(emptyset)`` is forced to 0 as Definition 3 requires; the callable
-        is never invoked on the empty coalition.
-    cache:
-        Whether to memoise evaluations.  The PDSL characteristic function
-        (validation accuracy of an averaged model, eq. 16) is expensive, and
-        both the exact and Monte-Carlo Shapley computations re-query many
-        coalitions, so caching is on by default.
+        is never invoked on the empty coalition, and on any other coalition
+        at most once: evaluations are memoised, because the PDSL
+        characteristic (validation accuracy of an averaged model, eq. 16) is
+        expensive and both Shapley computations re-query many coalitions.
     """
 
     def __init__(
         self,
         players: Sequence[Player],
         characteristic: Callable[[Tuple[Player, ...]], float],
-        cache: bool = True,
     ) -> None:
         players = list(players)
         if len(players) == 0:
@@ -45,8 +37,8 @@ class CooperativeGame:
         if len(set(players)) != len(players):
             raise ValueError("players must be distinct")
         self.players: List[Player] = players
+        self._position: Dict[Player, int] = {p: k for k, p in enumerate(players)}
         self._characteristic = characteristic
-        self._cache_enabled = bool(cache)
         self._cache: Dict[FrozenSet[Player], float] = {}
         self._evaluations = 0
 
@@ -55,38 +47,24 @@ class CooperativeGame:
         return len(self.players)
 
     @property
-    def cache_enabled(self) -> bool:
-        """Whether characteristic evaluations are memoised.
-
-        Estimators that batch coalition evaluations
-        (:func:`repro.game.shapley.monte_carlo_shapley`) consult this: with
-        caching off, repeated queries must reach the characteristic again
-        (it may be deliberately stochastic), so batched single-evaluation
-        bookkeeping would change the semantics.
-        """
-        return self._cache_enabled
-
-    @property
     def num_evaluations(self) -> int:
         """How many times the underlying characteristic function was actually called."""
         return self._evaluations
 
     def value(self, coalition: Iterable[Player]) -> float:
         """Evaluate ``v(coalition)`` with memoisation; ``v(emptyset) = 0``."""
-        members = tuple(sorted(set(coalition), key=self.players.index))
-        unknown = [p for p in members if p not in self.players]
+        members = set(coalition)
+        unknown = [p for p in members if p not in self._position]
         if unknown:
             raise ValueError(f"unknown players in coalition: {unknown}")
+        members = tuple(sorted(members, key=self._position.__getitem__))
         if not members:
             return 0.0
-        key = coalition_key(members)
-        if self._cache_enabled and key in self._cache:
-            return self._cache[key]
-        payoff = float(self._characteristic(members))
-        self._evaluations += 1
-        if self._cache_enabled:
-            self._cache[key] = payoff
-        return payoff
+        key = frozenset(members)
+        if key not in self._cache:
+            self._cache[key] = float(self._characteristic(members))
+            self._evaluations += 1
+        return self._cache[key]
 
     def marginal_contribution(self, player: Player, coalition: Iterable[Player]) -> float:
         """``v(coalition ∪ {player}) - v(coalition)`` for ``player`` not in ``coalition``."""

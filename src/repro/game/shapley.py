@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Hashable, Mapping, Optional, Sequence
+from typing import Dict, Hashable, Mapping
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from repro.game.cooperative import CooperativeGame
 __all__ = [
     "exact_shapley",
     "monte_carlo_shapley",
-    "monte_carlo_shapley_fleet",
     "normalize_shapley",
     "shapley_aggregation_weights",
 ]
@@ -64,97 +63,39 @@ def monte_carlo_shapley(
     estimator is unbiased and its cost is ``O(R * Z)`` characteristic
     evaluations (amortised further by the game's memoisation).
 
-    The batch bookkeeping is vectorized: all ``R`` permutations are sampled
-    up front (one ``rng.permutation`` draw each, the same stream the
-    per-permutation loop consumed), coalitions are encoded as prefix
-    bitmasks with a cumulative OR, and the ``(R, Z)`` marginal matrix is
-    reduced into per-player estimates with a single ``np.add.at`` in the
-    loop's accumulation order — so the result (and the RNG stream) is
-    bit-identical to the sequential implementation.  Only the
-    characteristic evaluations remain Python calls, one per *unique*
-    coalition in first-encounter order, exactly as the memoised sequential
-    walk would issue them.  Two cases fall back to the sequential walk:
-    games with more than 63 players (the bitmask encoding needs one bit per
-    player) and games constructed with ``cache=False`` (an uncached — e.g.
-    deliberately stochastic — characteristic must be re-invoked on every
-    repeated query, which single-evaluation bookkeeping would skip).
+    All ``R`` permutations are sampled up front (one ``rng.permutation``
+    draw each).  Each permutation grows its coalition as a Python-int
+    bitmask, which has no width limit, so any player count takes this walk.
+    The first time a coalition is met it is evaluated through the memoised
+    game.  That is the call order of the plain per-permutation walk, which
+    asks for ``v(predecessors | {player})`` and then ``v(predecessors)``, a
+    repeat of the previous position's coalition; so a characteristic that
+    consumes its own RNG (validation-batch subsampling) sees the same
+    stream.  The ``(R, Z)`` marginals are divided by ``R`` and reduced into
+    per-player estimates with one ``np.add.at`` in permutation order, so the
+    result is bit-identical to that walk as well.
     """
     if num_permutations <= 0:
         raise ValueError("num_permutations must be positive")
     players = list(game.players)
     n = len(players)
-    if n > 63 or not getattr(game, "cache_enabled", True):
-        return _monte_carlo_shapley_sequential(game, num_permutations, rng)
     orders = np.stack([rng.permutation(n) for _ in range(num_permutations)], axis=0)
-    bits = np.uint64(1) << orders.astype(np.uint64)
-    with_player = np.bitwise_or.accumulate(bits, axis=1)
-    predecessors = with_player ^ bits
-    # Interleave [with, without] per position: the sequential walk evaluates
-    # v(predecessors | {player}) before v(predecessors), and memoisation
-    # makes every repeat free — so evaluating each unique mask at its first
-    # encounter reproduces the exact characteristic-call order (and hence
-    # any RNG the characteristic itself consumes, e.g. validation batch
-    # subsampling).
-    interleaved = np.stack([with_player, predecessors], axis=2).reshape(-1)
-    values: Dict[int, float] = {0: 0.0}
-    for mask in interleaved:
-        mask = int(mask)
-        if mask not in values:
-            coalition = [players[k] for k in range(n) if (mask >> k) & 1]
-            values[mask] = game.value(coalition)
-    unique_masks, inverse = np.unique(
-        np.concatenate([with_player.reshape(-1), predecessors.reshape(-1)]),
-        return_inverse=True,
-    )
-    unique_values = np.asarray([values[int(mask)] for mask in unique_masks])
-    flat = num_permutations * n
-    marginals = (
-        unique_values[inverse[:flat]] - unique_values[inverse[flat:]]
-    ) / num_permutations
+    values: Dict[int, float] = {}
+    marginals = np.empty(orders.shape, dtype=np.float64)
+    for r, order in enumerate(orders.tolist()):
+        # v(predecessors) is the previous position's v(with player): v(empty)
+        # = 0 at the start, so only v(with player) can be a first encounter.
+        mask, previous = 0, 0.0
+        for position, k in enumerate(order):
+            mask |= 1 << k
+            if mask not in values:
+                values[mask] = game.value([players[j] for j in order[: position + 1]])
+            marginals[r, position] = values[mask] - previous
+            previous = values[mask]
+    marginals /= num_permutations
     totals = np.zeros(n, dtype=np.float64)
-    np.add.at(totals, orders.reshape(-1), marginals)
+    np.add.at(totals, orders.reshape(-1), marginals.reshape(-1))
     return {players[k]: float(totals[k]) for k in range(n)}
-
-
-def monte_carlo_shapley_fleet(
-    characteristic,
-    num_players: int,
-    num_permutations: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Permutation-sampling Shapley estimator for fleet-scale player counts.
-
-    The generic :func:`monte_carlo_shapley` routes every coalition through a
-    :class:`~repro.game.cooperative.CooperativeGame` — frozenset
-    canonicalisation plus a memo dict per unique coalition.  At ``N`` in the
-    thousands the prefix coalitions of one permutation are all distinct, so
-    that bookkeeping is pure overhead (and the ≤ 63-player bitmask fast path
-    does not apply).  This variant walks each sampled permutation directly:
-    players are the integers ``0..num_players-1``, the coalition grows as a
-    prefix view of the permutation array (no sets, no hashing, no caching),
-    and ``characteristic(members)`` is called with that int64 index array —
-    it must be a set function (order-invariant) and is evaluated
-    ``num_players + 1`` times per permutation.
-
-    Returns the ``(num_players,)`` float64 vector of estimates.  The
-    permutation stream (one ``rng.permutation`` per round, sampled in order)
-    matches the sequential estimator's, so for a characteristic wrapped in a
-    ``CooperativeGame`` the two agree to float round-off.
-    """
-    if num_players <= 0:
-        raise ValueError("num_players must be positive")
-    if num_permutations <= 0:
-        raise ValueError("num_permutations must be positive")
-    totals = np.zeros(num_players, dtype=np.float64)
-    inverse_rounds = 1.0 / num_permutations
-    for _ in range(num_permutations):
-        order = rng.permutation(num_players)
-        previous = float(characteristic(order[:0]))
-        for size in range(1, num_players + 1):
-            current = float(characteristic(order[:size]))
-            totals[order[size - 1]] += (current - previous) * inverse_rounds
-            previous = current
-    return totals
 
 
 def _monte_carlo_shapley_sequential(
@@ -162,7 +103,7 @@ def _monte_carlo_shapley_sequential(
     num_permutations: int,
     rng: np.random.Generator,
 ) -> Dict[Player, float]:
-    """Reference per-permutation walk (also the > 63-player fallback)."""
+    """Reference per-permutation walk, the oracle :func:`monte_carlo_shapley` is tested against."""
     players = list(game.players)
     estimates = {p: 0.0 for p in players}
     for _ in range(num_permutations):

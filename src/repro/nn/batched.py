@@ -142,7 +142,7 @@ class StackedSequential:
                 x = np.matmul(x, weight)
                 lead = 2
                 if b_slice is not None:
-                    x = x + params[:, b_slice][:, None, :]
+                    np.add(x, params[:, b_slice][:, None, :], out=x)
             elif kind == "relu":
                 mask = x > 0
                 caches.append((mask,))

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+import repro.core.pdsl as pdsl_module
 from repro.core.config import AlgorithmConfig, PDSLConfig
 from repro.core.pdsl import PDSL
 from repro.data.partition import partition_dirichlet, partition_iid
 from repro.data.synthetic import make_classification_dataset
+from repro.game.shapley import _monte_carlo_shapley_sequential
 from repro.nn.zoo import make_linear_classifier
 from repro.topology.graphs import fully_connected_graph, ring_graph
 
 
-def build_pdsl(num_agents=4, sigma=0.0, topology=None, seed=0, **config_kwargs):
-    data = make_classification_dataset(400, num_features=8, num_classes=4, cluster_std=0.6, seed=seed)
+def build_pdsl(num_agents=4, sigma=0.0, topology=None, seed=0, num_samples=400, **config_kwargs):
+    data = make_classification_dataset(num_samples, num_features=8, num_classes=4, cluster_std=0.6, seed=seed)
     topology = topology or fully_connected_graph(num_agents)
     rng = np.random.default_rng(seed)
     shards = partition_dirichlet(data, topology.num_agents, alpha=0.5, rng=rng, min_samples_per_agent=8).shards
@@ -104,6 +106,31 @@ class TestOneRound:
         algorithm, _ = build_pdsl(num_agents=3, validation_batch_size=20)
         algorithm.run_round()
         assert algorithm.rounds_completed == 1
+
+
+    def test_65_player_games_match_the_sequential_oracle(self, monkeypatch):
+        # Every agent of a 65-agent clique plays a 65-player game, one
+        # player more than a uint64 coalition mask holds.
+        def one_round():
+            algorithm, _ = build_pdsl(
+                topology=fully_connected_graph(65), sigma=0.05, num_samples=4000
+            )
+            algorithm.run_round()
+            return algorithm
+
+        walked = one_round()
+        oracle_calls = []
+
+        def oracle(game, num_permutations, rng):
+            oracle_calls.append(game.num_players)
+            return _monte_carlo_shapley_sequential(game, num_permutations, rng)
+
+        monkeypatch.setattr(pdsl_module, "monte_carlo_shapley", oracle)
+        reference = one_round()
+        assert oracle_calls == [65] * 65
+        np.testing.assert_array_equal(walked.state, reference.state)
+        assert walked.last_shapley == reference.last_shapley
+        assert walked.last_weights == reference.last_weights
 
 
 class TestLearningBehaviour:

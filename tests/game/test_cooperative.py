@@ -2,20 +2,12 @@
 
 import pytest
 
-from repro.game.cooperative import CooperativeGame, coalition_key
+from repro.game.cooperative import CooperativeGame
 
 
 def additive_value(coalition):
     """Each player i contributes i+1 regardless of partners."""
     return float(sum(p + 1 for p in coalition))
-
-
-class TestCoalitionKey:
-    def test_order_invariant(self):
-        assert coalition_key([1, 2, 3]) == coalition_key([3, 2, 1])
-
-    def test_duplicates_collapse(self):
-        assert coalition_key([1, 1, 2]) == coalition_key([1, 2])
 
 
 class TestCooperativeGame:
@@ -52,24 +44,12 @@ class TestCooperativeGame:
             calls.append(coalition)
             return float(len(coalition))
 
-        game = CooperativeGame([0, 1, 2], tracked, cache=True)
+        game = CooperativeGame([0, 1, 2], tracked)
         game.value([0, 1])
         game.value([1, 0])
         game.value([0, 1])
         assert len(calls) == 1
         assert game.num_evaluations == 1
-
-    def test_cache_disabled(self):
-        calls = []
-
-        def tracked(coalition):
-            calls.append(coalition)
-            return 1.0
-
-        game = CooperativeGame([0, 1], tracked, cache=False)
-        game.value([0])
-        game.value([0])
-        assert len(calls) == 2
 
     def test_requires_at_least_one_player(self):
         with pytest.raises(ValueError):

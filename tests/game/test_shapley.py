@@ -8,7 +8,6 @@ from repro.game.shapley import (
     _monte_carlo_shapley_sequential,
     exact_shapley,
     monte_carlo_shapley,
-    monte_carlo_shapley_fleet,
     normalize_shapley,
     shapley_aggregation_weights,
 )
@@ -101,8 +100,8 @@ class TestMonteCarloShapley:
             monte_carlo_shapley(glove_game(), 0, np.random.default_rng(0))
 
 
-def five_player_game():
-    """5 players with superadditive pairwise synergies (non-trivial Shapley values)."""
+def synergy_game(num_players):
+    """Superadditive pairwise synergies (non-trivial Shapley values) on any player count."""
     bonus = {frozenset({0, 1}): 1.5, frozenset({2, 3}): 0.75, frozenset({1, 4}): 0.5}
 
     def value(coalition):
@@ -113,26 +112,32 @@ def five_player_game():
                 total += extra
         return total
 
-    return CooperativeGame([0, 1, 2, 3, 4], value)
+    return CooperativeGame(list(range(num_players)), value)
 
 
-class TestVectorizedMonteCarlo:
-    """The batched estimator must match both the sequential walk and eq. 18."""
+# 63 and 64 straddle one uint64 word; 70 and 128 need more than one.
+PLAYER_COUNTS = (1, 5, 63, 64, 70, 128)
 
-    def test_bitwise_identical_to_sequential_walk(self):
+
+class TestMonteCarloOracle:
+    """The single walk must match the per-permutation oracle and eq. 18."""
+
+    @pytest.mark.parametrize("num_players", PLAYER_COUNTS)
+    def test_bitwise_identical_to_sequential_walk(self, num_players):
         # Same seed, same permutation stream, same marginal accumulation
-        # order: the vectorized bookkeeping must not change a single bit.
+        # order: the bitmask bookkeeping must not change a single bit.
+        permutations = 16 if num_players <= 5 else 3
         for seed in (0, 1, 42):
-            vectorized = monte_carlo_shapley(
-                five_player_game(), 16, np.random.default_rng(seed)
+            walked = monte_carlo_shapley(
+                synergy_game(num_players), permutations, np.random.default_rng(seed)
             )
             sequential = _monte_carlo_shapley_sequential(
-                five_player_game(), 16, np.random.default_rng(seed)
+                synergy_game(num_players), permutations, np.random.default_rng(seed)
             )
-            assert vectorized == sequential
+            assert walked == sequential
 
     def test_seeded_agreement_with_exact_on_five_players(self):
-        game = five_player_game()
+        game = synergy_game(5)
         exact = exact_shapley(game)
         estimate = monte_carlo_shapley(game, 5000, np.random.default_rng(11))
         for player in range(5):
@@ -142,10 +147,11 @@ class TestVectorizedMonteCarlo:
             sum(estimate.values()), game.grand_coalition_value(), atol=1e-9
         )
 
-    def test_characteristic_call_order_matches_sequential(self):
+    @pytest.mark.parametrize("num_players", PLAYER_COUNTS)
+    def test_characteristic_call_order_matches_sequential(self, num_players):
         # The characteristic may consume its own RNG (validation-batch
-        # subsampling), so the vectorized estimator must issue evaluations
-        # for unique coalitions in the same first-encounter order.
+        # subsampling), so the walk must issue evaluations for unique
+        # coalitions in the same first-encounter order.
         def record_calls(log):
             def value(coalition):
                 log.append(tuple(coalition))
@@ -153,38 +159,19 @@ class TestVectorizedMonteCarlo:
 
             return value
 
-        calls_vec, calls_seq = [], []
+        players = [f"p{k}" for k in range(num_players)]
+        calls_walk, calls_seq = [], []
         monte_carlo_shapley(
-            CooperativeGame(list("abcd"), record_calls(calls_vec)),
+            CooperativeGame(players, record_calls(calls_walk)),
             6,
             np.random.default_rng(3),
         )
         _monte_carlo_shapley_sequential(
-            CooperativeGame(list("abcd"), record_calls(calls_seq)),
+            CooperativeGame(players, record_calls(calls_seq)),
             6,
             np.random.default_rng(3),
         )
-        assert calls_vec == calls_seq
-
-    def test_uncached_game_reinvokes_characteristic_on_repeats(self):
-        # With cache=False the characteristic may be deliberately
-        # stochastic, so repeated coalition queries must reach it again —
-        # the estimator falls back to the sequential walk instead of its
-        # evaluate-each-unique-coalition-once bookkeeping.
-        def make_game(log):
-            def value(coalition):
-                log.append(tuple(coalition))
-                return float(len(coalition))
-
-            return CooperativeGame([0, 1, 2, 3], value, cache=False)
-
-        calls_est, calls_ref = [], []
-        estimate = monte_carlo_shapley(make_game(calls_est), 8, np.random.default_rng(4))
-        reference = _monte_carlo_shapley_sequential(
-            make_game(calls_ref), 8, np.random.default_rng(4)
-        )
-        assert estimate == reference
-        assert calls_est == calls_ref  # repeats included, not deduplicated
+        assert calls_walk == calls_seq
 
     def test_hashable_player_labels(self):
         game = additive_game(["alpha", "beta", ("tuple", 1)], [1.0, 2.0, 3.0])
@@ -197,76 +184,6 @@ class TestVectorizedMonteCarlo:
         game = CooperativeGame([9], lambda c: 2.5 if c else 0.0)
         phi = monte_carlo_shapley(game, 3, np.random.default_rng(0))
         assert phi[9] == pytest.approx(2.5)
-
-
-class TestFleetMonteCarlo:
-    """The array-native large-N estimator (``monte_carlo_shapley_fleet``)."""
-
-    @staticmethod
-    def quadratic(weights):
-        """Order-invariant but non-additive: sum of weights plus a size bonus."""
-
-        def characteristic(members):
-            return float(weights[members].sum()) + 0.01 * len(members) ** 2
-
-        return characteristic
-
-    def test_agrees_with_generic_estimator(self):
-        n = 40
-        weights = np.random.default_rng(3).normal(size=n) ** 2
-        characteristic = self.quadratic(weights)
-        game = CooperativeGame(
-            list(range(n)), lambda c: characteristic(np.fromiter(c, dtype=np.int64))
-        )
-        generic = monte_carlo_shapley(game, 4, np.random.default_rng(5))
-        fleet = monte_carlo_shapley_fleet(
-            characteristic, n, 4, np.random.default_rng(5)
-        )
-        # Both estimators consume one rng.permutation per round, so the
-        # sampled orders — and hence the estimates — coincide exactly.
-        np.testing.assert_allclose(
-            fleet, [generic[k] for k in range(n)], rtol=1e-12, atol=1e-12
-        )
-
-    def test_efficiency_exact_per_permutation(self):
-        n = 257
-        weights = np.random.default_rng(3).normal(size=n) ** 2
-        characteristic = self.quadratic(weights)
-        estimates = monte_carlo_shapley_fleet(
-            characteristic, n, 1, np.random.default_rng(5)
-        )
-        grand = characteristic(np.arange(n, dtype=np.int64))
-        # Marginals telescope along each permutation, so efficiency holds
-        # exactly even with a single sampled permutation.
-        np.testing.assert_allclose(estimates.sum(), grand, rtol=1e-9, atol=1e-9)
-
-    def test_additive_characteristic_recovered_exactly(self):
-        n = 129
-        weights = np.random.default_rng(11).normal(size=n)
-        estimates = monte_carlo_shapley_fleet(
-            lambda members: float(weights[members].sum()),
-            n,
-            1,
-            np.random.default_rng(7),
-        )
-        # Each marginal is a difference of two ~n-term prefix sums, so the
-        # absolute error budget scales with eps * sum(|w|).
-        np.testing.assert_allclose(
-            estimates, weights, rtol=1e-9, atol=1e-12 * np.abs(weights).sum()
-        )
-
-    def test_deterministic_given_rng(self):
-        characteristic = self.quadratic(np.arange(16, dtype=np.float64))
-        a = monte_carlo_shapley_fleet(characteristic, 16, 3, np.random.default_rng(2))
-        b = monte_carlo_shapley_fleet(characteristic, 16, 3, np.random.default_rng(2))
-        np.testing.assert_array_equal(a, b)
-
-    def test_invalid_arguments_rejected(self):
-        characteristic = self.quadratic(np.ones(4))
-        with pytest.raises(ValueError):
-            monte_carlo_shapley_fleet(characteristic, 0, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            monte_carlo_shapley_fleet(characteristic, 4, 0, np.random.default_rng(0))
 
 
 class TestNormalization:

@@ -10,6 +10,8 @@ row)``, so:
   mean, variance and Kolmogorov–Smirnov checks at fixed seeds);
 * a run rebuilt from ``(seed, rounds_completed)`` alone draws the next round
   exactly like the uninterrupted one;
+* scattered, shuffled ``(row, slot)`` addresses read the same words as one
+  ``words`` call per address, whichever gaps share a generator call;
 * the keys of the existing purposes never move (new purposes are appended).
 """
 
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from repro.core.config import AlgorithmConfig
-from repro.core.streams import FleetStreams
+from repro.core.streams import _MAX_GAP_WORDS, FleetStreams
 from repro.data.dataset import Dataset
 from repro.data.flat import FlatShards
 
@@ -165,6 +167,39 @@ GOLDEN_FIRST_WORDS = {
 def test_existing_purpose_keys_are_pinned(purpose):
     word = FleetStreams(0).words(purpose, 0, 0, 0, 1)[0]
     assert int(word) == GOLDEN_FIRST_WORDS[purpose]
+
+
+@st.composite
+def scattered_addresses(draw):
+    """Shuffled ``(rows, slots, width)``: per slot, ascending rows whose gaps
+    fall on both sides of the shared-call limit."""
+    width = draw(st.sampled_from([1, 3, 8]))
+    shared = _MAX_GAP_WORDS // width + 1  # the widest step one call still spans
+    steps = st.sampled_from([1, 2, shared - 1, shared, shared + 1, 3 * shared])
+    rows, slots = [], []
+    for slot in draw(st.lists(st.integers(0, 2**20), max_size=4, unique=True)):
+        start = draw(st.integers(0, 3 * _MAX_GAP_WORDS))
+        gaps = draw(st.lists(steps, max_size=8))
+        rows.extend(start + np.concatenate(([0], np.cumsum(gaps, dtype=np.int64))))
+        slots.extend([slot] * (len(gaps) + 1))
+    order = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(len(rows))
+    return (
+        np.asarray(rows, dtype=np.int64)[order],
+        np.asarray(slots, dtype=np.int64)[order],
+        width,
+    )
+
+
+@given(case=scattered_addresses(), seed=st.integers(0, 2**32), lane=st.integers(0, 7))
+@settings(max_examples=60, deadline=None)
+def test_scattered_row_words_equal_per_address_reads(case, seed, lane):
+    rows, slots, width = case
+    streams = FleetStreams(seed)
+    words = streams.row_words("drop", 4, rows, slots, width, lane)
+    assert words.shape == (rows.size, width)
+    for k in range(rows.size):
+        expected = streams.words("drop", 4, slots[k], rows[k] * width, width, lane)
+        np.testing.assert_array_equal(words[k], expected)
 
 
 def test_batch_indices_are_uniform_chi_square():
