@@ -9,10 +9,19 @@ weighted sum over its neighbourhood.  It reads the algorithm's own keyed
 streams at the same addresses, so its trajectory equals the pipeline's up
 to floating-point associativity.
 
+PDSL's phase 3 plays each agent's Shapley game on its own, from the
+public single-game pieces: :func:`~repro.core.characteristic.make_update_characteristic`
+(one scalar ``Model.accuracy`` or ``evaluate_loss`` per coalition), a
+memoised :class:`~repro.game.cooperative.CooperativeGame`,
+:func:`~repro.game.shapley.monte_carlo_shapley` or
+:func:`~repro.game.shapley.exact_shapley`, then eqs. 19–21.  The pipeline
+plans all agents' games and scores them in stacked passes, so the two
+compare two scoring paths.
+
 The tests use it as the pipeline's equivalence oracle, and the
-``engine/round`` suite times it as the per-agent baseline.  It covers
-static and dynamic topologies and ``communication_interval``; it does not
-model gossip codecs or message drops.
+``engine/round`` suite times it as the per-agent baseline.  It covers static and dynamic topologies and
+``communication_interval``; it does not model gossip codecs or message
+drops.
 """
 
 from __future__ import annotations
@@ -23,7 +32,15 @@ import numpy as np
 
 from repro.baselines.dp_dpsgd import DPDPSGD
 from repro.core.base import DecentralizedAlgorithm
+from repro.core.characteristic import make_update_characteristic
 from repro.core.pdsl import PDSL
+from repro.game.cooperative import CooperativeGame
+from repro.game.shapley import (
+    exact_shapley,
+    monte_carlo_shapley,
+    normalize_shapley,
+    shapley_aggregation_weights,
+)
 from repro.privacy.mechanisms import clip_by_l2_norm
 
 __all__ = ["reference_round"]
@@ -135,7 +152,7 @@ def _pdsl_round(algorithm: PDSL, round_index: int) -> None:
             j: cross[(j, agent)] for j in topology.neighbors(agent, include_self=False)
         }
         returned[agent] = own[agent]
-        aggregated = algorithm._aggregate_returned(agent, returned)
+        aggregated = _shapley_average(algorithm, agent, returned)
         momentum[agent] = algorithm.config.momentum * momentum[agent] + aggregated
         params[agent] = params[agent] - algorithm.config.learning_rate * momentum[agent]
     # Phase 4: gossip averaging of momentum and model.
@@ -143,3 +160,41 @@ def _pdsl_round(algorithm: PDSL, round_index: int) -> None:
         momentum, params = _gossip(algorithm, "mix", momentum, params)
     algorithm.momentum_state = momentum
     algorithm.state = params
+
+
+def _shapley_average(
+    algorithm: PDSL, agent: int, returned: Dict[int, np.ndarray]
+) -> np.ndarray:
+    """One agent's phase 3: its Shapley game over ``returned`` and eqs. 19–21.
+
+    ``returned`` maps contributor to perturbed gradient, neighbours
+    ascending then the agent itself: the game's player order.  Records the
+    agent's ``last_shapley`` and ``last_weights``.
+    """
+    config = algorithm.config
+    rng = algorithm.agent_rng(agent)
+    candidates = {
+        j: algorithm.state[agent] - config.learning_rate * grad
+        for j, grad in returned.items()
+    }
+    characteristic = make_update_characteristic(
+        model=algorithm.model,
+        candidate_updates=candidates,
+        validation=algorithm.validation,
+        metric=config.characteristic_metric,
+        validation_batch_size=config.validation_batch_size,
+        rng=rng,
+    )
+    game = CooperativeGame(list(candidates), characteristic)
+    if config.shapley_permutations == 0:
+        shapley = exact_shapley(game)
+    else:
+        shapley = monte_carlo_shapley(game, config.shapley_permutations, rng)
+    mixing = {j: algorithm.topology.weight(agent, j) for j in returned}
+    weights = shapley_aggregation_weights(normalize_shapley(shapley), mixing)
+    algorithm.last_shapley[agent] = {int(k): float(v) for k, v in shapley.items()}
+    algorithm.last_weights[agent] = {int(k): float(v) for k, v in weights.items()}
+    aggregated = np.zeros(algorithm.dimension, dtype=np.float64)
+    for j, grad in returned.items():
+        aggregated += weights[j] * grad
+    return aggregated

@@ -173,13 +173,18 @@ class PDSLConfig(AlgorithmConfig):
     shapley_permutations:
         Number of Monte-Carlo permutations ``R`` in Algorithm 2.  Set to 0 to
         use the exact Shapley value (eq. 18), which is only practical for
-        small neighbourhoods.
+        small neighbourhoods: PDSL refuses it when a closed neighbourhood
+        has more than ``repro.core.pdsl.MAX_EXACT_SHAPLEY_PLAYERS`` (20)
+        players.
     characteristic_metric:
         ``"accuracy"`` (eq. 16 as written) or ``"neg_loss"`` (a smoother
         alternative used by an ablation).
     validation_batch_size:
-        Number of validation examples sampled per characteristic-function
-        evaluation; ``None`` uses the whole validation set ``Q``.
+        Size of the validation subsample each agent draws once per round
+        (from its own ``agent_rng``, before its Shapley permutations); every
+        coalition of that agent's game is scored on it.  ``None`` (or a
+        size of at least ``|Q|``) uses the whole validation set ``Q`` and
+        draws nothing.
     """
 
     momentum: float = 0.5

@@ -23,33 +23,51 @@ line by line:
 
 The round pipeline computes all local gradients and all per-edge
 cross-gradients with stacked forward/backward passes and performs phase 4
-as two ``W @ X`` multiplies.  Phase 3's Shapley games run one agent at a
-time today, each from its own per-``(agent, round)`` generator, so they
-could equally be planned up front and scored in bulk.  Under fault
-injection an agent aggregates only the cross-gradients that reached it.
+as two ``W @ X`` multiplies.  Phase 3 runs as one plan for the round:
+every active agent, in agent order, draws its validation subsample (if
+any) and its Shapley permutations from its own per-``(agent, round)``
+generator and lists its coalitions (:func:`~repro.game.shapley.plan_shapley`);
+all coalitions of all agents are then scored in stacked passes
+(:func:`~repro.core.characteristic.coalition_values`), and each agent
+reduces its values to Shapley estimates, weights and its aggregated
+gradient.  The result is bit-identical to playing each agent's
+:class:`~repro.game.cooperative.CooperativeGame` through
+:func:`~repro.game.shapley.monte_carlo_shapley` or
+:func:`~repro.game.shapley.exact_shapley`, which is what the per-agent
+reference (:mod:`repro.bench.reference`) does.  Under fault injection an
+agent aggregates only the cross-gradients that reached it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.base import DecentralizedAlgorithm
-from repro.core.characteristic import make_update_characteristic
+from repro.core.characteristic import coalition_values, validation_batch
 from repro.core.config import PDSLConfig
 from repro.data.dataset import Dataset
-from repro.game.cooperative import CooperativeGame
 from repro.game.shapley import (
-    exact_shapley,
-    monte_carlo_shapley,
+    ShapleyPlan,
     normalize_shapley,
+    plan_shapley,
+    reduce_shapley,
     shapley_aggregation_weights,
 )
 from repro.nn.model import Model
 from repro.topology.graphs import Topology
 
-__all__ = ["PDSL"]
+# The single-game API stays importable from here: perfbench's span probes
+# (perfbench/spans.py) name these two functions on this module.
+from repro.core.characteristic import make_update_characteristic  # noqa: F401
+from repro.game.shapley import monte_carlo_shapley  # noqa: F401
+
+__all__ = ["PDSL", "MAX_EXACT_SHAPLEY_PLAYERS"]
+
+#: Largest closed neighbourhood exact Shapley (``shapley_permutations=0``)
+#: accepts: its plan lists all ``2^Z - 1`` coalitions of every agent's game.
+MAX_EXACT_SHAPLEY_PLAYERS = 20
 
 
 class PDSL(DecentralizedAlgorithm):
@@ -73,6 +91,20 @@ class PDSL(DecentralizedAlgorithm):
             raise TypeError("PDSL requires a PDSLConfig")
         super().__init__(model, topology, shards, config, validation=validation)
         self.config: PDSLConfig = config
+        if config.shapley_permutations == 0:
+            base = self.schedule.base
+            players = max(
+                len(base.neighbors(agent, include_self=True))
+                for agent in range(self.num_agents)
+            )
+            if players > MAX_EXACT_SHAPLEY_PLAYERS:
+                raise ValueError(
+                    f"exact Shapley (shapley_permutations=0) on a closed "
+                    f"neighbourhood of {players} players would score "
+                    f"2^{players} - 1 coalitions per agent and round; the limit "
+                    f"is {MAX_EXACT_SHAPLEY_PLAYERS} players. Use "
+                    f"shapley_permutations > 0 (Monte-Carlo Shapley) instead"
+                )
         # Diagnostics: the most recent Shapley values and aggregation weights
         # per agent, exposed for tests and the ablation experiments.
         self.last_shapley: List[Dict[int, float]] = [{} for _ in range(self.num_agents)]
@@ -100,53 +132,77 @@ class PDSL(DecentralizedAlgorithm):
         ]
 
     # ------------------------------------------------------------------
-    # Shapley helpers
+    # Phase 3: Shapley-weighted aggregation
     # ------------------------------------------------------------------
-    def _shapley_values(
-        self, agent: int, candidate_updates: Dict[int, np.ndarray]
-    ) -> Dict[int, float]:
-        """Shapley value of every neighbour's candidate update (Algorithm 2 or eq. 18)."""
-        rng = self.agent_rng(agent)
-        characteristic = make_update_characteristic(
-            model=self.model,
-            candidate_updates=candidate_updates,
-            validation=self.validation,
-            metric=self.config.characteristic_metric,
-            validation_batch_size=self.config.validation_batch_size,
-            rng=rng,
-        )
-        game = CooperativeGame(list(candidate_updates.keys()), characteristic)
-        if self.config.shapley_permutations == 0:
-            return exact_shapley(game)
-        return monte_carlo_shapley(game, self.config.shapley_permutations, rng)
-
-    def _aggregate_returned(
-        self, agent: int, returned: Dict[int, np.ndarray]
+    def _shapley_aggregate(
+        self,
+        own_perturbed: np.ndarray,
+        cross_perturbed: np.ndarray,
+        pair_rows: Dict[Tuple[int, int], int],
     ) -> np.ndarray:
-        """Phase-3 body for one agent: Shapley weights over the returned
-        perturbed gradients (eqs. 15–20) and their weighted average (eq. 21).
+        """Every active agent's Shapley-weighted gradient average (eqs. 15–21).
 
-        ``returned`` maps contributor id to perturbed gradient and must be
-        ordered neighbours-ascending-then-self: the Shapley game's player
-        order (and hence the Monte-Carlo permutation stream) follows dict
-        order.
+        Agent ``i``'s players are the neighbours whose cross-gradient
+        ``g_hat_{j,i}`` came back, ascending, then ``i`` itself with its own
+        perturbed gradient; its candidate models are ``x_i - gamma *
+        g_hat_{j,i}`` (eq. 15).  Three steps:
+
+        1. plan: per agent, in agent order, one ``agent_rng`` draws the
+           validation subsample (if ``validation_batch_size`` is set) and
+           then the permutations, and lists the game's coalitions;
+        2. compute: :func:`coalition_values` scores all coalitions of all
+           agents, in shared stacked passes where agents share ``Q``;
+        3. reduce: Shapley estimates, eq. 19 normalisation, eq. 20 weights
+           and the eq. 21 weighted average, per agent.
+
+        Returns the ``(N, d)`` aggregated gradients (zero rows for inactive
+        agents) in the state dtype.
         """
         gamma = self.config.learning_rate
-        # Candidate updates x_{i,j} = x_i - gamma * g_hat_{j,i} (eq. 15).
-        candidates = {
-            j: self.state[agent] - gamma * grad for j, grad in returned.items()
-        }
-        shapley = self._shapley_values(agent, candidates)
-        normalized = normalize_shapley(shapley)
-        mixing = {j: self.topology.weight(agent, j) for j in returned}
-        weights = shapley_aggregation_weights(normalized, mixing)
-        self.last_shapley[agent] = {int(k): float(v) for k, v in shapley.items()}
-        self.last_weights[agent] = {int(k): float(v) for k, v in weights.items()}
+        # Per agent: its players, their cross-gradient rows, plan and batch.
+        plans: List[Tuple[int, List[int], List[int], ShapleyPlan, Tuple]] = []
+        for agent in self.active_agents:
+            players = [
+                int(j)
+                for j in self.topology.neighbors(agent, include_self=False)
+                if (j, agent) in pair_rows
+            ]
+            rows = [pair_rows[(j, agent)] for j in players]
+            players.append(agent)
+            rng = self.agent_rng(agent)
+            batch = validation_batch(
+                self.validation, self.config.validation_batch_size, rng
+            )
+            plan = plan_shapley(len(players), self.config.shapley_permutations, rng)
+            plans.append((agent, players, rows, plan, batch))
 
-        # Weighted perturbed-gradient average (eq. 21).
-        aggregated = np.zeros(self.dimension, dtype=np.float64)
-        for j, grad in returned.items():
-            aggregated += weights[j] * grad
+        def returned(agent: int, rows: List[int]) -> np.ndarray:
+            """The agent's returned gradients, one row per player."""
+            return np.concatenate([cross_perturbed[rows], own_perturbed[agent][None]])
+
+        values = coalition_values(
+            self.model,
+            (
+                (self.state[agent] - gamma * returned(agent, rows), plan.masks, batch)
+                for agent, _, rows, plan, batch in plans
+            ),
+            metric=self.config.characteristic_metric,
+            stacked=self._stacked,
+        )
+
+        aggregated = np.zeros_like(self.state)
+        for (agent, players, rows, plan, _), game_values in zip(plans, values):
+            totals = reduce_shapley(plan, game_values)
+            shapley = {j: float(totals[k]) for k, j in enumerate(players)}
+            mixing = {j: self.topology.weight(agent, j) for j in players}
+            weights = shapley_aggregation_weights(normalize_shapley(shapley), mixing)
+            self.last_shapley[agent] = shapley
+            self.last_weights[agent] = weights
+            # Weighted perturbed-gradient average (eq. 21), in player order.
+            total = np.zeros(self.dimension, dtype=np.float64)
+            for j, gradient in zip(players, returned(agent, rows)):
+                total += weights[j] * gradient
+            aggregated[agent] = total
         return aggregated
 
     # ------------------------------------------------------------------
@@ -162,19 +218,11 @@ class PDSL(DecentralizedAlgorithm):
         # owner j): agent i's batch, agent j's model.
         cross_perturbed, pair_rows = self.fleet_cross_gradients(batches)
 
-        # Phase 3 — per-agent Shapley aggregation over the cross-gradients
-        # that came back, then the blocked momentum update.  Inactive
-        # agents run no Shapley game and keep momentum and model frozen
-        # for the round.
-        aggregated = np.zeros_like(self.state)
-        for agent in self.active_agents:
-            returned = {
-                j: cross_perturbed[pair_rows[(j, agent)]]
-                for j in self.topology.neighbors(agent, include_self=False)
-                if (j, agent) in pair_rows
-            }
-            returned[agent] = own_perturbed[agent]
-            aggregated[agent] = self._aggregate_returned(agent, returned)
+        # Phase 3 — Shapley aggregation over the cross-gradients that came
+        # back, planned for the round and scored in bulk, then the blocked
+        # momentum update.  Inactive agents run no Shapley game and keep
+        # momentum and model frozen for the round.
+        aggregated = self._shapley_aggregate(own_perturbed, cross_perturbed, pair_rows)
 
         # Phase 4 — gossip averaging of momentum and model (off-interval
         # rounds keep the local update).

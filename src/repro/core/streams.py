@@ -29,9 +29,10 @@ the batch size for batch draws, the sample cap for the evaluation
 subsample, ``d`` for random-k) — so drawing rows ``[s, e)`` returns
 exactly the slice of the one-shot ``[0, N)`` draw, and rows that draw
 nothing (inactive agents) leave every other row's words unchanged.  A
-NumPy ``Philox`` constructed at ``counter=[b, ...]`` is the generator
-advanced by ``b`` blocks, so one bit generator serves a whole contiguous
-run of rows with a single ``random_raw`` call.
+NumPy ``Philox`` set to ``counter=[b, ...]`` is the generator advanced by
+``b`` blocks, so a whole contiguous run of rows is a single ``random_raw``
+call, and one bit generator, re-seeked by assigning its state, serves every
+run of a :meth:`FleetStreams.row_words` call.
 
 Gaussian noise is made from raw words with Box–Muller (53-bit uniforms,
 exactly ``width = d + d % 2`` words per row), not the ziggurat, whose
@@ -152,12 +153,28 @@ class FleetStreams:
         ) + 1
         bounds = [0, *cuts.tolist(), order.size]
         row_list, slot_list = ordered.tolist(), ordered_slots.tolist()
+        # One bit generator, seeked to each run by assigning its state: a
+        # counter and an empty output buffer are what Philox(key, counter=...)
+        # starts from, without a construction (which also seeds an unused
+        # SeedSequence from the OS) per run.  It stays local to the call:
+        # block workers share the streams across threads.
+        key = self._keys[purpose]
+        bits = np.random.Philox(key=key)
         pieces = []
         for begin, stop in zip(bounds[:-1], bounds[1:]):
             low, high = row_list[begin], row_list[stop - 1] + 1
-            words = self.words(
-                purpose, step, slot_list[begin], low * width, (high - low) * width, lane
-            ).reshape(high - low, width)
+            block, skip = divmod(low * width, _WORDS_PER_BLOCK)
+            counter = [block, int(step), slot_list[begin], int(lane)]
+            bits.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": np.array(counter, dtype=np.uint64), "key": key},
+                "buffer": np.zeros(_WORDS_PER_BLOCK, dtype=np.uint64),
+                "buffer_pos": _WORDS_PER_BLOCK,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            count = (high - low) * width
+            words = bits.random_raw(skip + count)[skip:].reshape(high - low, width)
             if high - low != stop - begin:
                 words = words[ordered[begin:stop] - low]
             pieces.append(words)

@@ -3,19 +3,32 @@
 These implement eqs. 7/8 (exact), Algorithm 2 (permutation-sampling Monte
 Carlo), eq. 19 (min–max normalisation) and eq. 20 (the aggregation weights
 ``pi_{ij}`` combining normalised Shapley values with the mixing weights).
+
+Both estimators run in three steps.  :func:`plan_shapley` fixes the
+coalitions to evaluate, as Python-int bitmasks over player positions (bit
+``k`` is ``players[k]``; no width limit).  The caller evaluates them, in
+plan order.  :func:`reduce_shapley` turns those values into per-player
+estimates.  :func:`exact_shapley` and :func:`monte_carlo_shapley` evaluate
+through a memoised :class:`~repro.game.cooperative.CooperativeGame`; PDSL
+plans every agent's game of a round first and scores all their coalitions
+in stacked passes (:mod:`repro.core.pdsl`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Hashable, Mapping
+from typing import Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.game.cooperative import CooperativeGame
 
 __all__ = [
+    "ShapleyPlan",
+    "plan_shapley",
+    "reduce_shapley",
+    "coalition_members",
     "exact_shapley",
     "monte_carlo_shapley",
     "normalize_shapley",
@@ -25,29 +38,127 @@ __all__ = [
 Player = Hashable
 
 
+class ShapleyPlan(NamedTuple):
+    """The coalitions one Shapley computation evaluates, and how to reduce them.
+
+    ``masks`` lists each coalition once, in evaluation order.  For the
+    exact value it is every non-empty coalition, the lazy
+    ``range(1, 2^Z)``.  For
+    Monte Carlo it is each unique coalition in first-encounter order, and
+    ``orders`` holds the ``(R, Z)`` sampled permutations; ``slots[r, p]``
+    is the index in ``masks`` of the coalition of permutation ``r``'s first
+    ``p + 1`` players.
+    """
+
+    num_players: int
+    masks: Sequence[int]
+    orders: Optional[np.ndarray] = None
+    slots: Optional[np.ndarray] = None
+
+
+def coalition_members(mask: int) -> List[int]:
+    """Player positions in a coalition bitmask, ascending."""
+    members = []
+    position = 0
+    while mask:
+        if mask & 1:
+            members.append(position)
+        mask >>= 1
+        position += 1
+    return members
+
+
+def plan_shapley(
+    num_players: int,
+    num_permutations: int,
+    rng: Optional[np.random.Generator] = None,
+) -> ShapleyPlan:
+    """The coalitions of an exact (``num_permutations=0``) or Monte-Carlo game.
+
+    Monte Carlo draws all ``R`` permutations up front from ``rng``, one
+    ``rng.permutation`` each, and grows each permutation's coalition one
+    player at a time.  A coalition joins the plan the first time it is
+    met; that is the evaluation order of the plain per-permutation walk,
+    which asks for ``v(predecessors | {player})`` and then
+    ``v(predecessors)``, the previous position's coalition.  So a
+    characteristic that consumes its own RNG sees the same stream.  The
+    exact plan lists all ``2^Z - 1`` non-empty coalitions and draws nothing.
+    """
+    if num_permutations < 0:
+        raise ValueError("num_permutations must be non-negative")
+    if num_permutations == 0:
+        return ShapleyPlan(num_players, range(1, 1 << num_players))
+    orders = np.stack(
+        [rng.permutation(num_players) for _ in range(num_permutations)], axis=0
+    )
+    index: Dict[int, int] = {}
+    slots = np.empty(orders.shape, dtype=np.intp)
+    for r, order in enumerate(orders.tolist()):
+        mask = 0
+        for position, k in enumerate(order):
+            mask |= 1 << k
+            slots[r, position] = index.setdefault(mask, len(index))
+    return ShapleyPlan(num_players, list(index), orders, slots)
+
+
+def reduce_shapley(plan: ShapleyPlan, values: Sequence[float]) -> np.ndarray:
+    """Per-player Shapley estimates from the values of ``plan.masks``.
+
+    Monte Carlo: marginal ``(r, p)`` is ``v`` of the permutation's first
+    ``p + 1`` players minus ``v`` of its first ``p`` (``v(empty) = 0``).
+    The ``(R, Z)`` marginals are divided by ``R`` and reduced with one
+    ``np.add.at`` in permutation order, bit-identical to accumulating
+    ``marginal / R`` walk by walk.  Exact: eq. 8, summed per player over
+    subset sizes and then ``itertools.combinations`` of the other players.
+    """
+    n = plan.num_players
+    if plan.orders is None:
+        by_mask = [0.0, *(float(v) for v in values)]
+        return np.array([_exact_total(n, k, by_mask) for k in range(n)])
+    prefix = np.asarray(values, dtype=np.float64)[plan.slots]
+    marginals = prefix.copy()
+    marginals[:, 1:] -= prefix[:, :-1]
+    marginals /= plan.orders.shape[0]
+    totals = np.zeros(n, dtype=np.float64)
+    np.add.at(totals, plan.orders.reshape(-1), marginals.reshape(-1))
+    return totals
+
+
+def _exact_total(n: int, k: int, by_mask: List[float]) -> float:
+    """Eq. 8 for player ``k``, from ``by_mask[mask] = v(mask)``.
+
+    ``phi_k = sum_{Z' subseteq Z \\ {k}}  [ Z * C(Z-1, |Z'|) ]^{-1}
+              ( v(Z' ∪ {k}) - v(Z') )``
+    """
+    bit = 1 << k
+    others = [1 << j for j in range(n) if j != k]
+    total = 0.0
+    for size in range(n):
+        coefficient = 1.0 / (n * math.comb(n - 1, size))
+        for subset in itertools.combinations(others, size):
+            mask = sum(subset)
+            total += coefficient * (by_mask[mask | bit] - by_mask[mask])
+    return total
+
+
+def _solve(game: CooperativeGame, plan: ShapleyPlan) -> Dict[Player, float]:
+    """Evaluate ``plan`` through the memoised game, in plan order, and reduce it."""
+    players = list(game.players)
+    values = [
+        game.value([players[k] for k in coalition_members(mask)]) for mask in plan.masks
+    ]
+    totals = reduce_shapley(plan, values)
+    return {players[k]: float(totals[k]) for k in range(len(players))}
+
+
 def exact_shapley(game: CooperativeGame) -> Dict[Player, float]:
     """Exact Shapley values via the subset formulation (eq. 8).
-
-    ``phi_i = sum_{Z' subseteq Z \\ {i}}  [ Z * C(Z-1, |Z'|) ]^{-1}
-              ( v(Z' ∪ {i}) - v(Z') )``
 
     Complexity is ``O(2^Z)`` characteristic evaluations, so this is intended
     for the small neighbourhoods of the decentralized setting and for testing
     the Monte-Carlo estimator.
     """
-    players = game.players
-    z = game.num_players
-    values: Dict[Player, float] = {}
-    for player in players:
-        others = [p for p in players if p != player]
-        total = 0.0
-        for subset_size in range(0, len(others) + 1):
-            coefficient = 1.0 / (z * math.comb(z - 1, subset_size))
-            for subset in itertools.combinations(others, subset_size):
-                marginal = game.value(set(subset) | {player}) - game.value(subset)
-                total += coefficient * marginal
-        values[player] = total
-    return values
+    return _solve(game, plan_shapley(game.num_players, 0))
 
 
 def monte_carlo_shapley(
@@ -61,41 +172,14 @@ def monte_carlo_shapley(
     player set, every player's marginal contribution with respect to its
     predecessors in ``phi_r`` is accumulated and divided by ``R``.  The
     estimator is unbiased and its cost is ``O(R * Z)`` characteristic
-    evaluations (amortised further by the game's memoisation).
-
-    All ``R`` permutations are sampled up front (one ``rng.permutation``
-    draw each).  Each permutation grows its coalition as a Python-int
-    bitmask, which has no width limit, so any player count takes this walk.
-    The first time a coalition is met it is evaluated through the memoised
-    game.  That is the call order of the plain per-permutation walk, which
-    asks for ``v(predecessors | {player})`` and then ``v(predecessors)``, a
-    repeat of the previous position's coalition; so a characteristic that
-    consumes its own RNG (validation-batch subsampling) sees the same
-    stream.  The ``(R, Z)`` marginals are divided by ``R`` and reduced into
-    per-player estimates with one ``np.add.at`` in permutation order, so the
-    result is bit-identical to that walk as well.
+    evaluations, fewer when permutations share coalitions.  The coalitions
+    are planned by :func:`plan_shapley`, evaluated in first-encounter order
+    and reduced by :func:`reduce_shapley`, so both the characteristic's call
+    order and the result are bit-identical to the per-permutation walk.
     """
     if num_permutations <= 0:
         raise ValueError("num_permutations must be positive")
-    players = list(game.players)
-    n = len(players)
-    orders = np.stack([rng.permutation(n) for _ in range(num_permutations)], axis=0)
-    values: Dict[int, float] = {}
-    marginals = np.empty(orders.shape, dtype=np.float64)
-    for r, order in enumerate(orders.tolist()):
-        # v(predecessors) is the previous position's v(with player): v(empty)
-        # = 0 at the start, so only v(with player) can be a first encounter.
-        mask, previous = 0, 0.0
-        for position, k in enumerate(order):
-            mask |= 1 << k
-            if mask not in values:
-                values[mask] = game.value([players[j] for j in order[: position + 1]])
-            marginals[r, position] = values[mask] - previous
-            previous = values[mask]
-    marginals /= num_permutations
-    totals = np.zeros(n, dtype=np.float64)
-    np.add.at(totals, orders.reshape(-1), marginals.reshape(-1))
-    return {players[k]: float(totals[k]) for k in range(n)}
+    return _solve(game, plan_shapley(game.num_players, num_permutations, rng))
 
 
 def _monte_carlo_shapley_sequential(

@@ -27,6 +27,6 @@ def test_every_probe_target_resolves_without_installing(monkeypatch):
     recorder = spans.SpanRecorder()
     assert not recorder.installed
     assert len(recorder._patches) == len(spans.PROBES)
-    # Resolving a probe patches nothing: PDSL still calls the estimator.
+    # Resolving a probe patches nothing.
     assert pdsl.monte_carlo_shapley is monte_carlo_shapley
 

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.characteristic import make_update_characteristic, validation_characteristic
+from repro.core import characteristic as characteristic_module
+from repro.core.characteristic import (
+    coalition_values,
+    make_update_characteristic,
+    validation_batch,
+    validation_characteristic,
+)
 from repro.data.synthetic import make_classification_dataset
-from repro.nn.zoo import make_linear_classifier
+from repro.game.shapley import coalition_members, plan_shapley
+from repro.nn.batched import StackedSequential
+from repro.nn.zoo import make_linear_classifier, make_mlp
 
 
 @pytest.fixture
@@ -104,3 +112,74 @@ class TestUpdateCharacteristic:
         empty = Dataset(np.zeros((0, 6)), np.zeros(0))
         with pytest.raises(ValueError):
             make_update_characteristic(model, {0: model.get_flat_params()}, empty)
+
+
+class TestValidationBatch:
+    def test_whole_set_returns_q_itself_and_draws_nothing(self, setup):
+        data, _ = setup
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for size in (None, len(data), len(data) + 5):
+            inputs, labels = validation_batch(data, size, rng)
+            assert inputs is data.inputs and labels is data.labels
+        assert rng.bit_generator.state == before
+
+    def test_subsample_is_the_characteristic_s_subsample(self, setup):
+        data, _ = setup
+        inputs, labels = validation_batch(data, 30, np.random.default_rng(3))
+        expected = data.sample(30, np.random.default_rng(3))
+        np.testing.assert_array_equal(inputs, expected.inputs)
+        np.testing.assert_array_equal(labels, expected.labels)
+
+
+def planned_games(model, data, num_games, subsample, metric):
+    """``(candidates, masks, batch)`` games plus each game's characteristic."""
+    rng = np.random.default_rng(0)
+    base = model.get_flat_params()
+    size = 40 if subsample else None
+    games, characteristics = [], []
+    for g in range(num_games):
+        players = 2 + g % 5
+        candidates = base + 0.5 * rng.normal(size=(players, base.size))
+        batch = validation_batch(data, size, np.random.default_rng(200 + g))
+        plan = plan_shapley(players, 3 if g % 2 else 0, np.random.default_rng(100 + g))
+        games.append((candidates, plan.masks, batch))
+        characteristics.append(
+            make_update_characteristic(
+                model,
+                dict(enumerate(candidates)),
+                data,
+                metric=metric,
+                validation_batch_size=size,
+                rng=np.random.default_rng(200 + g),
+            )
+        )
+    return games, characteristics
+
+
+class TestCoalitionValues:
+    """Stacked, planned scoring equals one characteristic call per coalition."""
+
+    @pytest.mark.parametrize("metric", ["accuracy", "neg_loss"])
+    @pytest.mark.parametrize("subsample", [False, True], ids=["shared", "own"])
+    @pytest.mark.parametrize("engine", ["stacked", "per-row"])
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    def test_bitwise_equal_to_the_characteristic(
+        self, setup, monkeypatch, metric, subsample, engine, chunk_bytes
+    ):
+        data, _ = setup
+        model = make_mlp(6, 3, hidden_sizes=(8,), seed=0)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(characteristic_module, "_COALITION_CHUNK_BYTES", chunk_bytes)
+        games, characteristics = planned_games(model, data, 7, subsample, metric)
+        stacked = StackedSequential(model) if engine == "stacked" else None
+        values = list(coalition_values(model, iter(games), metric=metric, stacked=stacked))
+        assert len(values) == len(games)
+        for (_, masks, _), v, game_values in zip(games, characteristics, values):
+            expected = [v(tuple(coalition_members(mask))) for mask in masks]
+            np.testing.assert_array_equal(game_values, expected)
+
+    def test_unknown_metric_rejected(self, setup):
+        _, model = setup
+        with pytest.raises(ValueError):
+            coalition_values(model, [], metric="f1")

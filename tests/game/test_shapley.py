@@ -1,14 +1,20 @@
 """Tests for exact / Monte-Carlo Shapley values, normalisation and weights (eqs. 18-20)."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from repro.game.cooperative import CooperativeGame
 from repro.game.shapley import (
     _monte_carlo_shapley_sequential,
+    coalition_members,
     exact_shapley,
     monte_carlo_shapley,
     normalize_shapley,
+    plan_shapley,
+    reduce_shapley,
     shapley_aggregation_weights,
 )
 
@@ -117,6 +123,85 @@ def synergy_game(num_players):
 
 # 63 and 64 straddle one uint64 word; 70 and 128 need more than one.
 PLAYER_COUNTS = (1, 5, 63, 64, 70, 128)
+
+
+class TestShapleyPlan:
+    """Plan, evaluate in plan order, reduce: the walk both estimators share."""
+
+    def test_coalition_members_are_the_set_bits_ascending(self):
+        assert coalition_members(0) == []
+        assert coalition_members(0b1011) == [0, 1, 3]
+        assert coalition_members(1 << 100 | 1 << 64 | 2) == [1, 64, 100]
+
+    @pytest.mark.parametrize("num_players", [1, 3, 6])
+    def test_exact_plan_lists_every_nonempty_coalition_and_draws_nothing(self, num_players):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        plan = plan_shapley(num_players, 0, rng)
+        assert list(plan.masks) == list(range(1, 1 << num_players))
+        assert plan.orders is None and plan.slots is None
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("num_players", [1, 5, 70])
+    def test_monte_carlo_plan_lists_unique_prefixes_in_first_encounter_order(self, num_players):
+        plan = plan_shapley(num_players, 6, np.random.default_rng(2))
+        expected = []
+        for r, order in enumerate(plan.orders.tolist()):
+            mask = 0
+            for position, k in enumerate(order):
+                mask |= 1 << k
+                if mask not in expected:
+                    expected.append(mask)
+                assert plan.masks[plan.slots[r, position]] == mask
+        assert plan.masks == expected
+
+    def test_plan_consumes_one_permutation_per_sample(self):
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        plan = plan_shapley(7, 3, rng)
+        np.testing.assert_array_equal(plan.orders, [twin.permutation(7) for _ in range(3)])
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("num_permutations", [0, 1, 9])
+    def test_reduce_of_planned_values_equals_the_game_estimators(self, num_permutations):
+        game = synergy_game(6)
+        plan = plan_shapley(6, num_permutations, np.random.default_rng(5))
+        values = [game.value(coalition_members(mask)) for mask in plan.masks]
+        totals = reduce_shapley(plan, values)
+        if num_permutations == 0:
+            expected = exact_shapley(synergy_game(6))
+        else:
+            expected = monte_carlo_shapley(
+                synergy_game(6), num_permutations, np.random.default_rng(5)
+            )
+        assert {k: float(totals[k]) for k in range(6)} == expected
+
+    def test_negative_permutation_count_rejected(self):
+        with pytest.raises(ValueError):
+            plan_shapley(3, -1, np.random.default_rng(0))
+
+    def test_exact_value_is_bitwise_the_per_player_subset_walk(self):
+        # eq. 8 summed per player, over subset sizes and then combinations
+        # of the other players: the accumulation order the reduction keeps.
+        rng = np.random.default_rng(6)
+        table = {}
+
+        def value(coalition):
+            key = frozenset(coalition)
+            if key not in table:
+                table[key] = float(rng.normal()) if key else 0.0
+            return table[key]
+
+        players = list(range(7))
+        walked = {}
+        for player in players:
+            others = [p for p in players if p != player]
+            total = 0.0
+            for size in range(len(players)):
+                coefficient = 1.0 / (len(players) * math.comb(len(players) - 1, size))
+                for subset in itertools.combinations(others, size):
+                    total += coefficient * (value(set(subset) | {player}) - value(subset))
+            walked[player] = total
+        assert exact_shapley(CooperativeGame(players, value)) == walked
 
 
 class TestMonteCarloOracle:
