@@ -10,8 +10,8 @@ Each suite packages one hot path of the system behind the
   agents, memory-guarded, streamed-vs-default-block bit-identity asserted;
 * ``gossip/sparse`` — dense einsum vs the CSR gossip kernel (bit-identity
   checked);
-* ``gossip/compressed`` — dense vs top-k vs int8 gossip wire bytes
-  (identity-codec bit-identity checked);
+* ``gossip/compressed`` — dense vs top-k vs random-k vs int8 gossip wire
+  bytes (identity-codec bit-identity and random-k == top-k bytes checked);
 * ``gossip/scaling-sweep`` — gossip kernels (one-shot, blocked, float32,
   mixed-precision) across fleet sizes up to the
   machine's memory ceiling, with too-large points skipped via the shared
@@ -664,14 +664,16 @@ class CompressedGossipSuite(Benchmark):
 
     The headline metric is ``bytes_reduction`` — dense network bytes divided
     by top-k (``k = d // 10``) network bytes on a ring fleet — with int8
-    quantization reported alongside.  The identity codec is also run and
+    quantization reported alongside.  Random-k (same ``k``) runs too and
+    must put exactly top-k's bytes on the wire: both sparsifiers send ``k``
+    (value, index) pairs per message.  The identity codec is also run and
     asserted bit-identical (states and byte counters) to the uncompressed
     path, so the compressed engine cannot silently diverge from the
     trajectory every other suite measures.
     """
 
     name = "gossip/compressed"
-    description = "dense vs top-k vs int8 gossip, wire bytes per round"
+    description = "dense vs top-k/random-k vs int8 gossip, wire bytes per round"
     floor = FloorSpec(
         metric="bytes_reduction", minimum=4.0, min_cpus=1, min_baseline_seconds=0.0
     )
@@ -739,12 +741,16 @@ class CompressedGossipSuite(Benchmark):
 
             dense_s, dense_b = self._measure(num_agents, None)
             topk_s, topk_b = self._measure(num_agents, {"codec": "topk"})
+            randomk_s, randomk_b = self._measure(num_agents, {"codec": "randomk"})
             int8_s, int8_b = self._measure(num_agents, {"codec": "int8"})
+            assert randomk_b == topk_b, (randomk_b, topk_b)
             metrics[f"dense_s@{num_agents}"] = dense_s
             metrics[f"topk_s@{num_agents}"] = topk_s
+            metrics[f"randomk_s@{num_agents}"] = randomk_s
             metrics[f"int8_s@{num_agents}"] = int8_s
             metrics[f"dense_bytes@{num_agents}"] = dense_b
             metrics[f"topk_bytes@{num_agents}"] = topk_b
+            metrics[f"randomk_bytes@{num_agents}"] = randomk_b
             metrics[f"int8_bytes@{num_agents}"] = int8_b
             metrics[f"bytes_reduction@{num_agents}"] = dense_b / topk_b
             metrics[f"bytes_reduction_int8@{num_agents}"] = dense_b / int8_b

@@ -52,12 +52,24 @@ __all__ = [
 _SPARSE_BYTES_PER_COORD = 12
 
 
-def _kept(work: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``work`` with only the coordinates ``keep[r]`` of each row ``r`` left nonzero."""
-    rows = np.arange(work.shape[0])[:, None]
-    out = np.zeros_like(work)
-    out[rows, keep] = work[rows, keep]
-    return out
+def _trim_ties(keep: np.ndarray, key: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
+    """``keep`` cut to ``k`` coordinates per row by dropping ties at ``kth``.
+
+    ``keep`` holds every coordinate of a row that ranks at or above the row's
+    ``k``-th ranked ``key`` value ``kth``, so a row keeps more than ``k`` only
+    when several coordinates tie at ``kth``.  On those rows (and only those:
+    the pass stays small) the surplus ties are dropped from the highest
+    index down, which keeps the lowest-index ties.  ``keep`` is updated in
+    place and returned.
+    """
+    surplus = np.count_nonzero(keep, axis=1) - k
+    over = np.flatnonzero(surplus > 0)
+    if over.size:
+        ties = key[over] == kth[over]
+        rank = np.cumsum(ties, axis=1)
+        keep_ties = rank[:, -1:] - surplus[over, None]
+        keep[over] &= ~(ties & (rank > keep_ties))
+    return keep
 
 
 class Codec:
@@ -136,8 +148,19 @@ class Int8Codec(Codec):
 class TopKCodec(Codec):
     """Keep each row's ``k`` largest-magnitude coordinates, zero the rest.
 
-    Ties break towards the lower index (stable sort), so the selection is
-    deterministic.  Wire format: ``k`` (value, index) pairs.
+    The selection is deterministic, and equal to a stable sort of ``-|x|``
+    cut after ``k`` entries:
+
+    * ties at the ``k``-th largest magnitude go to the lowest indices;
+    * NaN ranks below every magnitude, so a NaN coordinate is kept only when
+      fewer than ``k`` coordinates of its row are not NaN (lowest-index NaNs
+      first).
+
+    It runs as a selection, not a sort: one ``np.partition`` finds each
+    row's ``k``-th largest magnitude, every coordinate at or above it is
+    kept, and only rows with surplus ties at it take a tie pass.  Kept
+    coordinates are exact copies (signed zeros and NaN payloads included);
+    dropped ones are ``+0.0``.  Wire format: ``k`` (value, index) pairs.
     """
 
     name = "topk"
@@ -155,8 +178,13 @@ class TopKCodec(Codec):
         work = np.asarray(work, dtype=np.float64)
         if self.k >= work.shape[1]:
             return work.copy()
-        keep = np.argsort(-np.abs(work), axis=1, kind="stable")[:, : self.k]
-        return _kept(work, keep)
+        mag = np.abs(work)
+        mag[np.isnan(mag)] = -1.0  # NaN ranks below every magnitude
+        cut = work.shape[1] - self.k
+        # Copied out so the partitioned matrix is freed before the output exists.
+        kth = np.partition(mag, cut, axis=1)[:, cut : cut + 1].copy()
+        keep = _trim_ties(mag >= kth, mag, kth, self.k)
+        return np.where(keep, work, 0.0)
 
     def describe(self) -> str:
         return f"topk(k={self.k})"
@@ -169,7 +197,11 @@ class RandomKCodec(Codec):
     raw 64-bit random word per coordinate) are smallest: the ranks of
     independent uniform keys are a uniformly random permutation, so the kept
     set is a uniformly random ``k``-subset, and a pure function of the row's
-    own words.  Same wire format as top-k.
+    own words.  It runs top-k's selection and tie pass: a duplicate word at
+    the ``k``-th smallest goes to the lowest index, a case in which
+    ``np.argpartition``'s pick is unspecified; on rows whose words are
+    distinct the kept set is the ``k`` smallest words either way.  Same wire
+    format as top-k.
     """
 
     name = "randomk"
@@ -193,8 +225,9 @@ class RandomKCodec(Codec):
             )
         if self.k >= work.shape[1]:
             return work.copy()
-        keep = np.argpartition(words, self.k - 1, axis=1)[:, : self.k]
-        return _kept(work, keep)
+        kth = np.partition(words, self.k - 1, axis=1)[:, self.k - 1 : self.k].copy()
+        keep = _trim_ties(words <= kth, words, kth, self.k)
+        return np.where(keep, work, 0.0)
 
     def describe(self) -> str:
         return f"randomk(k={self.k})"

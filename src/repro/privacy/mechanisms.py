@@ -42,9 +42,11 @@ def clip_by_l2_norm(vector: np.ndarray, clip_threshold: float) -> np.ndarray:
 def clip_rows_by_l2_norm(matrix: np.ndarray, clip_threshold: float) -> np.ndarray:
     """Row-wise L2 clipping of a ``(num_gradients, d)`` stack of gradients.
 
-    Applies ``g_tilde = g / max(1, ||g|| / C)`` independently to every row;
-    equivalent to mapping :func:`clip_by_l2_norm` over the rows but computed
-    with a single vectorized pass.  Always returns a new array.
+    Applies ``g_tilde = g / max(1, ||g|| / C)`` independently to every row
+    in a single vectorized pass.  Equal to mapping :func:`clip_by_l2_norm`
+    over the rows up to round-off, not bitwise: the row-wise norm can differ
+    from ``np.linalg.norm`` of one vector in the last bit, and so can every
+    coordinate of a clipped row.  Always returns a new array.
     """
     if clip_threshold <= 0:
         raise ValueError("clip_threshold must be positive")

@@ -104,6 +104,19 @@ class TestRowWiseClipping:
                 rows[k], clip_by_l2_norm(matrix[k], 2.0), rtol=1e-12, atol=1e-15
             )
 
+    def test_equals_per_vector_clipping_to_round_off(self):
+        # The row-wise norm and np.linalg.norm of one row may differ in the
+        # last bit, so a clipped row matches per-vector clipping only to
+        # round-off; rows that are not clipped come back exactly.
+        rng = np.random.default_rng(1)
+        matrix = rng.normal(size=(2000, 68)) * rng.uniform(0.01, 0.5, size=(2000, 1))
+        rows = clip_rows_by_l2_norm(matrix, 1.0)
+        looped = np.stack([clip_by_l2_norm(row, 1.0) for row in matrix])
+        np.testing.assert_allclose(rows, looped, rtol=1e-15, atol=0.0)
+        short = np.linalg.norm(matrix, axis=1) <= 1.0
+        assert short.any() and not short.all()
+        np.testing.assert_array_equal(rows[short], matrix[short])
+
     def test_returns_new_array(self):
         matrix = np.ones((3, 4))
         rows = clip_rows_by_l2_norm(matrix, 100.0)

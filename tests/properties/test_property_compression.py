@@ -5,7 +5,8 @@ The codec invariants the communication layer leans on:
 * decode(encode(x)) error is bounded (per codec, with an explicit bound);
 * error feedback telescopes: everything ever transmitted plus the current
   residual equals everything ever offered — zero systematic drift;
-* top-k keeps exactly the k largest magnitudes and zeroes the rest;
+* top-k keeps exactly the k largest magnitudes and zeroes the rest, bitwise
+  as a stable sort of ``-|x|`` would (ties to the lowest index, NaN last);
 * int8 round-trips exactly on values that are representable levels;
 * random-k keeps exactly k coordinates, a uniformly random subset that is a
   pure function of its ``"codec"`` stream address;
@@ -167,6 +168,68 @@ def test_topk_preserves_the_k_largest_magnitudes(rows, dimension, k, seed):
             assert np.abs(work[row, kept]).min() >= np.abs(work[row, dropped]).max()
 
 
+def _sorted_topk(work, k):
+    """Top-k by a full stable sort of ``-|x|``: the selection's oracle."""
+    rows = np.arange(work.shape[0])[:, None]
+    keep = np.argsort(-np.abs(work), axis=1, kind="stable")[:, :k]
+    out = np.zeros_like(work)
+    out[rows, keep] = work[rows, keep]
+    return out
+
+
+def _topk_rows(kind, rows, dimension, seed):
+    rng = np.random.default_rng(seed)
+    work = rng.normal(size=(rows, dimension))
+    if kind == "tied":
+        return np.round(2.0 * work) / 2.0
+    if kind == "zero":
+        return np.zeros((rows, dimension))
+    if kind == "negative-zero":
+        return np.full((rows, dimension), -0.0)
+    if kind == "inf":
+        work[rng.random(work.shape) < 0.2] = np.inf
+        work[rng.random(work.shape) < 0.2] = -np.inf
+    elif kind == "nan":
+        work[rng.random(work.shape) < 0.1] = np.nan
+    elif kind == "mostly-nan":
+        work[rng.random(work.shape) < 0.9] = np.nan
+    elif kind == "mixed":
+        work = np.round(work)
+        work[rng.random(work.shape) < 0.3] = -0.0
+        work[rng.random(work.shape) < 0.2] = np.nan
+    return work
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["random", "tied", "zero", "negative-zero", "inf", "nan", "mostly-nan", "mixed"]
+    ),
+    rows=st.integers(1, 8),
+    dimension=st.integers(2, 48),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_topk_selection_is_bitwise_the_stable_sort(kind, rows, dimension, seed, data):
+    k = data.draw(st.sampled_from([1, dimension - 1, dimension]))
+    work = _topk_rows(kind, rows, dimension, seed)
+    decoded = TopKCodec(k).decode_rows(work)
+    np.testing.assert_array_equal(
+        decoded.view(np.uint64), _sorted_topk(work, k).view(np.uint64)
+    )
+
+
+def test_topk_keeps_nan_only_when_too_few_coordinates_are_not_nan():
+    work = np.array([[np.nan, 0.5, np.nan, -2.0, np.nan]])
+    np.testing.assert_array_equal(
+        TopKCodec(2).decode_rows(work), [[0.0, 0.5, 0.0, -2.0, 0.0]]
+    )
+    # Two coordinates are not NaN; the third slot goes to the lowest-index NaN.
+    np.testing.assert_array_equal(
+        TopKCodec(3).decode_rows(work), [[np.nan, 0.5, 0.0, -2.0, 0.0]]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Int8 is exact on representable values
 # ---------------------------------------------------------------------------
@@ -221,6 +284,18 @@ def test_randomk_keeps_exactly_k_coordinates_of_its_words(rows, dimension, k, se
     if k < dimension:
         for row in range(rows):
             assert words[row, kept[row]].max() < words[row, ~kept[row]].min()
+
+
+def test_randomk_duplicate_words_at_the_threshold_go_to_the_lowest_index():
+    work = np.arange(1.0, 7.0)[None, :]
+    # The two smallest words are distinct; three coordinates share the third.
+    words = np.array([[9, 5, 2, 5, 1, 5]], dtype=np.uint64)
+    np.testing.assert_array_equal(
+        RandomKCodec(3).decode_rows(work, words), [[0.0, 2.0, 3.0, 0.0, 5.0, 0.0]]
+    )
+    np.testing.assert_array_equal(
+        RandomKCodec(4).decode_rows(work, words), [[0.0, 2.0, 3.0, 4.0, 5.0, 0.0]]
+    )
 
 
 def test_randomk_requires_one_word_per_coordinate():
