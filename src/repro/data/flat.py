@@ -177,11 +177,17 @@ class FleetBatches:
 
         ``inputs`` is ``(len(rows), length, ...)`` and ``labels``
         ``(len(rows), length)``; rows that drew nothing are skipped.  There
-        are at most ``batch_size`` groups.
+        are at most ``batch_size`` groups.  Samples are gathered with
+        ``np.take(..., axis=0)``, which copies the same rows as fancy
+        indexing but faster.
         """
         for length in np.unique(self.sizes):
             if length == 0:
                 continue
             rows = np.flatnonzero(self.sizes == length)
             index = self.index[rows, :length]
-            yield rows, self.shards.inputs[index], self.shards.labels[index]
+            yield (
+                rows,
+                np.take(self.shards.inputs, index, axis=0),
+                np.take(self.shards.labels, index, axis=0),
+            )

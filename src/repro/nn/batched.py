@@ -12,12 +12,14 @@ layer is applied to all ``M`` models with one batched ``np.matmul``.
 Only layer types whose stacked semantics are exact and deterministic are
 supported (``Dense``, ``ReLU``, ``Tanh``, ``Sigmoid``, ``Flatten``).  Models
 containing convolutions, pooling or dropout fall back to one scalar pass per
-model — use :func:`supports_stacked` to check.  The stacked computation mirrors
-the per-layer formulas of :mod:`repro.nn.layers` operation for operation, and a
-batched ``np.matmul`` runs the same inner kernel per model as the scalar
-``Dense``'s ``x @ W``, ``x.T @ g`` and ``g @ W.T``, so losses, gradients and
-predictions are bit-identical to ``Model.loss_and_gradient`` and
-``Model.accuracy`` row by row.
+model — use :func:`supports_stacked` to check.  The stacked passes apply the
+per-layer formulas of :mod:`repro.nn.layers`, and a batched ``np.matmul`` runs
+the same inner kernel per model as the scalar ``Dense``'s ``x @ W``,
+``x.T @ g`` and ``g @ W.T``, so losses, gradients and predictions are
+bit-identical to ``Model.loss_and_gradient`` and ``Model.accuracy`` row by
+row.  One operation is left out: the backward pass stops after the first
+dense layer's weight and bias gradients, where the scalar model also computes
+the gradient with respect to its inputs, which no caller reads.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ class StackedSequential:
             elif isinstance(layer, Flatten):
                 self._plan.append(("flatten",))
         self._widest = widest
+        # Plan index of the first dense layer; the backward pass ends there.
+        self._first_dense = next(
+            (index for index, spec in enumerate(self._plan) if spec[0] == "dense"),
+            len(self._plan),
+        )
         assert offset == self.dimension
 
     # ------------------------------------------------------------------
@@ -161,9 +168,14 @@ class StackedSequential:
     def _backward(
         self, grad_logits: np.ndarray, caches: List[Tuple], grads_out: np.ndarray
     ) -> None:
-        """Stacked backward pass writing flat parameter gradients into ``grads_out``."""
+        """Stacked backward pass writing flat parameter gradients into ``grads_out``.
+
+        Stops after the first dense layer's weight and bias gradients: the
+        gradient with respect to the inputs is never read.
+        """
         g = grad_logits
-        for spec, cache in zip(reversed(self._plan), reversed(caches)):
+        for index in range(len(self._plan) - 1, self._first_dense - 1, -1):
+            spec, cache = self._plan[index], caches[index]
             kind = spec[0]
             if kind == "dense":
                 _, n_in, n_out, w_slice, b_slice = spec
@@ -172,6 +184,8 @@ class StackedSequential:
                 grads_out[:, w_slice] = np.matmul(x.transpose(0, 2, 1), g).reshape(m, -1)
                 if b_slice is not None:
                     grads_out[:, b_slice] = g.sum(axis=1)
+                if index == self._first_dense:
+                    break
                 g = np.matmul(g, weight.transpose(0, 2, 1))
             elif kind == "relu":
                 g = g * cache[0]
@@ -188,21 +202,23 @@ class StackedSequential:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Mean-reduced fused softmax + cross-entropy over an ``(M, B, K)`` stack.
 
-        Mirrors :func:`repro.nn.losses.softmax_cross_entropy` per model row.
-        Returns ``(losses (M,), grad_logits (M, B, K))``.
+        Runs the arithmetic of :func:`repro.nn.losses.softmax_cross_entropy`
+        per model row, in its order: the labels' log-probabilities are
+        picked and the ``-1`` applied through one flat index, and ``exp``
+        and ``/ B`` run in place on the log-prob buffer.  Returns
+        ``(losses (M,), grad_logits (M, B, K))``.
         """
-        batch = logits.shape[1]
+        m, batch, classes = logits.shape
+        if labels.size and (labels.min() < 0 or labels.max() >= classes):
+            raise ValueError("labels out of range for the number of classes")
         log_probs = log_softmax(logits)
-        picked = np.take_along_axis(log_probs, labels[:, :, None], axis=2)[:, :, 0]
-        losses = -picked.mean(axis=1)
-        grad = np.exp(log_probs)
-        np.put_along_axis(
-            grad,
-            labels[:, :, None],
-            np.take_along_axis(grad, labels[:, :, None], axis=2) - 1.0,
-            axis=2,
-        )
-        return losses, grad / batch
+        flat = log_probs.reshape(-1)
+        picked = np.arange(0, m * batch * classes, classes) + labels.reshape(-1)
+        losses = -flat[picked].reshape(m, batch).mean(axis=1)
+        np.exp(log_probs, out=log_probs)
+        flat[picked] -= 1.0
+        np.divide(log_probs, batch, out=log_probs)
+        return losses, log_probs
 
     def _validate_stack(
         self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.data.flat import FleetBatches
 from repro.nn import batched
 from repro.nn.batched import StackedSequential, supports_stacked
 from repro.nn.layers import Dense, Dropout, Flatten, ReLU, Sigmoid, Tanh
+from repro.nn.losses import per_example_cross_entropy
 from repro.nn.model import Sequential
 from repro.nn.zoo import make_linear_classifier, make_mlp, make_mnist_cnn
 
@@ -110,6 +112,96 @@ class TestStackedGradients:
             engine.loss_and_gradients(params[:, :-1], inputs, labels)
         with pytest.raises(ValueError):
             engine.loss_and_gradients(params, inputs[:2], labels)
+
+
+class TestBitIdenticalToTheScalarModel:
+    """Stacked losses and gradients equal ``Model.loss_and_gradient`` bit for bit.
+
+    ``M * B = 576`` logit rows take :func:`~repro.nn.losses.log_softmax`'s
+    column passes for every class count here (at least 32 rows per class).
+    """
+
+    @pytest.mark.parametrize("classes", [1, 2, 4, 10, 16])
+    @pytest.mark.parametrize(
+        "factory, shape",
+        [
+            (lambda rng, k: make_mlp(6, k, hidden_sizes=(8,), seed=rng), (6,)),
+            (
+                lambda rng, k: Sequential(
+                    [Dense(6, 8, rng, use_bias=False), Tanh(), Dense(8, k, rng)]
+                ),
+                (6,),
+            ),
+            (
+                lambda rng, k: Sequential(
+                    [Flatten(), Dense(6, 5, rng), ReLU(), Dense(5, k, rng)]
+                ),
+                (2, 3),
+            ),
+        ],
+        ids=["mlp", "bias-free-first-dense", "flatten-first"],
+    )
+    def test_losses_and_gradients(self, factory, shape, classes):
+        rng = np.random.default_rng(classes)
+        model = factory(rng, classes)
+        engine = StackedSequential(model)
+        m, batch = 9, 64
+        params = random_params(model, m, rng)
+        inputs = rng.normal(size=(m, batch) + shape)
+        labels = rng.integers(0, classes, size=(m, batch))
+        losses, grads = engine.loss_and_gradients(params, inputs, labels)
+        forward_losses = engine.losses(params, inputs, labels)
+        per_example = engine.per_example_losses(params, inputs, labels)
+        for k in range(m):
+            loss, grad = model.loss_and_gradient(inputs[k], labels[k], params=params[k])
+            assert losses[k] == loss and forward_losses[k] == loss
+            np.testing.assert_array_equal(grads[k].view(np.int64), grad.view(np.int64))
+            model.set_flat_params(params[k])
+            logits = model.forward(inputs[k])
+            np.testing.assert_array_equal(
+                per_example[k], per_example_cross_entropy(logits, labels[k])
+            )
+            assert per_example[k].mean() == loss
+
+    def test_labels_out_of_range_raise(self):
+        model = make_linear_classifier(6, 3, seed=0)
+        rng = np.random.default_rng(0)
+        params = random_params(model, 2, rng)
+        inputs = rng.normal(size=(2, 4, 6))
+        for bad in (3, -1):
+            labels = np.zeros((2, 4), dtype=np.int64)
+            labels[1, 2] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                StackedSequential(model).loss_and_gradients(params, inputs, labels)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[16] * 12, [0, 3, 16, 16, 0, 5, 16, 16, 3, 16, 16, 16, 16, 16, 16, 0]],
+        ids=["all-full", "ragged"],
+    )
+    def test_fleet_gradients_over_grouped_rows(self, make_small_fleet, sizes):
+        # Rows of size 0 read back as zero gradients, short rows form their
+        # own stacks, and the full rows' stack covers enough logit rows for
+        # the column passes.
+        algorithm, _ = make_small_fleet("DP-DPSGD", model="mlp")
+        shards = algorithm.flat_shards
+        rows = len(sizes)
+        rng = np.random.default_rng(11)
+        agents = np.arange(rows) % algorithm.num_agents
+        index, _ = shards.sample(
+            rng.integers(0, 2**63, size=(rows, 16), dtype=np.uint64), agents, 16
+        )
+        batches = FleetBatches(shards, index, np.array(sizes, dtype=np.int64))
+        params = random_params(algorithm.model, rows, rng)
+        grads = algorithm.fleet_gradients(params, batches)
+        for k in range(rows):
+            if sizes[k] == 0:
+                assert batches[k] is None
+                assert not grads[k].any()
+                continue
+            inputs, labels = batches[k]
+            _, expected = algorithm.model.loss_and_gradient(inputs, labels, params=params[k])
+            np.testing.assert_array_equal(grads[k].view(np.int64), expected.view(np.int64))
 
 
 class TestStackedLosses:
