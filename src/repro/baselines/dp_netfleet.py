@@ -41,16 +41,10 @@ class DPNetFleet(DecentralizedAlgorithm):
         self.config: NetFleetConfig = config
         # Gradient-tracking state: y_i (the corrected gradient estimate) and
         # the previous local gradient used in the recursive correction, one
-        # row per agent like the base class's parameter state.  Under
-        # ``storage="memmap"`` both live in memmap-backed FleetStates
-        # (always float64, their canonical dtype) and assignments stream
-        # into them block by block.
-        self._tracking_state: np.ndarray = self._alloc_fleet_matrix(
-            "tracking_state", dtype=np.float64
-        )
-        self._previous_gradient_state: np.ndarray = self._alloc_fleet_matrix(
-            "previous_gradient_state", dtype=np.float64
-        )
+        # row per agent like the base class's parameter state, on the same
+        # storage, but always float64 (their canonical dtype).
+        self._tracking_state = self._alloc_fleet_matrix(np.float64)
+        self._previous_gradient_state = self._alloc_fleet_matrix(np.float64)
         self._initialized = False
 
     @property
@@ -60,10 +54,7 @@ class DPNetFleet(DecentralizedAlgorithm):
 
     @tracking_state.setter
     def tracking_state(self, value: np.ndarray) -> None:
-        if self._pinned:
-            self._store_blocked(self._tracking_state, value)
-        else:
-            self._tracking_state = np.asarray(value)
+        self._store(self._tracking_state, value)
 
     @property
     def previous_gradient_state(self) -> np.ndarray:
@@ -72,10 +63,7 @@ class DPNetFleet(DecentralizedAlgorithm):
 
     @previous_gradient_state.setter
     def previous_gradient_state(self, value: np.ndarray) -> None:
-        if self._pinned:
-            self._store_blocked(self._previous_gradient_state, value)
-        else:
-            self._previous_gradient_state = np.asarray(value)
+        self._store(self._previous_gradient_state, value)
 
     def _extra_state(self, copy: bool = True):
         return {
@@ -91,19 +79,8 @@ class DPNetFleet(DecentralizedAlgorithm):
         }
 
     def _load_extra_state(self, payload) -> None:
-        if self._pinned:
-            # Stream the (possibly memmap-backed) checkpoint payload straight
-            # into the pinned float64 tracking buffers block by block — no
-            # second in-RAM fleet copy on an out-of-core resume.
-            self.tracking_state = np.asarray(payload["tracking_state"])
-            self.previous_gradient_state = np.asarray(
-                payload["previous_gradient_state"]
-            )
-        else:
-            self.tracking_state = self._as_state_matrix(payload["tracking_state"])
-            self.previous_gradient_state = self._as_state_matrix(
-                payload["previous_gradient_state"]
-            )
+        self.tracking_state = payload["tracking_state"]
+        self.previous_gradient_state = payload["previous_gradient_state"]
         self._initialized = bool(payload["initialized"])
 
     def _round_body(self, round_index: int) -> None:

@@ -48,6 +48,8 @@ agents; :meth:`step` pulls the round's topology and runs it.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,7 +65,7 @@ from repro.nn.batched import StackedSequential, supports_stacked
 from repro.nn.model import Model
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.mechanisms import clip_rows_by_l2_norm
-from repro.sharding import FleetState, RoundScheduler, resolve_block_rows, row_blocks
+from repro.sharding import RoundScheduler, resolve_block_rows, row_blocks
 from repro.simulation.metrics import consensus_distance
 from repro.simulation.network import Network
 from repro.topology.graphs import Topology
@@ -174,7 +176,7 @@ class DecentralizedAlgorithm:
         self.sigma = config.resolve_sigma()
         # Precision and sharding knobs.  ``_dtype`` is the single source of
         # truth for the fleet-state element type (every state matrix and
-        # every state assignment funnel through it);
+        # every state assignment funnel through it, see :meth:`_store`);
         # ``_grad_dtype`` is its counterpart for gradient/loss buffers, which
         # stay double precision in every mode because the model kernels are
         # float64.
@@ -187,19 +189,16 @@ class DecentralizedAlgorithm:
         # every stage of the round pipeline uses (the explicit
         # ``block_rows`` when set, else a ~32 MiB default); ``_scheduler``
         # runs independent row blocks of one stage, serially
-        # (``block_workers=1``) or on a thread pool; ``_pinned`` backs the
-        # fleet matrices with memmap FleetStates (``storage="memmap"``) so
-        # whole-fleet state never has to be resident; ``_scratch`` holds the
+        # (``block_workers=1``) or on a thread pool; ``_storage`` backs every
+        # fleet matrix (:meth:`_alloc_fleet_matrix`); ``_scratch`` holds the
         # handful of reusable fleet-shaped working buffers the round writes
         # block by block.
         self._storage: str = getattr(config, "storage", "ram")
-        self._pinned: bool = self._storage == "memmap"
         self._block_workers: int = max(1, int(getattr(config, "block_workers", 1)))
         self._scheduler = RoundScheduler(self._block_workers)
         self._block_rows: int = resolve_block_rows(
             topology.num_agents, model.num_params, getattr(config, "block_rows", None)
         )
-        self._fleet_backing: Dict[str, FleetState] = {}
         self._scratch: Dict[str, np.ndarray] = {}
         # Every draw of the run is addressed by (step, slot, agent) in its
         # keyed streams; ``_draw_step`` is the step being executed and the
@@ -242,21 +241,13 @@ class DecentralizedAlgorithm:
 
         initial = np.asarray(model.get_flat_params(), dtype=self._dtype)
         # Canonical fleet state: row i is agent i's parameter vector.  The
-        # initial vector is cast *before* tiling so low-precision modes never
-        # materialise a float64 fleet matrix even transiently.  With
-        # ``storage="memmap"`` both fleet matrices live in memmap-backed
-        # FleetStates and are filled block by block, so even initialisation
-        # never needs a whole-fleet in-RAM temporary.
-        if self._pinned:
-            self._state = self._alloc_fleet_matrix("state")
-            for start, stop in self._fleet_blocks():
-                self._state[start:stop] = initial[None, :]
-            self._momentum_state = self._alloc_fleet_matrix("momentum_state")
-        else:
-            self.state = np.tile(initial[None, :], (self.num_agents, 1))
-            self.momentum_state = np.zeros(
-                (self.num_agents, self.dimension), dtype=self._dtype
-            )
+        # initial vector is cast *before* the block-by-block fill, so
+        # low-precision modes never materialise a float64 fleet matrix and
+        # no storage needs a whole-fleet temporary.
+        self._state = self._alloc_fleet_matrix()
+        for start, stop in self._fleet_blocks():
+            self._state[start:stop] = initial
+        self._momentum_state = self._alloc_fleet_matrix()
         # Models the stacked passes cannot evaluate (CNNs, Dropout) take one
         # scalar pass per row, and every stage that runs them is serial, so
         # a Dropout layer's shared RNG is consumed in agent (and pair) order
@@ -269,40 +260,6 @@ class DecentralizedAlgorithm:
     # ------------------------------------------------------------------
     # Fleet state accessors
     # ------------------------------------------------------------------
-    def _as_state_matrix(self, value: Sequence[np.ndarray]) -> np.ndarray:
-        if isinstance(value, np.ndarray) and value.ndim == 2:
-            # Fast path for matrix payloads (checkpoints, fleet-scale
-            # assignments): a single cast-copy instead of materialising N
-            # Python row objects.  Always a fresh writable array — callers
-            # rely on the result never aliasing their input.
-            matrix = np.array(value, dtype=self._dtype)
-        else:
-            matrix = np.array(list(value), dtype=self._dtype)
-        if matrix.shape != (self.num_agents, self.dimension):
-            raise ValueError(
-                f"fleet state must have shape ({self.num_agents}, {self.dimension}), "
-                f"got {matrix.shape}"
-            )
-        return matrix
-
-    def _store_blocked(self, dest: np.ndarray, value: np.ndarray) -> None:
-        """Blocked in-place copy into a pinned (memmap-backed) fleet matrix.
-
-        Per-block assignment casts into ``dest``'s dtype exactly like the
-        one-shot ``np.asarray(value, dtype)`` rebind would, so the pinned
-        setters are bit-identical to the RAM setters while never
-        materialising a second fleet-sized array.
-        """
-        value = np.asarray(value)
-        if value.shape != dest.shape:
-            raise ValueError(
-                f"fleet state must have shape {dest.shape}, got {value.shape}"
-            )
-        if value is dest:
-            return
-        for start, stop in row_blocks(dest.shape[0], self._block_rows):
-            dest[start:stop] = value[start:stop]
-
     @property
     def state(self) -> np.ndarray:
         """The ``(num_agents, dimension)`` fleet parameter matrix."""
@@ -310,15 +267,7 @@ class DecentralizedAlgorithm:
 
     @state.setter
     def state(self, value: np.ndarray) -> None:
-        # Every whole-fleet assignment funnels through the configured state
-        # dtype: an update computed in float64 (gradients always are) is
-        # rounded into float32 state here.  Pinned
-        # (memmap) storage streams the assignment into the backing store
-        # block by block instead of rebinding.
-        if getattr(self, "_pinned", False):
-            self._store_blocked(self._state, value)
-        else:
-            self._state = np.asarray(value, dtype=self._dtype)
+        self._store(self._state, value)
 
     @property
     def momentum_state(self) -> np.ndarray:
@@ -327,28 +276,7 @@ class DecentralizedAlgorithm:
 
     @momentum_state.setter
     def momentum_state(self, value: np.ndarray) -> None:
-        if getattr(self, "_pinned", False):
-            self._store_blocked(self._momentum_state, value)
-        else:
-            self._momentum_state = np.asarray(value, dtype=self._dtype)
-
-    @property
-    def params(self) -> np.ndarray:
-        """Per-agent parameter vectors: the state matrix itself (row ``i`` is agent ``i``)."""
-        return self.state
-
-    @params.setter
-    def params(self, value: Sequence[np.ndarray]) -> None:
-        self.state = self._as_state_matrix(value)
-
-    @property
-    def momenta(self) -> np.ndarray:
-        """Per-agent momentum buffers: the momentum matrix itself."""
-        return self.momentum_state
-
-    @momenta.setter
-    def momenta(self, value: Sequence[np.ndarray]) -> None:
-        self.momentum_state = self._as_state_matrix(value)
+        self._store(self._momentum_state, value)
 
     # ------------------------------------------------------------------
     # Round entry point
@@ -382,10 +310,6 @@ class DecentralizedAlgorithm:
         self._all_active = bool(mask.all())
         self.active_agents = [int(agent) for agent in np.flatnonzero(mask)]
         self.pending_events.extend(self.schedule.events_at(round_index))
-
-    def is_active(self, agent: int) -> bool:
-        """Whether the agent participates in the current round."""
-        return bool(self.active_mask[agent])
 
     def consume_events(self) -> List[TopologyEvent]:
         """Drain the topology/churn events buffered since the last call."""
@@ -428,30 +352,45 @@ class DecentralizedAlgorithm:
         """The round's ``(start, stop)`` row blocks over the whole fleet."""
         return list(row_blocks(self.num_agents, self._block_rows))
 
-    def _alloc_fleet_matrix(
-        self, name: str, dtype: Optional[np.dtype] = None
-    ) -> np.ndarray:
+    def _alloc_fleet_matrix(self, dtype: Optional[np.dtype] = None) -> np.ndarray:
         """A zeroed ``(num_agents, dimension)`` matrix on the configured storage.
 
-        Under ``storage="memmap"`` the matrix is backed by a
-        :class:`~repro.sharding.FleetState` memmap (tracked so :meth:`close`
-        unlinks the file); otherwise it is an ordinary zeros array.
+        Under ``storage="memmap"`` the matrix is a memory-mapped ``.npy``
+        file in the temporary directory, unlinked as soon as it is mapped:
+        the mapping lives as long as the array, and no file outlives the
+        process, even one that crashes.  Otherwise it is an ordinary zeros
+        array.
         """
         dtype = self._dtype if dtype is None else np.dtype(dtype)
-        if not self._pinned:
-            return np.zeros((self.num_agents, self.dimension), dtype=dtype)
-        previous = self._fleet_backing.pop(name, None)
-        if previous is not None:
-            previous.close()
-        backing = FleetState(
-            self.num_agents,
-            self.dimension,
-            dtype=dtype,
-            block_rows=self._block_rows,
-            storage="memmap",
-        )
-        self._fleet_backing[name] = backing
-        return backing.array
+        shape = (self.num_agents, self.dimension)
+        if self._storage == "ram":
+            return np.zeros(shape, dtype=dtype)
+        descriptor, path = tempfile.mkstemp(prefix=".fleet.", suffix=".npy")
+        os.close(descriptor)
+        try:
+            return np.lib.format.open_memmap(path, mode="w+", dtype=dtype, shape=shape)
+        finally:
+            os.unlink(path)
+
+    def _store(self, matrix: np.ndarray, value: np.ndarray) -> None:
+        """Write ``value`` into the fleet matrix ``matrix`` in place.
+
+        The one write rule of every fleet matrix: the shape must match,
+        values are cast into the matrix's dtype (an update computed in
+        float64 is rounded into float32 state here), rows are copied block
+        by block (no whole-fleet temporary, whatever the storage), and a
+        source that overlaps the matrix is copied first.  The matrix never
+        aliases ``value``.
+        """
+        value = np.asarray(value)
+        if value.shape != matrix.shape:
+            raise ValueError(
+                f"fleet matrix must have shape {matrix.shape}, got {value.shape}"
+            )
+        if np.may_share_memory(value, matrix):
+            value = value.copy()
+        for start, stop in self._fleet_blocks():
+            matrix[start:stop] = value[start:stop]
 
     def _round_scratch(self, name: str, dtype: np.dtype = np.float64) -> np.ndarray:
         """A reusable fleet-shaped working buffer for the blocked round.
@@ -465,7 +404,7 @@ class DecentralizedAlgorithm:
         key = f"{name}.{dtype.name}"
         scratch = self._scratch.get(key)
         if scratch is None:
-            scratch = self._alloc_fleet_matrix(f"scratch.{key}", dtype=dtype)
+            scratch = self._alloc_fleet_matrix(dtype)
             self._scratch[key] = scratch
         return scratch
 
@@ -632,18 +571,13 @@ class DecentralizedAlgorithm:
         return MixingOperator(matrix), int(lost.size)
 
     def close(self) -> None:
-        """Release blocked-round resources (worker pool, memmap backings).
+        """Release blocked-round resources: the worker pool and the round scratches.
 
-        Idempotent.  After closing, the algorithm instance must not be used
-        for further rounds: pinned fleet matrices are detached from their
-        (unlinked) backing files.
+        Idempotent.  Memmap-backed fleet matrices need no cleanup: their
+        files are unlinked when they are mapped (:meth:`_alloc_fleet_matrix`).
         """
         self._scheduler.close()
-        backings = list(self._fleet_backing.values())
-        self._fleet_backing.clear()
         self._scratch.clear()
-        for backing in backings:
-            backing.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:
@@ -899,13 +833,6 @@ class DecentralizedAlgorithm:
                 start = k
         return chunks
 
-    def neighbor_weights(self, agent: int) -> Dict[int, float]:
-        """``{j: omega_{ij}}`` over the agent's closed neighbourhood ``M_i``."""
-        return {
-            j: self.topology.weight(agent, j)
-            for j in self.topology.neighbors(agent, include_self=True)
-        }
-
     def mix_rows(
         self,
         matrix: np.ndarray,
@@ -917,7 +844,7 @@ class DecentralizedAlgorithm:
         Dispatches to the round's :class:`~repro.topology.mixing.MixingOperator`
         (CSR, O(nnz d)).  The product is computed over ``(block_rows, d)`` output blocks
         through the block scheduler (bit-identical for any block size) and
-        written into ``out`` — state itself, a pinned memmap or a scratch —
+        written into ``out`` — a fleet matrix (RAM or memmap) or a scratch —
         or a new array.  ``out`` must not overlap ``matrix``: the blocks
         read all of ``matrix`` while writing their rows.  In
         ``dtype="mixed"`` mode float32 input is mixed with float64
@@ -1047,10 +974,6 @@ class DecentralizedAlgorithm:
     # ------------------------------------------------------------------
     # State accessors and evaluation
     # ------------------------------------------------------------------
-    def agent_parameters(self) -> List[np.ndarray]:
-        """Copies of every agent's current parameter vector."""
-        return [row.copy() for row in self.state]
-
     def average_parameters(self) -> np.ndarray:
         """The network-average model ``x_bar`` used in the convergence analysis."""
         return self.state.mean(axis=0)
@@ -1248,17 +1171,11 @@ class DecentralizedAlgorithm:
                 f"checkpoint was written with stream seed "
                 f"{payload['stream_seed']}, this algorithm uses {self.streams.seed}"
             )
-        if self._pinned:
-            # Pinned storage: stream the payload matrices straight into the
-            # memmap backings (the setters cast block by block) instead of
-            # materialising a second in-RAM fleet copy first.  Checkpoint
-            # sidecar arrays load as read-only memmaps, so the restore is
-            # disk-to-disk with only block-sized transients.
-            self.state = np.asarray(payload["state"])
-            self.momentum_state = np.asarray(payload["momentum_state"])
-        else:
-            self.state = self._as_state_matrix(payload["state"])
-            self.momentum_state = self._as_state_matrix(payload["momentum_state"])
+        # Checkpoint sidecar arrays load as read-only memmaps, and the setters
+        # copy block by block, so an out-of-core restore holds only
+        # block-sized transients.
+        self.state = payload["state"]
+        self.momentum_state = payload["momentum_state"]
         self.accountant.load_state_dict(payload["accountant_events"])
         self.network.load_state_dict(payload["network"])
         self.pending_events = [

@@ -17,12 +17,27 @@ from repro.compression.config import CompressionConfig
 from repro.privacy.calibration import gaussian_sigma
 
 __all__ = [
+    "check_pipeline_knobs",
     "AlgorithmConfig",
     "PDSLConfig",
     "MuffliatoConfig",
     "CGAConfig",
     "NetFleetConfig",
 ]
+
+
+def check_pipeline_knobs(
+    dtype: str, block_rows: Optional[int], block_workers: int, storage: str
+) -> None:
+    """Reject invalid round-pipeline knobs (see :class:`AlgorithmConfig`)."""
+    if dtype not in ("float64", "float32", "mixed"):
+        raise ValueError("dtype must be 'float64', 'float32' or 'mixed'")
+    if block_rows is not None and int(block_rows) < 1:
+        raise ValueError("block_rows must be a positive integer or None")
+    if int(block_workers) < 1:
+        raise ValueError("block_workers must be a positive integer")
+    if storage not in ("ram", "memmap"):
+        raise ValueError("storage must be 'ram' or 'memmap'")
 
 
 @dataclass
@@ -85,12 +100,12 @@ class AlgorithmConfig:
         counter-based streams.  Only fleets of more than one block have
         anything to overlap.
     storage:
-        Backing store of the fleet state matrices: ``"ram"`` (default)
-        keeps ordinary arrays; ``"memmap"`` backs state/momentum (and
-        algorithm-specific fleet matrices) with
-        :class:`~repro.sharding.FleetState` memory-mapped ``.npy`` files,
-        so the OS pages row blocks in and out and a full round at
-        N=10^6 runs under a bounded RSS.
+        Backing store of every fleet matrix (state, momentum,
+        algorithm-specific matrices and the round's scratches): ``"ram"``
+        (default) keeps ordinary arrays; ``"memmap"`` maps each onto a
+        temporary ``.npy`` file, unlinked as soon as it is mapped, so the
+        OS pages row blocks in and out and a full round at N=10^6 runs
+        under a bounded RSS.
     """
 
     learning_rate: float = 0.01
@@ -133,14 +148,9 @@ class AlgorithmConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.sigma is None and self.epsilon is None:
             raise ValueError("either sigma or epsilon must be provided")
-        if self.dtype not in ("float64", "float32", "mixed"):
-            raise ValueError("dtype must be 'float64', 'float32' or 'mixed'")
-        if self.block_rows is not None and self.block_rows < 1:
-            raise ValueError("block_rows must be a positive integer when provided")
-        if self.block_workers < 1:
-            raise ValueError("block_workers must be a positive integer")
-        if self.storage not in ("ram", "memmap"):
-            raise ValueError("storage must be 'ram' or 'memmap'")
+        check_pipeline_knobs(
+            self.dtype, self.block_rows, self.block_workers, self.storage
+        )
 
     @property
     def sensitivity(self) -> float:

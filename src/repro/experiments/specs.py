@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baselines import DMSGD, DPCGA, DPDPSGD, DPNetFleet, DPSGDNonPrivate, Muffliato
 from repro.compression.config import CompressionConfig, validate_compression
+from repro.core.config import check_pipeline_knobs
 from repro.core.pdsl import PDSL
 from repro.simulation.events import check_async_mode, validate_time_model
 from repro.topology.graphs import check_topology
@@ -180,14 +181,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown algorithms: {unknown}")
         validate_dynamics(self.dynamics, num_agents=self.num_agents)
         validate_compression(self.compression)
-        if self.dtype not in ("float64", "float32", "mixed"):
-            raise ValueError("dtype must be 'float64', 'float32' or 'mixed'")
-        if self.block_rows is not None and int(self.block_rows) < 1:
-            raise ValueError("block_rows must be a positive integer or None")
-        if int(self.block_workers) < 1:
-            raise ValueError("block_workers must be a positive integer")
-        if self.storage not in ("ram", "memmap"):
-            raise ValueError("storage must be 'ram' or 'memmap'")
+        check_pipeline_knobs(
+            self.dtype, self.block_rows, self.block_workers, self.storage
+        )
         if self.cluster_size is not None:
             if int(self.cluster_size) < 1:
                 raise ValueError("cluster_size must be a positive integer or None")

@@ -383,8 +383,7 @@ class MixingOperator:
         :meth:`apply` for every ``block_rows``.  What it buys is peak-memory
         control — the largest transient is one ``(block_rows, d)`` chunk —
         and the ability to stream the output into a caller-owned buffer
-        (``out``), e.g. a :class:`~repro.sharding.FleetState` shard or a
-        memory-mapped array.
+        (``out``), e.g. a fleet matrix, in RAM or memory-mapped.
         """
         rows = self._check_rows(rows)
         if block_rows < 1:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.baselines import DPNetFleet
 from repro.core.base import DecentralizedAlgorithm
-from repro.core.config import AlgorithmConfig
+from repro.core.config import AlgorithmConfig, NetFleetConfig
 from repro.data.partition import partition_iid
 from repro.data.synthetic import make_classification_dataset
 from repro.nn.zoo import make_linear_classifier
@@ -46,13 +47,13 @@ class TestConstruction:
     def test_all_agents_start_from_same_model(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        for params in algorithm.params[1:]:
-            np.testing.assert_array_equal(params, algorithm.params[0])
+        for params in algorithm.state[1:]:
+            np.testing.assert_array_equal(params, algorithm.state[0])
 
     def test_momenta_start_at_zero(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        for momentum in algorithm.momenta:
+        for momentum in algorithm.momentum_state:
             assert np.all(momentum == 0.0)
 
     def test_shard_count_mismatch_rejected(self, components):
@@ -82,7 +83,7 @@ class TestGradientHelpers:
         algorithm = NoOpAlgorithm(model, topology, shards, config)
         batches = algorithm._draw_rows(0, 1)
         grad = algorithm.fleet_gradients(algorithm.state[:1], batches)[0]
-        np.testing.assert_allclose(grad, scalar_gradient(model, algorithm.params[0], batches[0]))
+        np.testing.assert_allclose(grad, scalar_gradient(model, algorithm.state[0], batches[0]))
 
     def test_privatize_clips_norm_without_noise(self, components):
         model, topology, shards, _, _ = components
@@ -151,7 +152,7 @@ class TestGossipAndEvaluation:
     def test_average_parameters_is_mean(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
-        algorithm.params = [np.full(algorithm.dimension, float(i)) for i in range(4)]
+        algorithm.state = [np.full(algorithm.dimension, float(i)) for i in range(4)]
         np.testing.assert_allclose(algorithm.average_parameters(), 1.5)
 
     def test_consensus_zero_initially(self, components):
@@ -221,35 +222,65 @@ class TestMixingMatrixValidation:
             NoOpAlgorithm(model, topology, shards, config)
 
 
+FLEET_MATRICES = ["state", "momentum_state", "tracking_state", "previous_gradient_state"]
+
+
 class TestFleetStateMatrix:
     def test_state_matrix_shape_and_row_views(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
         assert algorithm.state.shape == (4, algorithm.dimension)
-        # params[i] is a live view into the state matrix.
-        algorithm.params[1] = np.full(algorithm.dimension, 7.0)
+        algorithm.state[1] = np.full(algorithm.dimension, 7.0)
         np.testing.assert_array_equal(algorithm.state[1], 7.0)
 
-    def test_params_setter_validates_shape(self, components):
+    def test_state_setter_validates_shape(self, components):
         model, topology, shards, config, _ = components
         algorithm = NoOpAlgorithm(model, topology, shards, config)
         with pytest.raises(ValueError):
-            algorithm.params = [np.zeros(algorithm.dimension)] * 3
+            algorithm.state = [np.zeros(algorithm.dimension)] * 3
         with pytest.raises(ValueError):
-            algorithm.params = [np.zeros(algorithm.dimension + 1)] * 4
+            algorithm.state = [np.zeros(algorithm.dimension + 1)] * 4
 
-    def test_agent_parameters_returns_copies(self, components):
-        model, topology, shards, config, _ = components
-        algorithm = NoOpAlgorithm(model, topology, shards, config)
-        copies = algorithm.agent_parameters()
-        copies[0][:] = 123.0
-        assert not np.any(algorithm.state[0] == 123.0)
+    @pytest.mark.parametrize("name", FLEET_MATRICES)
+    @pytest.mark.parametrize("storage", ["ram", "memmap"])
+    def test_assignment_copies_into_the_matrix(self, components, storage, name):
+        model, topology, shards, _, _ = components
+        config = NetFleetConfig(sigma=0.5, batch_size=16, block_rows=3, storage=storage)
+        algorithm = DPNetFleet(model, topology, shards, config)
+        matrix = getattr(algorithm, name)
+        source = np.random.default_rng(4).normal(size=matrix.shape)
+        setattr(algorithm, name, source)
+        assert getattr(algorithm, name) is matrix
+        expected = source.copy()
+        source[:] = 0.0
+        np.testing.assert_array_equal(getattr(algorithm, name), expected)
+        d = algorithm.dimension
+        for shape in [(3, d), (4, d + 1), (2, 2)]:
+            with pytest.raises(ValueError, match="shape"):
+                setattr(algorithm, name, np.zeros(shape))
+        np.testing.assert_array_equal(getattr(algorithm, name), expected)
+        algorithm.close()
 
-    def test_momenta_item_assignment_hits_matrix(self, components):
+    def test_assignment_casts_into_the_state_dtype(self, components):
         model, topology, shards, config, _ = components
-        algorithm = NoOpAlgorithm(model, topology, shards, config)
-        algorithm.momenta[2] = np.ones(algorithm.dimension)
-        np.testing.assert_array_equal(algorithm.momentum_state[2], 1.0)
+        algorithm = NoOpAlgorithm(
+            model, topology, shards, config.with_updates(dtype="float32")
+        )
+        value = np.random.default_rng(5).normal(size=algorithm.state.shape)
+        algorithm.state = value
+        assert algorithm.state.dtype == np.float32
+        np.testing.assert_array_equal(algorithm.state, value.astype(np.float32))
+
+    @pytest.mark.parametrize("storage", ["ram", "memmap"])
+    def test_overlapping_source_is_copied_first(self, components, storage):
+        model, topology, shards, config, _ = components
+        algorithm = NoOpAlgorithm(
+            model, topology, shards, config.with_updates(block_rows=1, storage=storage)
+        )
+        algorithm.state = np.random.default_rng(6).normal(size=algorithm.state.shape)
+        reversed_rows = algorithm.state[::-1].copy()
+        algorithm.state = algorithm.state[::-1]
+        np.testing.assert_array_equal(algorithm.state, reversed_rows)
 
 
 class TestVectorizedHelpers:
@@ -325,8 +356,11 @@ class TestVectorizedHelpers:
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(4, algorithm.dimension))
         mixed = algorithm.mix_rows(matrix)
-        for agent, weights in enumerate(map(algorithm.neighbor_weights, range(4))):
-            expected = sum(weight * matrix[j] for j, weight in weights.items())
+        for agent in range(4):
+            expected = sum(
+                topology.weight(agent, j) * matrix[j]
+                for j in topology.neighbors(agent, include_self=True)
+            )
             np.testing.assert_allclose(mixed[agent], expected, atol=1e-12)
 
     def test_mix_rows_writes_into_out(self, components):

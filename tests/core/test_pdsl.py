@@ -78,15 +78,15 @@ class TestConstruction:
 class TestOneRound:
     def test_parameters_change_after_round(self):
         algorithm, _ = build_pdsl()
-        before = [p.copy() for p in algorithm.params]
+        before = algorithm.state.copy()
         algorithm.run_round()
-        for old, new in zip(before, algorithm.params):
+        for old, new in zip(before, algorithm.state):
             assert not np.allclose(old, new)
 
     def test_momentum_buffers_updated(self):
         algorithm, _ = build_pdsl()
         algorithm.run_round()
-        assert any(np.linalg.norm(m) > 0 for m in algorithm.momenta)
+        assert any(np.linalg.norm(m) > 0 for m in algorithm.momentum_state)
 
     def test_shapley_values_recorded_for_every_neighbor(self):
         algorithm, _ = build_pdsl(num_agents=4)
@@ -322,15 +322,14 @@ class TestLearningBehaviour:
         for _ in range(3):
             a.run_round()
             b.run_round()
-        for pa, pb in zip(a.params, b.params):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.state, b.state)
 
     def test_different_seeds_differ(self):
         a, _ = build_pdsl(sigma=0.1, seed=3)
         b, _ = build_pdsl(sigma=0.1, seed=4)
         a.run_round()
         b.run_round()
-        assert not np.allclose(a.params[0], b.params[0])
+        assert not np.allclose(a.state[0], b.state[0])
 
     def test_dp_noise_slows_but_does_not_break_training(self):
         noisy, _ = build_pdsl(sigma=0.05)

@@ -1,14 +1,17 @@
-"""The sharding layer: row-blocked fleet state and block sizing."""
+"""The sharding layer's block sizing, and the fleet matrices it streams over."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
-from repro.sharding import (
-    DEFAULT_BLOCK_BYTES,
-    FleetState,
-    resolve_block_rows,
-    row_blocks,
-)
+from repro.baselines import DPNetFleet
+from repro.core.config import NetFleetConfig
+from repro.data.partition import partition_iid
+from repro.data.synthetic import make_classification_dataset
+from repro.nn.zoo import make_linear_classifier
+from repro.sharding import DEFAULT_BLOCK_BYTES, resolve_block_rows, row_blocks
 from repro.topology.graphs import ring_graph
 
 
@@ -51,90 +54,51 @@ class TestRowBlocks:
             list(row_blocks(5, 0))
 
 
-class TestFleetState:
-    def test_ram_roundtrip(self, rng):
-        source = rng.normal(size=(20, 6))
-        fleet = FleetState(20, 6, block_rows=7)
-        fleet.fill_from(source)
-        np.testing.assert_array_equal(fleet.to_array(), source)
-        assert fleet.nbytes == source.nbytes
+def _algorithm(**config):
+    data = make_classification_dataset(40, num_features=4, num_classes=3, seed=0)
+    shards = partition_iid(data, 5, np.random.default_rng(0)).shards
+    return DPNetFleet(
+        make_linear_classifier(4, 3, seed=0),
+        ring_graph(5),
+        shards,
+        NetFleetConfig(sigma=0.5, batch_size=4, **config),
+    )
 
-    def test_blocks_cover_fleet(self, rng):
-        fleet = FleetState(10, 4, block_rows=3)
-        fleet.fill_from(rng.normal(size=(10, 4)))
-        seen = [(start, stop, view.shape) for start, stop, view in fleet.blocks()]
-        assert [s[:2] for s in seen] == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        assert all(shape == (stop - start, 4) for start, stop, shape in seen)
 
-    def test_map_blocks_in_place(self, rng):
-        source = rng.normal(size=(10, 4))
-        fleet = FleetState(10, 4, block_rows=4)
-        fleet.fill_from(source)
-        fleet.map_blocks(lambda block: block * 2.0)
-        np.testing.assert_array_equal(fleet.to_array(), source * 2.0)
+class TestAllocFleetMatrix:
+    @pytest.mark.parametrize("storage", ["ram", "memmap"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_zeroed_matrix_of_the_fleet_shape(self, storage, dtype):
+        algorithm = _algorithm(storage=storage, dtype=dtype)
+        matrix = algorithm._alloc_fleet_matrix()
+        assert matrix.shape == (5, algorithm.dimension)
+        assert matrix.dtype == np.dtype(dtype)
+        assert not matrix.any()
+        assert isinstance(matrix, np.memmap) == (storage == "memmap")
+        assert algorithm._alloc_fleet_matrix(np.float64).dtype == np.float64
+        algorithm.close()
 
-    def test_mix_from_matches_operator(self, rng):
-        operator = ring_graph(12).mixing_operator()
-        source = FleetState(12, 5, block_rows=5)
-        source.fill_from(rng.normal(size=(12, 5)))
-        target = FleetState(12, 5, block_rows=5)
-        target.mix_from(operator, source)
-        np.testing.assert_array_equal(
-            target.to_array(), operator.apply(source.array)
-        )
+    @pytest.mark.parametrize("storage", ["ram", "memmap"])
+    def test_every_fleet_matrix_is_on_the_configured_storage(self, storage):
+        algorithm = _algorithm(storage=storage, block_rows=2)
+        algorithm.run_round()
+        matrices = [
+            algorithm.state,
+            algorithm.momentum_state,
+            algorithm.tracking_state,
+            algorithm.previous_gradient_state,
+            *algorithm._scratch.values(),
+        ]
+        assert len(matrices) > 4
+        for matrix in matrices:
+            assert isinstance(matrix, np.memmap) == (storage == "memmap")
+        algorithm.close()
 
-    def test_wrap_is_a_view(self, rng):
-        backing = rng.normal(size=(8, 3))
-        fleet = FleetState.wrap(backing, block_rows=4)
-        fleet.map_blocks(lambda block: block + 1.0)
-        assert fleet.array is backing
-
-    def test_float32_state(self):
-        fleet = FleetState(6, 4, dtype=np.float32)
-        assert fleet.array.dtype == np.float32
-
-    def test_memmap_storage_roundtrip(self, rng):
-        source = rng.normal(size=(16, 4))
-        with FleetState(16, 4, storage="memmap", block_rows=5) as fleet:
-            fleet.fill_from(source)
-            fleet.flush()
-            np.testing.assert_array_equal(fleet.to_array(), source)
-            assert isinstance(fleet.array, np.memmap)
-
-    def test_rejects_unknown_storage(self):
-        with pytest.raises(ValueError):
-            FleetState(4, 2, storage="cloud")
-
-    def test_rejects_shape_mismatch_fill(self, rng):
-        fleet = FleetState(4, 2)
-        with pytest.raises(ValueError):
-            fleet.fill_from(rng.normal(size=(4, 3)))
-
-    def test_readonly_blocks_reject_writes(self, rng):
-        source = rng.normal(size=(10, 4))
-        fleet = FleetState(10, 4, block_rows=3)
-        fleet.fill_from(source)
-        for start, stop, view in fleet.blocks(readonly=True):
-            assert not view.flags.writeable
-            with pytest.raises(ValueError):
-                view[0, 0] = 1.0
-        # The protection is on the view only; the fleet stays writable and
-        # unchanged by the failed assignments.
-        np.testing.assert_array_equal(fleet.to_array(), source)
-        assert fleet.array.flags.writeable
-
-    def test_readonly_blocks_reject_writes_memmap(self, rng):
-        source = rng.normal(size=(10, 4))
-        with FleetState(10, 4, storage="memmap", block_rows=4) as fleet:
-            fleet.fill_from(source)
-            for _, _, view in fleet.blocks(readonly=True):
-                with pytest.raises(ValueError):
-                    view[...] = 0.0
-            np.testing.assert_array_equal(fleet.to_array(), source)
-
-    def test_readonly_array_rejects_writes(self, rng):
-        fleet = FleetState(6, 3)
-        fleet.fill_from(rng.normal(size=(6, 3)))
-        snapshot = fleet.readonly_array
-        with pytest.raises(ValueError):
-            snapshot[2] = 0.0
+    def test_memmap_files_are_unlinked_while_mapped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        algorithm = _algorithm(storage="memmap", block_rows=2)
+        algorithm.run_round()
+        assert os.path.dirname(algorithm.state.filename) == str(tmp_path)
+        assert list(tmp_path.glob(".fleet.*")) == []
+        algorithm.close()
+        assert list(tmp_path.glob(".fleet.*")) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import AlgorithmConfig
 from repro.experiments.specs import (
     ALGORITHM_NAMES,
     ExperimentSpec,
@@ -151,6 +152,17 @@ class TestScalingKnobs:
     def test_nonpositive_block_rows_rejected(self):
         with pytest.raises(ValueError, match="block_rows"):
             fast_spec().with_updates(block_rows=0)
+
+    @pytest.mark.parametrize(
+        "knob,value",
+        [("dtype", "bfloat16"), ("block_rows", 0), ("block_workers", 0), ("storage", "cloud")],
+    )
+    def test_spec_and_config_reject_a_knob_alike(self, knob, value):
+        with pytest.raises(ValueError, match=knob) as spec_error:
+            fast_spec().with_updates(**{knob: value})
+        with pytest.raises(ValueError) as config_error:
+            AlgorithmConfig(sigma=1.0, **{knob: value})
+        assert str(spec_error.value) == str(config_error.value)
 
     def test_cluster_size_requires_hierarchical_topology(self):
         with pytest.raises(ValueError, match="cluster_size"):
