@@ -6,8 +6,7 @@ of CNNs and hundreds of rounds.  The printed output has the same structure as
 the paper's artefact (loss-per-round series for figures, accuracy tables for
 the tables), so the qualitative shape — which algorithm wins, how the gap
 changes with the number of agents, the privacy budget and the topology — can
-be compared directly.  Absolute values are not expected to match the paper;
-see EXPERIMENTS.md for the side-by-side record.
+be compared directly.  Absolute values are not expected to match the paper.
 
 Environment knobs:
 

@@ -1,7 +1,7 @@
 """Ablation A: what does the Shapley weighting actually buy?
 
-DESIGN.md calls out the Shapley-weighted aggregation (eqs. 18–21) as PDSL's
-central design choice.  This ablation compares, under identical data,
+The Shapley-weighted aggregation (eqs. 18–21) is PDSL's central design
+choice.  This ablation compares, under identical data,
 topology and privacy noise:
 
 * **PDSL** — Shapley-weighted aggregation of the perturbed cross-gradients;

@@ -18,6 +18,6 @@ def test_bench_figure4_cifar_fully_connected(benchmark, bench_config):
     # Paper shape: PDSL attains the lowest final loss.  At the reduced
     # benchmark scale we require this strictly at the largest privacy budget
     # and in a majority of panels overall (the smallest budgets are
-    # noise-dominated for every algorithm, see EXPERIMENTS.md).
+    # noise-dominated for every algorithm).
     assert wins_at_max == panels_at_max
     assert wins >= total / 2

@@ -78,8 +78,8 @@ def learning_rate_interval(
     Reproduction note: as literally transcribed from the paper the window is
     *empty for every momentum value* — the eq. 84 root is bounded above by
     ``(1-alpha)^2 / (2 alpha)``, i.e. half the lower endpoint.  This appears
-    to be an inconsistency in the published condition (see EXPERIMENTS.md);
-    :func:`theorem2_bound` therefore only enforces the ``m1 > 0`` part.
+    to be an inconsistency in the published condition, so
+    :func:`theorem2_bound` only enforces the ``m1 > 0`` part.
     """
     if not 0.0 < momentum < 1.0:
         raise ValueError("momentum must lie in (0, 1) for the Theorem 2 window")

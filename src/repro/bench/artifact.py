@@ -89,6 +89,7 @@ def _result_payload(result: BenchResult) -> Dict[str, object]:
         "skipped": result.skipped,
         "skip_reason": result.skip_reason,
         "notes": result.notes,
+        "samples": result.samples,
     }
 
 

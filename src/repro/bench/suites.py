@@ -32,27 +32,30 @@ Each suite packages one hot path of the system behind the
 * ``eval/test-accuracy`` — stacked mean-agent test accuracy vs the
   per-agent ``Model.accuracy`` loop (per-agent equality checked).
 
-Scales resolve from the same ``REPRO_BENCH_*`` environment knobs the pytest
-wrappers under ``benchmarks/`` have always used, so one configuration drives
-both surfaces; :data:`SMOKE_SCALE` is the reduced setting CI applies via
-``repro-bench run --scale smoke``.  Suites embed their correctness checks
-(bit-identical kernels, serial-vs-pooled history equality, cache
-bookkeeping): a benchmark that silently compares different computations is
-worse than no benchmark.
+Scales resolve from ``REPRO_BENCH_*`` environment knobs, so ``repro-bench``
+and the floor test (``benchmarks/test_bench_floors.py``) share one
+configuration; :data:`SMOKE_SCALE` is the reduced setting CI applies via
+``repro-bench run --scale smoke``.  The floored speed comparisons expose their
+sides as :class:`~repro.bench.registry.Case` objects and leave the timing to
+the registry.  Suites embed their correctness checks (bit-identical kernels,
+serial-vs-pooled history equality, cache bookkeeping): a benchmark that
+silently compares different computations is worse than no benchmark.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import shutil
 import tempfile
 import time
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bench.registry import Benchmark, FloorSpec, benchmark
+from repro.bench.registry import Benchmark, Case, FloorSpec, benchmark
 from repro.bench.timer import peak_rss_bytes
 
 __all__ = [
@@ -126,6 +129,11 @@ def _env_int(name: str, default: int, minimum: int = 1) -> int:
     return max(minimum, int(os.environ.get(name, default)))
 
 
+def _calls(apply, *args, times: int):
+    """A comparison side: ``times`` back-to-back calls, returning the last."""
+    return lambda: [apply(*args) for _ in range(times)][-1]
+
+
 def _timed(apply, *args, rounds: int = 1, warm: bool = True) -> float:
     """Best-effort seconds per call: one warm-up, then ``rounds`` timed calls."""
     if warm:
@@ -145,16 +153,17 @@ class EngineRoundSuite(Benchmark):
 
     ``loop_s@N`` times :func:`repro.bench.reference.reference_round` (one
     agent at a time), ``vectorized_s@N`` the blocked pipeline's
-    ``run_round``, and ``speedup@N`` is their ratio.
+    ``run_round``, and ``speedup@N`` is their ratio.  The two fleets advance
+    in lock-step; every round checks that their states agree to round-off
+    and that they sent the same number of messages.
     """
 
     name = "engine/round"
     description = "per-agent reference vs round pipeline, seconds per DP-DPSGD round"
     floor = FloorSpec(
-        metric="speedup", minimum=5.0, min_cpus=2, min_baseline_seconds=0.2
+        "speedup", 5.0, min_cpus=2, min_baseline_seconds=0.2, ratio=("loop", "vectorized")
     )
-    default_repeats = 1
-    default_warmup = False
+    default_repeats = 5
     FULL_SCALE_AGENTS = 256
 
     def __init__(self) -> None:
@@ -193,27 +202,27 @@ class EngineRoundSuite(Benchmark):
         )
         return DPDPSGD(model, topology, shards, config)
 
-    def run(self) -> Dict[str, float]:
+    def cases(self) -> Iterator[Case]:
         from repro.bench.reference import reference_round
 
-        metrics: Dict[str, float] = {}
         for num_agents in self.agent_counts:
-            loop_s = _timed(
-                reference_round, self.build(num_agents), rounds=self.rounds
-            )
-            vec_s = _timed(self.build(num_agents).run_round, rounds=self.rounds)
-            metrics[f"loop_s@{num_agents}"] = loop_s
-            metrics[f"vectorized_s@{num_agents}"] = vec_s
-            metrics[f"speedup@{num_agents}"] = loop_s / vec_s
-        largest = max(self.agent_counts)
-        metrics["speedup"] = metrics[f"speedup@{largest}"]
-        return metrics
+            reference, pipeline = self.build(num_agents), self.build(num_agents)
+            sides = {
+                "loop": _calls(reference_round, reference, times=self.rounds),
+                "vectorized": _calls(pipeline.run_round, times=self.rounds),
+            }
+            check = partial(self.check_agree, reference, pipeline)
+            yield Case(str(num_agents), sides, check, units=self.rounds)
 
-    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
+    @staticmethod
+    def check_agree(reference, pipeline, outputs: Dict[str, object]) -> None:
+        """The comparison only means something while both run one algorithm."""
+        np.testing.assert_allclose(reference.state, pipeline.state, rtol=1e-9, atol=1e-12)
+        assert reference.network.messages_sent == pipeline.network.messages_sent
+
+    def floor_context(self) -> Tuple[bool, str]:
         largest = max(self.agent_counts)
-        baseline = metrics.get(f"loop_s@{largest}")
-        total = None if baseline is None else baseline * self.rounds
-        return largest >= self.FULL_SCALE_AGENTS, total
+        return largest >= self.FULL_SCALE_AGENTS, str(largest)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +250,6 @@ class AsyncRoundSuite(Benchmark):
     description = "event-driven time model: events/sec and simulated-vs-real ratio"
     default_repeats = 1
     default_warmup = False
-    FULL_SCALE_AGENTS = 4096
 
     def __init__(self) -> None:
         self.agent_counts = _env_ints("REPRO_BENCH_ASYNC_AGENTS", "4096")
@@ -352,11 +360,9 @@ class AsyncRoundSuite(Benchmark):
         largest = max(self.agent_counts)
         metrics["async_events_per_s"] = metrics[f"async_events_per_s@{largest}"]
         metrics["sim_real_ratio"] = metrics[f"sim_real_ratio@{largest}"]
+        assert metrics["async_events_per_s"] > 0
+        assert metrics["sim_real_ratio"] > 0
         return metrics
-
-    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
-        largest = max(self.agent_counts)
-        return largest >= self.FULL_SCALE_AGENTS, metrics.get(f"async_s@{largest}")
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +584,16 @@ class SparseGossipSuite(Benchmark):
 
     The dense baseline is ``np.einsum`` over ``operator.toarray()`` — the
     sequential accumulation the CSR kernel is pinned to — and the two are
-    asserted bit-identical every run.
+    asserted bit-identical every round; ``blas_s@label`` times the raw
+    ``W @ X`` BLAS product for reference.
     """
 
     name = "gossip/sparse"
     description = "dense einsum vs CSR gossip kernel, seconds per W @ X apply"
     floor = FloorSpec(
-        metric="speedup", minimum=10.0, min_cpus=2, min_baseline_seconds=0.05
+        "speedup", 10.0, min_cpus=2, min_baseline_seconds=0.05, ratio=("dense", "csr")
     )
-    default_repeats = 1
-    default_warmup = False
+    default_repeats = 5
     FULL_SCALE_AGENTS = 4096
 
     def __init__(self) -> None:
@@ -603,56 +609,44 @@ class SparseGossipSuite(Benchmark):
         }
 
     @staticmethod
-    def topology_labels(num_agents: int) -> List[str]:
-        """Metric-key labels for one agent count — string math, no graphs built."""
-        side = max(3, int(round(math.sqrt(num_agents))))
-        return [f"ring/{num_agents}", f"torus/{side * side}"]
-
-    @staticmethod
     def build_topologies(num_agents: int):
+        """``(label, topology)`` for a ring and the nearest square torus."""
         from repro.topology.graphs import ring_graph, torus_graph
 
-        ring_label, torus_label = SparseGossipSuite.topology_labels(num_agents)
         side = max(3, int(round(math.sqrt(num_agents))))
         return [
-            (ring_label, ring_graph(num_agents)),
-            (torus_label, torus_graph(side)),
+            (f"ring/{num_agents}", ring_graph(num_agents)),
+            (f"torus/{side * side}", torus_graph(side)),
         ]
 
-    def run(self) -> Dict[str, float]:
-        metrics: Dict[str, float] = {}
+    def cases(self) -> Iterator[Case]:
         for num_agents in self.agent_counts:
             for label, topology in self.build_topologies(num_agents):
-                csr_op = topology.mixing_operator()
-                dense_w = csr_op.toarray()
-
-                def dense_apply(x):
-                    return np.einsum("ij,jk->ik", dense_w, x)
-
-                rng = np.random.default_rng(0)
-                state = rng.normal(size=(topology.num_agents, self.dimension))
-                # The comparison is only meaningful while both kernels compute
-                # the same gossip step, bit for bit.
-                np.testing.assert_array_equal(
-                    dense_apply(state), csr_op.apply(state)
+                operator = topology.mixing_operator()
+                dense_w = operator.toarray()
+                state = np.random.default_rng(0).normal(
+                    size=(topology.num_agents, self.dimension)
                 )
-                dense_s = _timed(dense_apply, state, rounds=self.rounds)
-                csr_s = _timed(csr_op.apply, state, rounds=self.rounds)
-                blas_s = _timed(lambda x: dense_w @ x, state, rounds=self.rounds)
-                metrics[f"nnz@{label}"] = float(csr_op.nnz)
-                metrics[f"dense_s@{label}"] = dense_s
-                metrics[f"blas_s@{label}"] = blas_s
-                metrics[f"csr_s@{label}"] = csr_s
-                metrics[f"speedup@{label}"] = dense_s / csr_s
-        largest = max(self.agent_counts)
-        metrics["speedup"] = metrics[f"speedup@ring/{largest}"]
-        return metrics
+                times = self.rounds
+                sides = {
+                    "dense": _calls(np.einsum, "ij,jk->ik", dense_w, state, times=times),
+                    "csr": _calls(operator.apply, state, times=times),
+                    "blas": _calls(np.matmul, dense_w, state, times=times),
+                }
+                check = partial(self.check_bitwise, {f"nnz@{label}": float(operator.nnz)})
+                yield Case(label, sides, check, units=self.rounds)
 
-    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
+    @staticmethod
+    def check_bitwise(
+        nnz: Dict[str, float], outputs: Dict[str, object]
+    ) -> Dict[str, float]:
+        """Both kernels must compute the same gossip step, bit for bit."""
+        np.testing.assert_array_equal(outputs["dense"], outputs["csr"])
+        return nnz
+
+    def floor_context(self) -> Tuple[bool, str]:
         largest = max(self.agent_counts)
-        baseline = metrics.get(f"dense_s@ring/{largest}")
-        total = None if baseline is None else baseline * self.rounds
-        return largest >= self.FULL_SCALE_AGENTS, total
+        return largest >= self.FULL_SCALE_AGENTS, f"ring/{largest}"
 
 
 # ---------------------------------------------------------------------------
@@ -759,11 +753,8 @@ class CompressedGossipSuite(Benchmark):
         metrics["bytes_reduction_int8"] = metrics[f"bytes_reduction_int8@{largest}"]
         return metrics
 
-    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
-        largest = max(self.agent_counts)
-        baseline = metrics.get(f"dense_s@{largest}")
-        total = None if baseline is None else baseline * self.rounds
-        return largest >= self.FULL_SCALE_AGENTS, total
+    def floor_context(self) -> Tuple[bool, str]:
+        return max(self.agent_counts) >= self.FULL_SCALE_AGENTS, ""
 
 
 # ---------------------------------------------------------------------------
@@ -887,18 +878,21 @@ class GossipScalingSweepSuite(Benchmark):
 # ---------------------------------------------------------------------------
 @benchmark
 class DynamicTopologyCacheSuite(Benchmark):
-    """Snapshot LRU vs naive rebuild: seconds per ``operator_at(t)``."""
+    """Snapshot LRU vs naive rebuild: seconds per ``operator_at(t)``.
+
+    Each timed call builds a fresh schedule and queries ``rounds`` rounds of
+    it: the snapshot cache (``cached``), the cache defeated (``naive``) and
+    the fully dynamic worst case, a fresh straggler mask every round
+    (``allmiss``).  Every round checks the cache's bookkeeping.
+    """
 
     name = "topology/dynamic-cache"
     description = "schedule snapshot LRU vs naive rebuild, seconds per round"
     floor = FloorSpec(
-        metric="speedup", minimum=5.0, min_cpus=2, min_baseline_seconds=0.05
+        "speedup", 5.0, min_cpus=2, min_baseline_seconds=0.05, ratio=("naive", "cached")
     )
-    default_repeats = 1
-    default_warmup = False
+    default_repeats = 5
     FULL_SCALE_AGENTS = 1024
-    #: Interleaved cached/naive timings per fleet size; each keeps its best.
-    TIMINGS = 3
 
     def __init__(self) -> None:
         self.agent_counts = _env_ints("REPRO_BENCH_DYNTOPO_AGENTS", "256,1024")
@@ -923,60 +917,42 @@ class DynamicTopologyCacheSuite(Benchmark):
 
         return NaiveRebuildSchedule(base, rewire_every=rewire_every, seed=seed)
 
-    @staticmethod
-    def _seconds_per_round(schedule, rounds: int) -> float:
-        started = time.perf_counter()
-        for t in range(rounds):
+    def sweep(self, make_schedule, **kwargs):
+        """Build a fresh schedule and query each of its ``rounds`` rounds."""
+        schedule = make_schedule(**kwargs)
+        for t in range(self.rounds):
             schedule.operator_at(t)
-        return (time.perf_counter() - started) / rounds
+        return schedule
 
-    def run(self) -> Dict[str, float]:
+    def cases(self) -> Iterator[Case]:
         from repro.topology.graphs import ring_graph
         from repro.topology.schedule import (
             periodic_rewiring_schedule,
             straggler_schedule,
         )
 
-        metrics: Dict[str, float] = {}
         for num_agents in self.agent_counts:
             base = ring_graph(num_agents)
-            # Prime allocators and the scipy/networkx code paths on a
-            # throwaway schedule so neither measured variant pays cold-start
-            # costs for the other.
-            self._seconds_per_round(
-                self.naive(base, rewire_every=1, seed=99), min(self.rounds, 5)
-            )
-            # Interleaved timings of fresh schedules, best of TIMINGS each,
-            # so a burst of load on a shared host hits one sample of both
-            # variants rather than the whole of one.
-            cached_s = naive_s = math.inf
-            for _ in range(self.TIMINGS):
-                cached = periodic_rewiring_schedule(
-                    base, rewire_every=self.period, seed=0
-                )
-                cached_s = min(cached_s, self._seconds_per_round(cached, self.rounds))
-                naive = self.naive(base, rewire_every=self.period, seed=0)
-                naive_s = min(naive_s, self._seconds_per_round(naive, self.rounds))
-                # Epochs are visited contiguously, so the cache builds each
-                # distinct graph exactly once: misses = ceil(rounds / period).
-                info = cached.cache_info()
-                assert info["misses"] == -(-self.rounds // self.period)
-                assert info["hits"] + info["misses"] == self.rounds
-            worst = straggler_schedule(base, straggler_fraction=0.1, seed=0)
-            worst_s = self._seconds_per_round(worst, self.rounds)
-            metrics[f"cached_s@{num_agents}"] = cached_s
-            metrics[f"naive_s@{num_agents}"] = naive_s
-            metrics[f"allmiss_s@{num_agents}"] = worst_s
-            metrics[f"speedup@{num_agents}"] = naive_s / cached_s
-        largest = max(self.agent_counts)
-        metrics["speedup"] = metrics[f"speedup@{largest}"]
-        return metrics
+            sweep = partial(self.sweep, base=base, seed=0)
+            sides = {
+                "cached": partial(
+                    sweep, periodic_rewiring_schedule, rewire_every=self.period
+                ),
+                "naive": partial(sweep, self.naive, rewire_every=self.period),
+                "allmiss": partial(sweep, straggler_schedule, straggler_fraction=0.1),
+            }
+            yield Case(str(num_agents), sides, self.check_cache, units=self.rounds)
 
-    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
+    def check_cache(self, outputs: Dict[str, object]) -> None:
+        # Epochs are visited contiguously, so the cache builds each distinct
+        # graph exactly once: misses = ceil(rounds / period).
+        info = outputs["cached"].cache_info()
+        assert info["misses"] == -(-self.rounds // self.period)
+        assert info["hits"] + info["misses"] == self.rounds
+
+    def floor_context(self) -> Tuple[bool, str]:
         largest = max(self.agent_counts)
-        baseline = metrics.get(f"naive_s@{largest}")
-        total = None if baseline is None else baseline * self.rounds
-        return largest >= self.FULL_SCALE_AGENTS, total
+        return largest >= self.FULL_SCALE_AGENTS, str(largest)
 
 
 # ---------------------------------------------------------------------------
@@ -989,10 +965,9 @@ class OrchestratorPoolSuite(Benchmark):
     name = "orchestrator/pool"
     description = "process-pool grid vs serial execution, plus the warm store"
     floor = FloorSpec(
-        metric="speedup", minimum=2.0, min_cpus=4, min_baseline_seconds=1.0
+        "speedup", 2.0, min_cpus=4, min_baseline_seconds=1.0, ratio=("serial", "pooled")
     )
-    default_repeats = 1
-    default_warmup = False
+    default_repeats = 5
 
     def __init__(self) -> None:
         self.jobs = _env_int("REPRO_BENCH_ORCH_JOBS", 8, minimum=2)
@@ -1037,50 +1012,40 @@ class OrchestratorPoolSuite(Benchmark):
             shutil.rmtree(self._root, ignore_errors=True)
             self._root = None
 
-    def run(self) -> Dict[str, float]:
+    def cases(self) -> Iterator[Case]:
         from pathlib import Path
 
         from repro.experiments.orchestrator import run_grid
-        from repro.simulation.metrics import histories_equal
 
         assert self._root is not None, "setup() must run first"
         root = Path(self._root)
-        # Fresh stores every call so repeats never hit a warm directory.
-        for stale in root.iterdir():
-            shutil.rmtree(stale, ignore_errors=True)
+        stores = itertools.count()
 
-        started = time.perf_counter()
-        serial = run_grid(self.build_grid(), root / "serial", workers=1)
-        serial_s = time.perf_counter() - started
+        def fresh(workers: int):
+            """The grid into a new store, so every call trains every cell."""
+            return run_grid(self.build_grid(), root / f"run-{next(stores)}", workers)
 
-        started = time.perf_counter()
-        pooled = run_grid(self.build_grid(), root / "pooled", workers=self.workers)
-        pooled_s = time.perf_counter() - started
+        # The cached side's warm-up call trains into its store; every timed
+        # call after it is served from there.
+        sides = {
+            "serial": partial(fresh, 1),
+            "pooled": partial(fresh, self.workers),
+            "cached": lambda: run_grid(self.build_grid(), root / "warm", workers=1),
+        }
+        yield Case("", sides, self.check_histories)
 
-        started = time.perf_counter()
-        cached = run_grid(self.build_grid(), root / "serial", workers=1)
-        cached_s = time.perf_counter() - started
+    def check_histories(self, outputs: Dict[str, object]) -> None:
+        """Worker placement must not change any cell, and the warm pass must
+        serve the identical stored histories without training."""
+        from repro.simulation.metrics import histories_equal
 
-        # Correctness before speed: worker placement must not change any
-        # cell, and the warm pass must serve the identical stored histories.
+        serial, pooled, cached = outputs["serial"], outputs["pooled"], outputs["cached"]
         assert [r.status for r in serial] == ["done"] * self.jobs
         assert [r.status for r in pooled] == ["done"] * self.jobs
         assert [r.status for r in cached] == ["cached"] * self.jobs
-        for a, b in zip(serial, pooled):
+        for a, b, c in zip(serial, pooled, cached):
             assert histories_equal(a.history, b.history)
-        for a, b in zip(serial, cached):
-            assert histories_equal(a.history, b.history)
-        assert cached_s < serial_s, "cached pass should skip all training"
-
-        return {
-            "serial_s": serial_s,
-            "pooled_s": pooled_s,
-            "cached_s": cached_s,
-            "speedup": serial_s / pooled_s if pooled_s > 0 else float("inf"),
-        }
-
-    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
-        return True, metrics.get("serial_s")
+            assert histories_equal(a.history, c.history)
 
 
 # ---------------------------------------------------------------------------
@@ -1253,27 +1218,23 @@ class FleetInversionSuite(Benchmark):
     pass per SPSA probe instead of ``N``.  The sequential baseline is the
     exact per-victim loop a pre-fleet analysis campaign would run:
     ``GradientInversionAttack.run`` per victim, seeded from the same
-    :func:`~repro.attacks.inversion_stream` RNG streams.  Both timed runs
-    are asserted bit-identical (reconstructions, labels, matching losses),
-    so the speedup can never come from computing something different.
+    :func:`~repro.attacks.inversion_stream` RNG streams.  Every round checks
+    the two bit-identical (reconstructions, labels, matching losses), so the
+    speedup can never come from computing something different.
     """
 
     name = "attacks/inversion-fleet"
     description = "fleet vs per-victim gradient inversion, seconds per attack"
     floor = FloorSpec(
-        metric="speedup", minimum=10.0, min_cpus=1, min_baseline_seconds=0.2
+        "speedup", 10.0, min_cpus=1, min_baseline_seconds=0.2, ratio=("sequential", "fleet")
     )
-    default_repeats = 1
-    default_warmup = False
+    default_repeats = 5
     FULL_SCALE_AGENTS = 256
 
     def __init__(self) -> None:
         self.agents = _env_int("REPRO_BENCH_ATTACK_AGENTS", 256, minimum=2)
         self.iterations = _env_int("REPRO_BENCH_ATTACK_ITERS", 25)
         self.batch = _env_int("REPRO_BENCH_ATTACK_BATCH", 4)
-        self._observed: Optional[np.ndarray] = None
-        self._params: Optional[np.ndarray] = None
-        self._inputs: Optional[np.ndarray] = None
 
     def params(self) -> Dict[str, object]:
         return {
@@ -1288,7 +1249,12 @@ class FleetInversionSuite(Benchmark):
 
         return make_linear_classifier(16, 4, seed=0)
 
-    def setup(self) -> None:
+    def cases(self) -> Iterator[Case]:
+        from repro.attacks import (
+            FleetInversionAttack,
+            GradientInversionAttack,
+            inversion_stream,
+        )
         from repro.nn.batched import StackedSequential
 
         model = self.build_model()
@@ -1301,70 +1267,47 @@ class FleetInversionSuite(Benchmark):
             inputs,
             labels,
         )
-        self._observed = observed
-        self._params = params
-        self._inputs = inputs
-
-    def teardown(self) -> None:
-        self._observed = None
-        self._params = None
-        self._inputs = None
-
-    def run(self) -> Dict[str, float]:
-        from repro.attacks import (
-            FleetInversionAttack,
-            GradientInversionAttack,
-            inversion_stream,
-        )
-
-        observed, params = self._observed, self._params
-        assert observed is not None and params is not None
-        model = self.build_model()
         seed = 1
-
         fleet = FleetInversionAttack(
             model, num_classes=4, iterations=self.iterations, seed=seed
         )
-        started = time.perf_counter()
-        batched = fleet.run(observed, params, self.batch, (16,))
-        fleet_s = time.perf_counter() - started
 
-        started = time.perf_counter()
-        sequential = [
-            GradientInversionAttack(
-                model,
-                num_classes=4,
-                iterations=self.iterations,
-                rng=inversion_stream(seed, victim),
-            ).run(observed[victim], params, self.batch, (16,))
-            for victim in range(self.agents)
-        ]
-        sequential_s = time.perf_counter() - started
+        def sequential():
+            return [
+                GradientInversionAttack(
+                    model,
+                    num_classes=4,
+                    iterations=self.iterations,
+                    rng=inversion_stream(seed, victim),
+                ).run(observed[victim], params, self.batch, (16,))
+                for victim in range(self.agents)
+            ]
 
-        # The comparison is only meaningful while the fleet run *is* the
-        # per-victim loop, bit for bit.
-        for victim, single in enumerate(sequential):
-            np.testing.assert_array_equal(
-                batched.reconstructed_inputs[victim], single.reconstructed_inputs
-            )
-            np.testing.assert_array_equal(
-                batched.inferred_labels[victim], single.inferred_labels
-            )
-            assert float(batched.matching_losses[victim]) == single.matching_loss
+        def check_bitwise(outputs: Dict[str, object]) -> Dict[str, float]:
+            batched = outputs["fleet"]
+            for victim, single in enumerate(outputs["sequential"]):
+                np.testing.assert_array_equal(
+                    batched.reconstructed_inputs[victim], single.reconstructed_inputs
+                )
+                np.testing.assert_array_equal(
+                    batched.inferred_labels[victim], single.inferred_labels
+                )
+                assert float(batched.matching_losses[victim]) == single.matching_loss
+            return {
+                "mean_matching_loss": float(batched.matching_losses.mean()),
+                "mean_reconstruction_error": float(
+                    batched.errors_against(inputs).mean()
+                ),
+            }
 
-        inputs = self._inputs
-        assert inputs is not None
-        errors = batched.errors_against(inputs)
-        return {
-            "sequential_s": sequential_s,
-            "fleet_s": fleet_s,
-            "speedup": sequential_s / fleet_s if fleet_s > 0 else float("inf"),
-            "mean_matching_loss": float(batched.matching_losses.mean()),
-            "mean_reconstruction_error": float(errors.mean()),
+        sides = {
+            "sequential": sequential,
+            "fleet": partial(fleet.run, observed, params, self.batch, (16,)),
         }
+        yield Case("", sides, check_bitwise)
 
-    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
-        return self.agents >= self.FULL_SCALE_AGENTS, metrics.get("sequential_s")
+    def floor_context(self) -> Tuple[bool, str]:
+        return self.agents >= self.FULL_SCALE_AGENTS, ""
 
 
 # ---------------------------------------------------------------------------
@@ -1378,7 +1321,7 @@ class MembershipFleetSuite(Benchmark):
     per-example losses on both populations in two stacked passes
     (:func:`~repro.attacks.membership_losses_fleet`); the baseline loops
     :func:`~repro.attacks.per_sample_losses` over rows with a shared stacked
-    engine.  Both timed paths are asserted bit-identical.  This comparison
+    engine.  Every round checks the two bit-identical.  This comparison
     is compute-bound rather than overhead-bound, so its speedup is modest
     next to ``attacks/inversion-fleet`` — the floor reflects that.
     """
@@ -1386,87 +1329,65 @@ class MembershipFleetSuite(Benchmark):
     name = "attacks/membership"
     description = "fleet vs per-row membership loss scoring, seconds per sweep"
     floor = FloorSpec(
-        metric="speedup", minimum=2.0, min_cpus=1, min_baseline_seconds=0.02
+        "speedup", 2.0, min_cpus=1, min_baseline_seconds=0.02, ratio=("sequential", "fleet")
     )
-    default_repeats = 3
+    default_repeats = 5
     FULL_SCALE_ROWS = 1024
 
     def __init__(self) -> None:
         self.rows = _env_int("REPRO_BENCH_MEMBER_ROWS", 1024, minimum=2)
         self.samples = _env_int("REPRO_BENCH_MEMBER_SAMPLES", 32, minimum=4)
-        self._rows: Optional[np.ndarray] = None
-        self._members = None
-        self._non_members = None
 
     def params(self) -> Dict[str, object]:
         return {"rows": self.rows, "samples": self.samples}
 
-    def setup(self) -> None:
-        from repro.data.dataset import Dataset
-
-        model = FleetInversionSuite.build_model()
-        rng = np.random.default_rng(0)
-        self._rows = rng.normal(size=(self.rows, model.num_params))
-        self._members = Dataset(
-            rng.normal(size=(self.samples, 16)),
-            rng.integers(0, 4, size=self.samples),
-        )
-        self._non_members = Dataset(
-            rng.normal(size=(self.samples, 16)) + 0.5,
-            rng.integers(0, 4, size=self.samples),
-        )
-
-    def teardown(self) -> None:
-        self._rows = None
-        self._members = None
-        self._non_members = None
-
-    def run(self) -> Dict[str, float]:
+    def cases(self) -> Iterator[Case]:
         from repro.attacks import (
             membership_inference_fleet,
             membership_losses_fleet,
             per_sample_losses,
         )
+        from repro.data.dataset import Dataset
         from repro.nn.batched import StackedSequential
 
-        rows, members, non_members = self._rows, self._members, self._non_members
-        assert rows is not None and members is not None and non_members is not None
         model = FleetInversionSuite.build_model()
-
-        started = time.perf_counter()
-        fleet_member = membership_losses_fleet(model, rows, members)
-        fleet_non = membership_losses_fleet(model, rows, non_members)
-        fleet_s = time.perf_counter() - started
-
+        rng = np.random.default_rng(0)
+        rows = rng.normal(size=(self.rows, model.num_params))
+        populations = (
+            Dataset(
+                rng.normal(size=(self.samples, 16)),
+                rng.integers(0, 4, size=self.samples),
+            ),
+            Dataset(
+                rng.normal(size=(self.samples, 16)) + 0.5,
+                rng.integers(0, 4, size=self.samples),
+            ),
+        )
         engine = StackedSequential(model)
-        started = time.perf_counter()
-        seq_member = np.stack(
-            [
-                per_sample_losses(model, row, members, engine=engine)
-                for row in rows
+
+        def fleet():
+            return [membership_losses_fleet(model, rows, data) for data in populations]
+
+        def sequential():
+            return [
+                np.stack(
+                    [per_sample_losses(model, row, data, engine=engine) for row in rows]
+                )
+                for data in populations
             ]
-        )
-        seq_non = np.stack(
-            [
-                per_sample_losses(model, row, non_members, engine=engine)
-                for row in rows
-            ]
-        )
-        sequential_s = time.perf_counter() - started
 
-        np.testing.assert_array_equal(fleet_member, seq_member)
-        np.testing.assert_array_equal(fleet_non, seq_non)
+        result = membership_inference_fleet(model, rows, *populations)
+        advantage = {"mean_advantage": float(result.mean_advantage)}
 
-        result = membership_inference_fleet(model, rows, members, non_members)
-        return {
-            "sequential_s": sequential_s,
-            "fleet_s": fleet_s,
-            "speedup": sequential_s / fleet_s if fleet_s > 0 else float("inf"),
-            "mean_advantage": float(result.mean_advantage),
-        }
+        def check_bitwise(outputs: Dict[str, object]) -> Dict[str, float]:
+            for fleet_losses, loop in zip(outputs["fleet"], outputs["sequential"]):
+                np.testing.assert_array_equal(fleet_losses, loop)
+            return advantage
 
-    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
-        return self.rows >= self.FULL_SCALE_ROWS, metrics.get("sequential_s")
+        yield Case("", {"sequential": sequential, "fleet": fleet}, check_bitwise)
+
+    def floor_context(self) -> Tuple[bool, str]:
+        return self.rows >= self.FULL_SCALE_ROWS, ""
 
 
 # ---------------------------------------------------------------------------
@@ -1477,31 +1398,26 @@ class StackedEvalSuite(Benchmark):
     """Stacked mean-agent test accuracy vs the per-agent ``accuracy`` loop.
 
     ``loop_s@N`` times one ``Model.accuracy`` call per agent on a shared
-    512-row test set (the fastest of three), ``stacked_s@N`` the algorithm's
+    512-row test set, ``stacked_s@N`` the algorithm's
     ``test_accuracy(mode="mean_agent")``, which scores the fleet through
     :meth:`~repro.nn.batched.StackedSequential.accuracies`; ``speedup@N``
     is their ratio.  The fleet is DP-DPSGD on a ring with a ``linear`` model
     on 16 features and 4 classes (d = 68), its rows spread apart by random
-    offsets so every agent scores differently.  Each size asserts that the
-    stacked per-agent accuracies equal the loop's exactly.
+    offsets so every agent scores differently.  Every round checks that the
+    stacked per-agent accuracies, and their mean, equal the loop's exactly.
     """
 
     name = "eval/test-accuracy"
     description = "stacked vs per-agent mean-agent test accuracy, seconds per evaluation"
     floor = FloorSpec(
-        metric="speedup", minimum=2.0, min_cpus=2, min_baseline_seconds=0.2
+        "speedup", 2.0, min_cpus=2, min_baseline_seconds=0.2, ratio=("loop", "stacked")
     )
-    default_repeats = 1
-    default_warmup = False
+    default_repeats = 5
     FULL_SCALE_AGENTS = 16384
     TEST_ROWS = 512
-    #: Interleaved timings per side; each side reports its fastest, so the
-    #: first call doubles as the warm-up.
-    TIMINGS = 3
 
     def __init__(self) -> None:
         self.agent_counts = _env_ints("REPRO_BENCH_EVAL_AGENTS", "1024,4096,16384")
-        self._fleets: Dict[int, Tuple[object, object]] = {}
 
     def params(self) -> Dict[str, object]:
         return {"agents": self.agent_counts, "test_rows": self.TEST_ROWS}
@@ -1533,47 +1449,43 @@ class StackedEvalSuite(Benchmark):
         algorithm.state = algorithm.state + rng.normal(size=algorithm.state.shape)
         return algorithm, test
 
-    def setup(self) -> None:
-        self._fleets = {n: self.build(n) for n in self.agent_counts}
-
-    def teardown(self) -> None:
-        self._fleets = {}
-
-    def run(self) -> Dict[str, float]:
+    def cases(self) -> Iterator[Case]:
         from repro.nn.batched import StackedSequential
 
-        metrics: Dict[str, float] = {}
-        for num_agents, (algorithm, test) in self._fleets.items():
-            model = algorithm.model
-            loop_s = stacked_s = math.inf
-            for _ in range(self.TIMINGS):
-                started = time.perf_counter()
-                loop = np.array(
-                    [
-                        model.accuracy(test.inputs, test.labels, params=row)
-                        for row in algorithm.state
-                    ]
-                )
-                loop_accuracy = float(np.mean(loop))
-                loop_s = min(loop_s, time.perf_counter() - started)
-
-                started = time.perf_counter()
-                stacked_accuracy = algorithm.test_accuracy(test)
-                stacked_s = min(stacked_s, time.perf_counter() - started)
-
-            per_agent = StackedSequential(model).accuracies(
+        for num_agents in self.agent_counts:
+            algorithm, test = self.build(num_agents)
+            per_agent = StackedSequential(algorithm.model).accuracies(
                 algorithm.state, test.inputs, test.labels
             )
-            np.testing.assert_array_equal(per_agent, loop)
-            metrics[f"loop_s@{num_agents}"] = loop_s
-            metrics[f"stacked_s@{num_agents}"] = stacked_s
-            metrics[f"speedup@{num_agents}"] = loop_s / stacked_s
-            metrics[f"loop_accuracy@{num_agents}"] = loop_accuracy
-            metrics[f"stacked_accuracy@{num_agents}"] = stacked_accuracy
-        largest = max(self.agent_counts)
-        metrics["speedup"] = metrics[f"speedup@{largest}"]
-        return metrics
+            sides = {
+                "loop": partial(self.loop_accuracies, algorithm, test),
+                "stacked": partial(algorithm.test_accuracy, test),
+            }
+            check = partial(self.check_equal, str(num_agents), per_agent)
+            yield Case(str(num_agents), sides, check)
 
-    def floor_context(self, metrics: Dict[str, float]) -> Tuple[bool, Optional[float]]:
+    @staticmethod
+    def loop_accuracies(algorithm, test) -> np.ndarray:
+        """One ``Model.accuracy`` call per agent."""
+        return np.array(
+            [
+                algorithm.model.accuracy(test.inputs, test.labels, params=row)
+                for row in algorithm.state
+            ]
+        )
+
+    @staticmethod
+    def check_equal(
+        label: str, per_agent: np.ndarray, outputs: Dict[str, object]
+    ) -> Dict[str, float]:
+        np.testing.assert_array_equal(per_agent, outputs["loop"])
+        loop_accuracy = float(np.mean(outputs["loop"]))
+        assert outputs["stacked"] == loop_accuracy, (outputs["stacked"], loop_accuracy)
+        return {
+            f"loop_accuracy@{label}": loop_accuracy,
+            f"stacked_accuracy@{label}": outputs["stacked"],
+        }
+
+    def floor_context(self) -> Tuple[bool, str]:
         largest = max(self.agent_counts)
-        return largest >= self.FULL_SCALE_AGENTS, metrics.get(f"loop_s@{largest}")
+        return largest >= self.FULL_SCALE_AGENTS, str(largest)

@@ -89,10 +89,6 @@ class Measurement:
     rss_scope: str = "process"
 
     @property
-    def repeats(self) -> int:
-        return len(self.wall_seconds)
-
-    @property
     def best_seconds(self) -> float:
         """The minimum sample — the canonical number artifacts compare on."""
         if not self.wall_seconds:

@@ -47,8 +47,8 @@ class TestLearningRateInterval:
 
         The lower bound (1-alpha)^2 / alpha (from requiring m1 > 0) always
         exceeds the upper bound derived from eq. 84 — one can show
-        upper <= lower / 2 analytically.  We record the observation here and
-        in EXPERIMENTS.md; the bound evaluation itself only enforces m1 > 0.
+        upper <= lower / 2 analytically.  We record the observation here; the
+        bound evaluation itself only enforces m1 > 0.
         """
         for momentum in (0.05, 0.5, 0.9, 0.97, 0.999):
             lower, upper = learning_rate_interval(constants, momentum=momentum)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.bench import registry as registry_module
+from repro.bench.artifact import load_artifact, results_to_artifact, write_artifact
 from repro.bench.guard import (
     MemoryDecision,
     arm_floor,
@@ -14,6 +18,7 @@ from repro.bench.guard import (
 )
 from repro.bench.registry import (
     Benchmark,
+    Case,
     FloorSpec,
     assert_floor,
     benchmark,
@@ -205,8 +210,8 @@ class FlooredProbe(Benchmark):
     def run(self):
         return {"speedup": self._speedup}
 
-    def floor_context(self, metrics):
-        return self._full_scale, None
+    def floor_context(self):
+        return self._full_scale, ""
 
 
 class TestFloors:
@@ -234,8 +239,177 @@ class TestFloors:
             def run(self):
                 return {}
 
-        decision, payload = check_floor(NoMetric(speedup=0.0), {})
-        assert decision.armed and payload["passed"] is False
+        payload = check_floor(NoMetric(speedup=0.0), {})
+        assert payload["armed"] and payload["passed"] is False
+
+
+class Clock:
+    """Fake time: the probe's sides advance it, the registry's timer reads it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    clock = Clock()
+
+    class ClockTimer:
+        def __enter__(self):
+            self.started = clock.now
+            return self
+
+        def __exit__(self, *exc_info):
+            self.elapsed = clock.now - self.started
+
+    monkeypatch.setattr(registry_module, "Timer", ClockTimer)
+    return clock
+
+
+class SidesProbe(Benchmark):
+    """A comparison suite whose sides cost scripted fake seconds per call.
+
+    ``costs[side][i]`` is what the side's ``i``-th call costs (call 0 is the
+    warm-up); each call returns ``(side, i)``.
+    """
+
+    name = "test/sides-probe"
+    description = "protocol probe"
+    floor = FloorSpec(
+        metric="speedup", minimum=5.0, min_cpus=1, ratio=("slow", "fast")
+    )
+    default_repeats = 5
+
+    def __init__(self, clock, costs, check=None) -> None:
+        self.clock = clock
+        self.costs = costs
+        self.check = check
+        self.calls = []
+        self.checked = []
+        self.teardown_calls = 0
+
+    def cases(self):
+        sides = {name: partial(self.call, name) for name in self.costs}
+        yield Case("", sides, self.check_outputs)
+
+    def call(self, name):
+        index = self.calls.count(name)
+        self.calls.append(name)
+        self.clock.now += self.costs[name][index]
+        return name, index
+
+    def check_outputs(self, outputs):
+        self.checked.append(dict(outputs))
+        if self.check is not None:
+            self.check(outputs)
+
+    def teardown(self) -> None:
+        self.teardown_calls += 1
+
+
+def steady(seconds, calls=6):
+    return [seconds] * calls
+
+
+def costs(slow=1.0, fast=0.125):
+    """Steady per-call costs: a warm-up plus five rounds of each side."""
+    return {"slow": steady(slow), "fast": steady(fast)}
+
+
+class TestTimingProtocol:
+    def test_warm_up_then_rounds_alternating_the_first_side(self, clock):
+        probe = SidesProbe(clock, costs())
+        result = run_benchmark(probe)
+        warm_up, ordered, flipped = ["slow", "fast"], ["slow", "fast"], ["fast", "slow"]
+        assert probe.calls == warm_up + ordered + flipped + ordered + flipped + ordered
+        assert result.repeats == 5 and result.warmup
+        assert result.samples == {"slow_s": steady(1.0, 5), "fast_s": steady(0.125, 5)}
+        assert result.metrics["slow_s"] == 1.0 and result.metrics["fast_s"] == 0.125
+        assert result.metrics["speedup"] == 8.0
+        assert result.wall_seconds == steady(1.125, 5)
+
+    def test_warm_up_is_not_sampled(self, clock):
+        expensive_warm_up = costs()
+        expensive_warm_up["slow"][0] = expensive_warm_up["fast"][0] = 64.0
+        result = run_benchmark(SidesProbe(clock, expensive_warm_up))
+        assert max(result.samples["slow_s"]) == 1.0
+        assert max(result.samples["fast_s"]) == 0.125
+
+    def test_repeats_sets_the_round_count(self, clock):
+        probe = SidesProbe(clock, costs())
+        result = run_benchmark(probe, repeats=2)
+        assert len(probe.calls) == 6 and result.repeats == 2
+        assert all(len(seconds) == 2 for seconds in result.samples.values())
+
+    def test_check_runs_on_every_round(self, clock):
+        probe = SidesProbe(clock, costs())
+        run_benchmark(probe)
+        assert probe.checked == [
+            {"slow": ("slow", i), "fast": ("fast", i)} for i in range(1, 6)
+        ]
+
+    def test_failing_check_raises(self, clock):
+        def disagree_on_round_three(outputs):
+            assert outputs["fast"][1] != 3, "sides disagree"
+
+        probe = SidesProbe(clock, costs(), disagree_on_round_three)
+        with pytest.raises(AssertionError, match="sides disagree"):
+            run_benchmark(probe)
+        assert len(probe.checked) == 3
+        assert probe.teardown_calls == 1
+
+    def test_one_slow_candidate_sample_does_not_fail_the_floor(self, clock):
+        outlier = costs()
+        outlier["fast"][3] = 4.0
+        result = run_benchmark(SidesProbe(clock, outlier))
+        assert result.floor["armed"] and result.floor["passed"]
+        assert result.floor["value"] == 8.0
+        assert_floor(result)
+
+    def test_uniformly_2x_slower_candidate_fails_the_floor(self, clock):
+        assert_floor(run_benchmark(SidesProbe(clock, costs(fast=0.125))))
+        slowed = run_benchmark(SidesProbe(clock, costs(fast=0.25)))
+        assert slowed.floor["armed"] and slowed.floor["passed"] is False
+        with pytest.raises(AssertionError, match="fell below the declared floor"):
+            assert_floor(slowed)
+
+    def test_signal_check_reads_the_fastest_baseline_call(self, clock):
+        class NeedsSignal(SidesProbe):
+            floor = FloorSpec(
+                metric="speedup",
+                minimum=5.0,
+                min_cpus=1,
+                min_baseline_seconds=2.0,
+                ratio=("slow", "fast"),
+            )
+
+        one_short_call = costs(slow=8.0)
+        one_short_call["slow"][2] = 1.0
+        result = run_benchmark(NeedsSignal(clock, one_short_call))
+        assert not result.floor["armed"] and "too short" in result.floor["reason"]
+
+    def test_units_divide_the_metric_not_the_samples(self, clock):
+        class PerRound(SidesProbe):
+            def cases(self):
+                sides = {name: partial(self.call, name) for name in self.costs}
+                yield Case("64", sides, units=4)
+
+            def floor_context(self):
+                return True, "64"
+
+        result = run_benchmark(PerRound(clock, costs(slow=2.0, fast=0.25)))
+        assert result.samples["slow_s@64"] == steady(2.0, 5)
+        assert result.metrics["slow_s@64"] == 0.5
+        assert result.metrics["speedup@64"] == 8.0
+        assert result.metrics["speedup"] == result.floor["value"]
+
+    def test_samples_and_k_survive_the_artifact(self, clock, tmp_path):
+        result = run_benchmark(SidesProbe(clock, costs()), repeats=3)
+        artifact = results_to_artifact([result])
+        path = write_artifact(tmp_path / "BENCH_probe.json", artifact)
+        suite = load_artifact(path)["suites"]["test/sides-probe"]
+        assert suite["repeats"] == 3
+        assert suite["samples"] == {"slow_s": steady(1.0, 3), "fast_s": steady(0.125, 3)}
 
 
 class TestMemoryGuard:

@@ -1,9 +1,13 @@
 """Tests for mixing-matrix construction and spectral diagnostics."""
 
+import math
+import time
+
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.bench.suites import SparseGossipSuite
 from repro.topology.mixing import (
     is_doubly_stochastic,
     is_symmetric,
@@ -122,3 +126,27 @@ class TestValidation:
 
     def test_is_doubly_stochastic_rejects_non_square(self):
         assert not is_doubly_stochastic(np.ones((2, 3)))
+
+
+def test_bench_sparse_spectral_diagnostics_at_scale():
+    """The Lanczos path keeps fleet-scale spectral gaps affordable.
+
+    A dense eigendecomposition at N = 4096 is O(N^3) (~minutes); the sparse
+    path must produce the ring's analytic gap in a small fraction of the
+    benchmark budget.
+    """
+    from repro.topology.graphs import ring_graph
+    from repro.topology.mixing import spectral_gap
+
+    num_agents = max(SparseGossipSuite().agent_counts)
+    topology = ring_graph(num_agents)
+    start = time.perf_counter()
+    gap = spectral_gap(topology.mixing_matrix)
+    elapsed = time.perf_counter() - start
+    analytic = 1.0 - (1.0 + 2.0 * math.cos(2.0 * math.pi / num_agents)) / 3.0
+    print(
+        f"\nring/{num_agents} spectral gap: {gap:.3e} "
+        f"(analytic {analytic:.3e}) in {elapsed:.3f}s via eigsh"
+    )
+    np.testing.assert_allclose(gap, analytic, atol=1e-7)
+    assert elapsed < 60.0
