@@ -368,45 +368,6 @@ class AsyncRoundSuite(Benchmark):
 # ---------------------------------------------------------------------------
 # engine/round-streamed
 # ---------------------------------------------------------------------------
-def _csr_ring_topology(num_agents: int):
-    """A Metropolis-weighted ring built directly as CSR, no networkx.
-
-    ``networkx`` graph construction is O(N) Python objects — at a million
-    agents that alone dwarfs the round being measured.  Every entry of the
-    ring's Metropolis–Hastings matrix is 1/3 (uniform degree 2), so the CSR
-    arrays can be written down directly; the graph object only has to answer
-    ``number_of_nodes()`` for :class:`~repro.topology.graphs.Topology`
-    (connectivity validation is skipped via ``require_connected=False`` —
-    a ring is connected by construction).
-    """
-    import scipy.sparse as sp
-
-    from repro.topology.graphs import Topology
-
-    if num_agents < 3:
-        raise ValueError("a ring needs at least 3 agents")
-
-    class _RingNodes:
-        def __init__(self, n: int) -> None:
-            self._n = n
-
-        def number_of_nodes(self) -> int:
-            return self._n
-
-    n = num_agents
-    agents = np.arange(n, dtype=np.int64)
-    indices = np.empty(3 * n, dtype=np.int64)
-    indices[0::3] = (agents - 1) % n
-    indices[1::3] = agents
-    indices[2::3] = (agents + 1) % n
-    indptr = 3 * np.arange(n + 1, dtype=np.int64)
-    data = np.full(3 * n, 1.0 / 3.0)
-    matrix = sp.csr_array((data, indices, indptr), shape=(n, n))
-    return Topology(
-        _RingNodes(n), matrix, name=f"ring-{n}", require_connected=False
-    )
-
-
 @benchmark
 class StreamedRoundSuite(Benchmark):
     """A full streamed DP-DPSGD round across fleet sizes up to a million agents.
@@ -415,7 +376,7 @@ class StreamedRoundSuite(Benchmark):
     this suite times one *complete* communication round — blocked batch
     drawing, stacked gradient passes, per-agent clip + Gaussian noise, codec
     and gossip — through the streamed pipeline (``block_rows`` +
-    ``storage="memmap"``), on a CSR ring with one shared data shard and a
+    ``storage="memmap"``), on a ``ring_graph`` with one shared data shard and a
     small linear model so the per-agent work (batch draws and gathers,
     noise rows, gossip rows) dominates exactly as it does at fleet scale.
 
@@ -510,6 +471,7 @@ class StreamedRoundSuite(Benchmark):
         from repro.baselines import DPDPSGD
         from repro.core.config import AlgorithmConfig
         from repro.nn.zoo import make_linear_classifier
+        from repro.topology.graphs import ring_graph
 
         config = AlgorithmConfig(
             learning_rate=0.05,
@@ -522,7 +484,7 @@ class StreamedRoundSuite(Benchmark):
         model = make_linear_classifier(self.NUM_FEATURES, self.NUM_CLASSES, seed=0)
         return DPDPSGD(
             model,
-            _csr_ring_topology(num_agents),
+            ring_graph(num_agents),
             [self._dataset] * num_agents,
             config,
         )

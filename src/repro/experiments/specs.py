@@ -381,9 +381,6 @@ def paper_figure_spec(
     family, topology = _PAPER_FIGURES[figure]
     epsilons = _PAPER_EPSILONS[family]
     chosen_epsilon = epsilon if epsilon is not None else epsilons[-1]
-    if chosen_epsilon not in epsilons and epsilon is not None:
-        # allow off-grid epsilons but keep the paper's defaults discoverable
-        pass
     maker = mnist_like_spec if family == "mnist" else cifar_like_spec
     spec = maker(
         num_agents=num_agents,

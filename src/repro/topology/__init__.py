@@ -9,8 +9,8 @@ symmetric and doubly stochastic (Sec. III-A).  This package provides:
   (star, 2-D torus/grid, Erdős–Rényi, random-regular, Watts–Strogatz
   small-world, hypercube, exponential);
 * mixing-matrix builders (Metropolis–Hastings weights, uniform-neighbour
-  averaging) that assemble ``W`` edge-wise as CSR — the only storage —
-  and the :class:`~repro.topology.mixing.MixingOperator` the gossip engine
+  averaging) that assemble ``W`` edge-wise from an ``(E, 2)`` edge array
+  as CSR — a topology's only representation — and the :class:`~repro.topology.mixing.MixingOperator` the gossip engine
   applies it through in O(nnz d);
 * the topology names experiment specs accept and their size rules
   (:data:`~repro.topology.graphs.TOPOLOGY_NAMES`,

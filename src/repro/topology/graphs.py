@@ -1,14 +1,18 @@
 """Graph topologies for decentralized learning.
 
-A :class:`Topology` wraps an undirected connected ``networkx`` graph together
-with its symmetric doubly stochastic mixing matrix ``W`` and convenience
-accessors used by the agents (neighbour sets ``M_i`` *including self*, edge
-weights ``w_{ij}``).
+A :class:`Topology` *is* its symmetric doubly stochastic mixing matrix
+``W``: who talks to whom is fixed by ``W`` alone (``M_i = {j : w_{ij} > 0}``,
+Sec. III-A), so the agent count, neighbour sets ``M_i`` *including self*,
+degrees, edges, edge weights ``w_{ij}`` and the connectivity check are all
+read from ``W``'s CSR.  No graph object is kept next to it.
 
-``W`` is always stored as a ``scipy.sparse`` CSR matrix.  The constructors
-assemble it edge-wise, so a 100k-agent ring never materialises a
-10^10-entry array; a caller that passes an ndarray to :class:`Topology`
-gets it converted once, entries preserved exactly.
+``W`` is always stored as a ``scipy.sparse`` CSR matrix.  The deterministic
+constructors build their edge arrays with NumPy and assemble ``W``
+edge-wise, so a 100k-agent ring never materialises a 10^10-entry array; a
+caller that passes an ndarray to :class:`Topology` gets it converted once,
+entries preserved exactly.  Only the random families (Erdős–Rényi,
+random-regular, small-world) import ``networkx``, to sample the same seeded
+graphs, and hand over their edge arrays.
 :meth:`Topology.mixing_operator` hands the gossip engine the cached
 :class:`~repro.topology.mixing.MixingOperator` over that matrix.
 """
@@ -19,9 +23,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from repro.topology.mixing import (
     MixingOperator,
@@ -126,20 +130,20 @@ def check_topology(
 
 @dataclass
 class Topology:
-    """A communication graph plus its doubly stochastic mixing matrix.
+    """A communication topology, held as its doubly stochastic mixing matrix.
 
     Attributes
     ----------
-    graph:
-        The underlying undirected ``networkx`` graph on nodes ``0..M-1``.
     mixing_matrix:
         Symmetric doubly stochastic ``(M, M)`` matrix ``W`` with
         ``w_{ij} > 0`` only for edges (and the diagonal), stored as
         canonical CSR (an ndarray argument is converted at construction).
+        It is the topology's only representation: the edges are the
+        positive off-diagonal entries.
     name:
         Human-readable topology name used in experiment reports.
     require_connected:
-        Whether construction rejects a disconnected graph.  The default
+        Whether construction rejects a disconnected ``W``.  The default
         (``True``) matches Assumption 3; per-round snapshots produced by a
         :class:`~repro.topology.schedule.TopologySchedule` pass ``False``
         because churned-out agents appear as isolated nodes (their mixing
@@ -147,7 +151,6 @@ class Topology:
         for a round.
     """
 
-    graph: nx.Graph
     mixing_matrix: sp.csr_array
     name: str = "topology"
     require_connected: bool = True
@@ -158,16 +161,15 @@ class Topology:
 
     def __post_init__(self) -> None:
         validate_mixing_matrix(self.mixing_matrix)
-        w = as_csr(self.mixing_matrix)
-        if w.shape[0] != self.graph.number_of_nodes():
-            raise ValueError("mixing matrix size does not match the number of nodes")
-        if self.require_connected and not nx.is_connected(self.graph):
+        self.mixing_matrix = as_csr(self.mixing_matrix)
+        if self.require_connected and (
+            connected_components(self.mixing_matrix > 0.0, directed=False)[0] > 1
+        ):
             raise ValueError("communication graph must be connected")
-        self.mixing_matrix = w
 
     @property
     def num_agents(self) -> int:
-        return int(self.graph.number_of_nodes())
+        return int(self.mixing_matrix.shape[0])
 
     def mixing_operator(self) -> MixingOperator:
         """``W`` wrapped for the gossip engine (built once, then cached)."""
@@ -209,7 +211,7 @@ class Topology:
 
     def degree(self, agent: int) -> int:
         """Graph degree (number of neighbours excluding self)."""
-        return int(self.graph.degree[agent])
+        return len(self.neighbors(agent, include_self=False))
 
     @property
     def rho(self) -> float:
@@ -227,8 +229,16 @@ class Topology:
         positive = data[data > 0.0]
         return float(positive.min()) if positive.size else 0.0
 
-    def edges(self) -> List[Tuple[int, int]]:
-        return [(int(u), int(v)) for u, v in self.graph.edges()]
+    def edges(self) -> np.ndarray:
+        """The undirected edges as an ``(E, 2)`` array of ``(i, j)``, ``i < j``.
+
+        The strict upper triangle of ``W`` with ``w_{ij} > 0``, in row-major
+        order.
+        """
+        w = self.mixing_matrix
+        rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+        upper = (w.indices > rows) & (w.data > 0.0)
+        return np.column_stack([rows[upper], w.indices[upper]])
 
     def directed_pairs(self) -> List[Tuple[int, int]]:
         """Every ordered pair ``(i, j)`` with ``j`` a neighbour of ``i`` (``j != i``).
@@ -260,12 +270,15 @@ class Topology:
         return int(np.count_nonzero(w.data > 0.0)) - positive_diagonal
 
 
-def _build(graph: nx.Graph, name: str, mixing=None) -> Topology:
-    """Relabel nodes to ``0..M-1`` and attach ``mixing`` (default Metropolis–Hastings)."""
-    graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
-    if mixing is None:
-        mixing = metropolis_hastings_weights(graph)
-    return Topology(graph=graph, mixing_matrix=mixing, name=name)
+def _from_edges(num_agents: int, edges, name: str) -> Topology:
+    """The Metropolis–Hastings topology on ``num_agents`` agents and ``edges``."""
+    return Topology(metropolis_hastings_weights(num_agents, edges), name=name)
+
+
+def _ring_edges(num_agents: int) -> np.ndarray:
+    """Edges ``(i, i + 1 mod M)`` of the cycle on ``num_agents >= 3`` agents."""
+    agents = np.arange(num_agents)
+    return np.column_stack([agents, (agents + 1) % num_agents])
 
 
 def fully_connected_graph(num_agents: int) -> Topology:
@@ -277,17 +290,15 @@ def fully_connected_graph(num_agents: int) -> Topology:
     """
     if num_agents < 2:
         raise ValueError("need at least 2 agents")
-    graph = nx.complete_graph(num_agents)
     mixing = np.full((num_agents, num_agents), 1.0 / num_agents, dtype=np.float64)
-    return _build(graph, "fully_connected", mixing)
+    return Topology(mixing, name="fully_connected")
 
 
 def ring_graph(num_agents: int) -> Topology:
     """Cycle topology: each agent talks to exactly two neighbours (sparse)."""
     if num_agents < 3:
         raise ValueError("a ring needs at least 3 agents")
-    graph = nx.cycle_graph(num_agents)
-    return _build(graph, "ring")
+    return _from_edges(num_agents, _ring_edges(num_agents), "ring")
 
 
 def bipartite_graph(num_agents: int) -> Topology:
@@ -301,29 +312,38 @@ def bipartite_graph(num_agents: int) -> Topology:
         raise ValueError("need at least 2 agents")
     left = num_agents // 2 + num_agents % 2
     right = num_agents - left
-    if right == 0:
-        raise ValueError("need at least 2 agents to form two sides")
-    graph = nx.complete_bipartite_graph(left, right)
-    return _build(graph, "bipartite")
+    edges = np.column_stack(
+        [np.repeat(np.arange(left), right), np.tile(np.arange(left, num_agents), left)]
+    )
+    return _from_edges(num_agents, edges, "bipartite")
 
 
 def star_graph(num_agents: int) -> Topology:
     """Star topology: agent 0 is the hub (useful as a quasi-centralised ablation)."""
     if num_agents < 2:
         raise ValueError("need at least 2 agents")
-    graph = nx.star_graph(num_agents - 1)
-    return _build(graph, "star")
+    leaves = np.arange(1, num_agents)
+    return _from_edges(num_agents, np.column_stack([np.zeros_like(leaves), leaves]), "star")
 
 
 def grid_graph(rows: int, cols: int, periodic: bool = True) -> Topology:
-    """2-D grid / torus topology with ``rows * cols`` agents."""
+    """2-D grid / torus topology with ``rows * cols`` agents.
+
+    Agent ``r * cols + c`` sits at row ``r``, column ``c`` and links to its
+    right and lower neighbours, wrapping around when ``periodic``.  A
+    dimension shorter than 3 cannot wrap without doubling an edge, so such
+    a grid falls back to the plain (non-periodic) grid.
+    """
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError("grid must contain at least 2 agents")
-    if periodic and (rows < 3 or cols < 3):
-        # networkx requires >=3 per periodic dimension; fall back to a plain grid.
-        periodic = False
-    graph = nx.grid_2d_graph(rows, cols, periodic=periodic)
-    return _build(graph, "torus" if periodic else "grid")
+    periodic = periodic and rows >= 3 and cols >= 3
+    index = np.arange(rows * cols).reshape(rows, cols)
+    if periodic:
+        pairs = [(index, np.roll(index, -1, axis=0)), (index, np.roll(index, -1, axis=1))]
+    else:
+        pairs = [(index[:-1], index[1:]), (index[:, :-1], index[:, 1:])]
+    edges = np.concatenate([np.column_stack([a.ravel(), b.ravel()]) for a, b in pairs])
+    return _from_edges(rows * cols, edges, "torus" if periodic else "grid")
 
 
 def torus_graph(rows: int, cols: Optional[int] = None) -> Topology:
@@ -349,6 +369,8 @@ def erdos_renyi_graph(
     max_tries: int = 100,
 ) -> Topology:
     """Random G(n, p) topology, re-sampled until connected."""
+    import networkx as nx
+
     if num_agents < 2:
         raise ValueError("need at least 2 agents")
     if not 0.0 < edge_probability <= 1.0:
@@ -357,7 +379,7 @@ def erdos_renyi_graph(
     for _ in range(max_tries):
         graph = nx.erdos_renyi_graph(num_agents, edge_probability, seed=int(rng.integers(2**31)))
         if nx.is_connected(graph):
-            return _build(graph, "erdos_renyi")
+            return _from_edges(num_agents, np.asarray(graph.edges()), "erdos_renyi")
     raise RuntimeError(
         "failed to sample a connected Erdos-Renyi graph; increase edge_probability"
     )
@@ -376,6 +398,8 @@ def random_regular_graph(
     from zero as the fleet grows — constant per-agent traffic with
     near-constant mixing time.
     """
+    import networkx as nx
+
     if num_agents < 3:
         raise ValueError("need at least 3 agents")
     if degree < 2 or degree >= num_agents:
@@ -386,7 +410,7 @@ def random_regular_graph(
     for _ in range(max_tries):
         graph = nx.random_regular_graph(degree, num_agents, seed=int(rng.integers(2**31)))
         if nx.is_connected(graph):
-            return _build(graph, "random_regular")
+            return _from_edges(num_agents, np.asarray(graph.edges()), "random_regular")
     raise RuntimeError(
         "failed to sample a connected random regular graph; increase degree"
     )
@@ -405,6 +429,8 @@ def small_world_graph(
     ``rewire_probability``.  The shortcuts give logarithmic diameter — and a
     far larger spectral gap than a plain ring — at ring-like per-agent cost.
     """
+    import networkx as nx
+
     if num_agents < 4:
         raise ValueError("need at least 4 agents")
     if not 2 <= nearest_neighbors < num_agents:
@@ -414,7 +440,7 @@ def small_world_graph(
     graph = nx.connected_watts_strogatz_graph(
         num_agents, nearest_neighbors, rewire_probability, tries=100, seed=seed
     )
-    return _build(graph, "small_world")
+    return _from_edges(num_agents, np.asarray(graph.edges()), "small_world")
 
 
 def hypercube_graph(dimension: int) -> Topology:
@@ -427,8 +453,11 @@ def hypercube_graph(dimension: int) -> Topology:
     """
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
-    graph = nx.hypercube_graph(dimension)
-    return _build(graph, "hypercube")
+    agents = np.arange(2**dimension)
+    partners = agents[:, None] ^ (1 << np.arange(dimension))
+    edges = np.column_stack([np.repeat(agents, dimension), partners.ravel()])
+    edges = edges[edges[:, 0] < edges[:, 1]]
+    return _from_edges(len(agents), edges, "hypercube")
 
 
 def exponential_graph(num_agents: int) -> Topology:
@@ -441,11 +470,10 @@ def exponential_graph(num_agents: int) -> Topology:
     """
     if num_agents < 2:
         raise ValueError("need at least 2 agents")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_agents))
-    hop = 1
-    while hop < num_agents:
-        for i in range(num_agents):
-            graph.add_edge(i, (i + hop) % num_agents)
-        hop *= 2
-    return _build(graph, "exponential")
+    agents = np.arange(num_agents)
+    hops = 1 << np.arange((num_agents - 1).bit_length())
+    ends = np.column_stack(
+        [np.tile(agents, len(hops)), ((agents + hops[:, None]) % num_agents).ravel()]
+    )
+    # Hops h and M - h reach the same pair from both ends; keep each edge once.
+    return _from_edges(num_agents, np.unique(np.sort(ends, axis=1), axis=0), "exponential")

@@ -14,8 +14,10 @@ clusters, the effective fleet-level operator is the Kronecker blow-up
 which is symmetric and doubly stochastic whenever ``W_K`` is — and is
 *validated* as such at construction, like every other mixing matrix in this
 library.  :func:`hierarchical_graph` builds ``W_eff`` directly as CSR with
-``sp.kron``, so a :class:`HierarchicalTopology` plugs into the engine
-exactly like any :class:`Topology` (and into a
+``sp.kron`` and keeps nothing beside it (the blow-up's edges are
+``W_eff``'s positive off-diagonal entries), so a
+:class:`HierarchicalTopology` plugs into the engine exactly like any
+:class:`Topology` (and into a
 :class:`~repro.topology.schedule.StaticSchedule` / the experiment harness
 via ``topology="hierarchical"``).  Its ``directed_edge_split`` lets
 :meth:`~repro.core.base.DecentralizedAlgorithm.record_fleet_exchange`
@@ -24,15 +26,18 @@ account intra-cluster and inter-cluster traffic under separate tags.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
-from repro.topology.graphs import Topology, check_topology, default_cluster_size
+from repro.topology.graphs import (
+    Topology,
+    _ring_edges,
+    check_topology,
+    default_cluster_size,
+)
 from repro.topology.mixing import metropolis_hastings_weights
 
 __all__ = [
@@ -64,7 +69,7 @@ class HierarchicalTopology(Topology):
 
         Intra-cluster: every ordered pair within a cluster —
         ``N · (c - 1)`` channels over cheap local links.  Inter-cluster:
-        everything else in the blow-up graph.
+        every other positive off-diagonal entry of ``W_eff``.
         """
         intra = self.num_agents * (self.cluster_size - 1)
         return intra, self.num_directed_edges - intra
@@ -88,41 +93,18 @@ def hierarchical_graph(
     c = default_cluster_size(num_agents) if cluster_size is None else int(cluster_size)
     k = num_agents // c
     if cluster_topology == "ring":
-        if k >= 3:
-            cluster_graph = nx.cycle_graph(k)
-        elif k == 2:
-            cluster_graph = nx.path_graph(2)
-        else:
-            cluster_graph = nx.Graph()
-            cluster_graph.add_node(0)
-        cluster_w = metropolis_hastings_weights(cluster_graph)
+        # Two clusters share one link and a single cluster has none.
+        cluster_edges = _ring_edges(k) if k >= 3 else [[0, 1]][: k - 1]
+        cluster_w = metropolis_hastings_weights(k, cluster_edges)
     elif cluster_topology == "fully_connected":
-        cluster_graph = nx.complete_graph(k) if k > 1 else nx.Graph()
-        if k == 1:
-            cluster_graph.add_node(0)
         cluster_w = np.full((k, k), 1.0 / k, dtype=np.float64)
     else:
         raise ValueError("cluster_topology must be 'ring' or 'fully_connected'")
 
-    # Blow-up graph: a clique inside each cluster, complete bipartite links
-    # between adjacent clusters — the support of W_eff off the diagonal.
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_agents))
-    for cluster in range(k):
-        members = range(cluster * c, (cluster + 1) * c)
-        graph.add_edges_from(itertools.combinations(members, 2))
-    for a, b in cluster_graph.edges():
-        graph.add_edges_from(
-            (u, v)
-            for u in range(a * c, (a + 1) * c)
-            for v in range(b * c, (b + 1) * c)
-        )
-
     blow_up = np.full((c, c), 1.0 / c, dtype=np.float64)
     # Topology.__post_init__ re-validates: symmetric, doubly stochastic.
     return HierarchicalTopology(
-        graph=graph,
-        mixing_matrix=sp.kron(cluster_w, blow_up, format="csr"),
+        sp.kron(cluster_w, blow_up, format="csr"),
         name=f"hierarchical(c={c},{cluster_topology})",
         cluster_size=c,
     )

@@ -35,9 +35,12 @@ Storage
 
 ``W`` is always a ``scipy.sparse`` CSR matrix.  On a sparse communication
 graph (ring, torus, random-regular, small-world) it has O(M) nonzeros, so
-the weight builders assemble it *edge-wise* and never materialise the dense
-``(M, M)`` array — at M = 4096 a dense ring matrix would hold 16.7M entries
-of which only ~12k are nonzero.  Every helper in this module
+the weight builders take the graph as ``(num_agents, edges)`` — an
+``(E, 2)`` array of agent ids — assemble ``W`` *edge-wise* and never
+materialise the dense ``(M, M)`` array: at M = 4096 a dense ring matrix
+would hold 16.7M entries of which only ~12k are nonzero.  ``W`` is then
+the topology's only representation; neighbourhoods, degrees, edges and
+connectivity are all read back from its CSR.  Every helper in this module
 (:func:`is_symmetric`, :func:`is_doubly_stochastic`,
 :func:`validate_mixing_matrix`, the spectral diagnostics) works on the CSR
 structure without densifying (ndarray input is converted first), and
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -100,76 +102,64 @@ def _square_csr(matrix) -> Optional[sp.csr_array]:
     return as_csr(matrix)
 
 
-def _graph_layout(graph: nx.Graph):
-    """Sorted nodes and the (i, j) row-index edge list sans self-loops."""
-    nodes = sorted(graph.nodes())
-    index = {node: k for k, node in enumerate(nodes)}
-    edges = [(index[u], index[v]) for u, v in graph.edges() if u != v]
-    return nodes, edges
-
-
-def _assemble_csr(
-    m: int, edges: list, edge_weights: np.ndarray
-) -> sp.csr_array:
+def _assemble_csr(m: int, edges: np.ndarray, edge_weights: np.ndarray) -> sp.csr_array:
     """Symmetric CSR matrix from per-edge weights plus the stochastic diagonal.
 
-    Built entirely from edge arrays — the dense matrix is never materialised,
-    so this scales to graphs with millions of nodes.  The diagonal receives
-    the residual mass ``1 - sum_j w_{ij}`` with the off-diagonal row sums
-    accumulated in ascending column order (CSR canonical order).
+    ``edges`` is an ``(E, 2)`` array of agent ids, one row per undirected
+    edge.  Built entirely from edge arrays — the dense matrix is never
+    materialised, so this scales to graphs with millions of nodes.  The
+    diagonal receives the residual mass ``1 - sum_j w_{ij}`` with the
+    off-diagonal row sums accumulated in ascending column order (CSR
+    canonical order), so the result does not depend on the edge order.
     """
     edge_weights = np.asarray(edge_weights, dtype=np.float64)
-    if edges:
-        ij = np.asarray(edges, dtype=np.int64)
-        rows = np.concatenate([ij[:, 0], ij[:, 1]])
-        cols = np.concatenate([ij[:, 1], ij[:, 0]])
-        data = np.concatenate([edge_weights, edge_weights])
-        off_diagonal = as_csr(sp.coo_array((data, (rows, cols)), shape=(m, m)))
-        row_sums = np.asarray(off_diagonal.sum(axis=1)).reshape(-1)
-    else:
-        off_diagonal = sp.csr_array((m, m), dtype=np.float64)
-        row_sums = np.zeros(m, dtype=np.float64)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    data = np.concatenate([edge_weights, edge_weights])
+    off_diagonal = as_csr(sp.coo_array((data, (rows, cols)), shape=(m, m)))
+    row_sums = np.asarray(off_diagonal.sum(axis=1)).reshape(-1)
     diagonal = sp.dia_array(
         (np.asarray([1.0 - row_sums]), [0]), shape=(m, m)
     )
     return as_csr(off_diagonal + diagonal)
 
 
-def metropolis_hastings_weights(graph: nx.Graph) -> sp.csr_array:
+def _edge_array(edges) -> np.ndarray:
+    """``edges`` as an ``(E, 2)`` int64 array (an empty input gives ``(0, 2)``)."""
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def metropolis_hastings_weights(num_agents: int, edges) -> sp.csr_array:
     """Metropolis–Hastings mixing matrix for an undirected graph, as CSR.
 
-    ``w_{ij} = 1 / (1 + max(deg_i, deg_j))`` for each edge ``(i, j)``, zero for
+    The graph is ``num_agents`` agents and ``edges``, an ``(E, 2)`` array
+    listing each undirected edge ``(i, j)``, ``i != j``, once.
+    ``w_{ij} = 1 / (1 + max(deg_i, deg_j))`` for each edge, zero for
     non-edges, and ``w_{ii} = 1 - sum_j w_{ij}``.  The result is symmetric,
     doubly stochastic and has strictly positive diagonal, so every agent's
     neighbourhood ``M_i`` includes itself as the paper assumes.  It is
     assembled edge-wise, never materialising the dense ``(M, M)`` array.
     """
-    nodes, edges = _graph_layout(graph)
-    degrees = np.asarray([graph.degree[node] for node in nodes], dtype=np.float64)
-    if edges:
-        ij = np.asarray(edges, dtype=np.int64)
-        edge_weights = 1.0 / (1.0 + np.maximum(degrees[ij[:, 0]], degrees[ij[:, 1]]))
-    else:
-        edge_weights = np.zeros(0, dtype=np.float64)
-    return _assemble_csr(len(nodes), edges, edge_weights)
+    ij = _edge_array(edges)
+    degrees = np.bincount(ij.ravel(), minlength=num_agents).astype(np.float64)
+    edge_weights = 1.0 / (1.0 + np.maximum(degrees[ij[:, 0]], degrees[ij[:, 1]]))
+    return _assemble_csr(num_agents, ij, edge_weights)
 
 
-def uniform_neighbor_weights(graph: nx.Graph) -> sp.csr_array:
+def uniform_neighbor_weights(num_agents: int, edges) -> sp.csr_array:
     """Uniform averaging over the *regular* closed neighbourhood, as CSR.
 
     ``w_{ij} = 1 / (d_max + 1)`` for each edge where ``d_max`` is the maximum
     degree, and the remaining mass goes to the diagonal.  Like
     Metropolis–Hastings this is symmetric and doubly stochastic for any
     graph; on regular graphs (rings, complete graphs) it equals uniform
-    neighbourhood averaging.  Assembled edge-wise, exactly as in
+    neighbourhood averaging.  Takes the same ``(num_agents, edges)`` input
+    and is assembled edge-wise, exactly as in
     :func:`metropolis_hastings_weights`.
     """
-    nodes, edges = _graph_layout(graph)
-    m = len(nodes)
-    if m == 0:
-        return sp.csr_array((0, 0), dtype=np.float64)
-    d_max = max((graph.degree[n] for n in nodes), default=0)
-    return _assemble_csr(m, edges, np.full(len(edges), 1.0 / (d_max + 1.0)))
+    ij = _edge_array(edges)
+    d_max = int(np.bincount(ij.ravel(), minlength=num_agents).max(initial=0))
+    return _assemble_csr(num_agents, ij, np.full(len(ij), 1.0 / (d_max + 1.0)))
 
 
 def is_symmetric(matrix, tol: float = _TOLERANCE) -> bool:

@@ -26,7 +26,9 @@ Four dynamic mechanisms are provided, freely composable through
   changing who talks to whom;
 * **edge failure / recovery** — a per-edge Markov chain: each up edge fails
   with probability ``edge_failure_rate`` per round, each failed edge
-  recovers with probability ``edge_recovery_rate``;
+  recovers with probability ``edge_recovery_rate`` (one uniform draw per
+  edge per round, in the epoch's edge order — the base's
+  :meth:`~repro.topology.graphs.Topology.edges`, relabelled);
 * **agent churn** — each active agent leaves with probability
   ``churn_rate`` per round and each departed agent rejoins with probability
   ``rejoin_rate`` (``min_active`` is a participation floor: neither churn
@@ -44,7 +46,9 @@ edges, everyone active) reuses the base ``Topology`` object itself, and a
 weights survive epoch changes verbatim.  Only rounds that actually lose
 agents or edges rebuild the surviving subgraph's weights with
 Metropolis–Hastings (the scheme that stays symmetric and doubly stochastic
-for any subgraph).
+for any subgraph).  A snapshot is only its mixing matrix: the surviving
+subgraph is the epoch's ``(E, 2)`` edge array with failed edges and edges
+touching an inactive agent filtered out, and no graph object is built.
 
 Snapshots are built lazily and memoised in an LRU cache keyed by the round's
 *structure* (rewire epoch, failed edges, active mask), so a schedule that
@@ -67,9 +71,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
@@ -92,6 +95,9 @@ __all__ = [
 ]
 
 Edge = Tuple[int, int]
+
+#: The failed-edge indices of a round with no failed edge.
+_NO_EDGES = np.zeros(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,7 @@ class _RoundState:
     """Materialised dynamics for one round (memoised in round order)."""
 
     epoch: int
-    failed_edges: FrozenSet[Edge]
+    failed_edges: np.ndarray  # sorted indices into the epoch's edge array
     member_mask: np.ndarray  # churn state: True = agent is in the fleet
     straggler_mask: np.ndarray  # True = active member too slow this round
     events: List[TopologyEvent]
@@ -239,7 +245,11 @@ class _RoundState:
 
     def __post_init__(self) -> None:
         self.active_mask = self.member_mask & ~self.straggler_mask
-        self.key = (self.epoch, self.failed_edges, self.active_mask.tobytes())
+        self.key = (
+            self.epoch,
+            self.failed_edges.tobytes(),
+            self.active_mask.tobytes(),
+        )
 
 
 class DynamicTopologySchedule(TopologySchedule):
@@ -284,9 +294,7 @@ class DynamicTopologySchedule(TopologySchedule):
         self.straggler_fraction = float(straggler_fraction)
         self.min_active = int(min_active)
         self.seed = int(seed)
-        self._base_edges: List[Edge] = [
-            (min(u, v), max(u, v)) for u, v in base.edges()
-        ]
+        self._base_edges = base.edges()
         # Round ``t``'s randomness comes from a generator derived from
         # ``(seed, t)``, so the Markov transition ``state_{t-1} -> state_t``
         # is a pure function and any round's state can be recomputed from
@@ -299,8 +307,6 @@ class DynamicTopologySchedule(TopologySchedule):
         self._recent_capacity = 512
         self._checkpoints: Dict[int, _RoundState] = {}
         self._checkpoint_every = 256
-        self._epoch_edges: "OrderedDict[int, List[Edge]]" = OrderedDict()
-        self._epoch_cache_capacity = 8
 
     # -- epoch graphs ---------------------------------------------------
     def _epoch_of(self, round_index: int) -> int:
@@ -316,29 +322,15 @@ class DynamicTopologySchedule(TopologySchedule):
             self.num_agents
         )
 
-    def _edges_for_epoch(self, epoch: int) -> List[Edge]:
-        """The base graph's edge list under the epoch's label permutation.
+    def _edges_for_epoch(self, epoch: int) -> np.ndarray:
+        """The base edges ``(u, v)``, ``u < v``, under the epoch's label permutation.
 
-        A pure function of ``(seed, epoch)``, memoised in a small LRU — old
-        epochs are recomputable, so a long run never accumulates every
-        epoch's edge list.
+        Row ``k`` is base edge ``k`` relabelled, so per-edge state (the
+        failed-edge indices) addresses the same edge within an epoch.
         """
-        edges = self._epoch_edges.get(epoch)
-        if edges is not None:
-            self._epoch_edges.move_to_end(epoch)
-            return edges
         if epoch == 0:
-            edges = list(self._base_edges)
-        else:
-            perm = self._permutation_for_epoch(epoch)
-            edges = [
-                (min(int(perm[u]), int(perm[v])), max(int(perm[u]), int(perm[v])))
-                for u, v in self._base_edges
-            ]
-        self._epoch_edges[epoch] = edges
-        while len(self._epoch_edges) > self._epoch_cache_capacity:
-            self._epoch_edges.popitem(last=False)
-        return edges
+            return self._base_edges
+        return np.sort(self._permutation_for_epoch(epoch)[self._base_edges], axis=1)
 
     # -- round-state chain ---------------------------------------------
     def _state_at(self, round_index: int) -> _RoundState:
@@ -390,7 +382,7 @@ class DynamicTopologySchedule(TopologySchedule):
         events: List[TopologyEvent] = []
         if round_index == 0:
             epoch = 0
-            failed: FrozenSet[Edge] = frozenset()
+            failed = _NO_EDGES
             members = np.ones(n, dtype=bool)
         else:
             epoch = self._epoch_of(round_index)
@@ -399,7 +391,7 @@ class DynamicTopologySchedule(TopologySchedule):
             if epoch != previous.epoch:
                 # A rewire replaces the graph wholesale; stale per-edge
                 # failure state does not carry over to the new edge set.
-                failed = frozenset()
+                failed = _NO_EDGES
                 events.append(
                     TopologyEvent(round_index, "rewire", {"epoch": epoch})
                 )
@@ -428,26 +420,32 @@ class DynamicTopologySchedule(TopologySchedule):
         self,
         round_index: int,
         epoch: int,
-        failed: FrozenSet[Edge],
+        failed: np.ndarray,
         rng: np.random.Generator,
-    ) -> Tuple[FrozenSet[Edge], List[TopologyEvent]]:
-        events: List[TopologyEvent] = []
-        if self.edge_failure_rate == 0.0 and not failed:
-            return failed, events
-        next_failed = set(failed)
-        for edge in self._edges_for_epoch(epoch):
-            if edge in failed:
-                if rng.random() < self.edge_recovery_rate:
-                    next_failed.discard(edge)
-                    events.append(
-                        TopologyEvent(round_index, "edge_recovery", {"edge": list(edge)})
-                    )
-            elif rng.random() < self.edge_failure_rate:
-                next_failed.add(edge)
-                events.append(
-                    TopologyEvent(round_index, "edge_failure", {"edge": list(edge)})
-                )
-        return frozenset(next_failed), events
+    ) -> Tuple[np.ndarray, List[TopologyEvent]]:
+        """One Markov step of every edge: one uniform draw per edge, in edge order.
+
+        A down edge recovers when its draw falls below ``edge_recovery_rate``,
+        an up edge fails when it falls below ``edge_failure_rate``.
+        """
+        if self.edge_failure_rate == 0.0 and not failed.size:
+            return failed, []
+        edges = self._edges_for_epoch(epoch)
+        draws = rng.random(len(edges))
+        down = np.zeros(len(edges), dtype=bool)
+        down[failed] = True
+        flipped = np.where(
+            down, draws < self.edge_recovery_rate, draws < self.edge_failure_rate
+        )
+        events = [
+            TopologyEvent(
+                round_index,
+                "edge_recovery" if down[k] else "edge_failure",
+                {"edge": edges[k].tolist()},
+            )
+            for k in np.flatnonzero(flipped)
+        ]
+        return np.flatnonzero(down ^ flipped), events
 
     def _step_churn(
         self, round_index: int, members: np.ndarray, rng: np.random.Generator
@@ -497,13 +495,15 @@ class DynamicTopologySchedule(TopologySchedule):
         return self._state_at(round_index).key
 
     def _build(self, key: Hashable) -> Topology:
-        epoch, failed_edges, mask_bytes = key
+        epoch, failed_bytes, mask_bytes = key
+        failed = np.frombuffer(failed_bytes, dtype=_NO_EDGES.dtype)
         active = np.frombuffer(mask_bytes, dtype=bool)
-        if not failed_edges and active.all():
+        name = f"{self.base.name}+dynamic"
+        if not failed.size and active.all():
             if epoch == 0:
-                # The pristine snapshot *is* the base topology — same graph,
-                # same mixing matrix (which need not be Metropolis–Hastings),
-                # so a dynamic schedule's quiet rounds match the static run
+                # The pristine snapshot *is* the base topology — same mixing
+                # matrix (which need not be Metropolis–Hastings), so a
+                # dynamic schedule's quiet rounds match the static run
                 # exactly.
                 return self.base
             # A pure rewire is a node relabelling, so the base's weighting
@@ -514,26 +514,13 @@ class DynamicTopologySchedule(TopologySchedule):
             inverse = np.empty(self.num_agents, dtype=np.intp)
             inverse[perm] = np.arange(self.num_agents)
             mixing = self.base.mixing_matrix[inverse][:, inverse]
-            graph = nx.Graph()
-            graph.add_nodes_from(range(self.num_agents))
-            graph.add_edges_from(self._edges_for_epoch(epoch))
-            return Topology(
-                graph=graph,
-                mixing_matrix=mixing,
-                name=f"{self.base.name}+dynamic",
-                require_connected=False,
-            )
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_agents))
-        graph.add_edges_from(
-            (u, v)
-            for u, v in self._edges_for_epoch(epoch)
-            if (u, v) not in failed_edges and active[u] and active[v]
-        )
+            return Topology(mixing, name=name, require_connected=False)
+        edges = self._edges_for_epoch(epoch)
+        kept = active[edges].all(axis=1)
+        kept[failed] = False
         return Topology(
-            graph=graph,
-            mixing_matrix=metropolis_hastings_weights(graph),
-            name=f"{self.base.name}+dynamic",
+            metropolis_hastings_weights(self.num_agents, edges[kept]),
+            name=name,
             require_connected=False,
         )
 
@@ -621,9 +608,6 @@ class ShiftOneSchedule(TopologySchedule):
 
     def _build(self, key: Hashable) -> Topology:
         pairs = self.pairs_at(int(key))
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_agents))
-        graph.add_edges_from(pairs)
         # W = (I + P) / 2 for the matching's permutation P, assembled
         # edge-wise; the bye agent is its own partner, so its two diagonal
         # halves sum to 1.
@@ -637,10 +621,7 @@ class ShiftOneSchedule(TopologySchedule):
             shape=(n, n),
         )
         return Topology(
-            graph=graph,
-            mixing_matrix=mixing,
-            name=f"{self.base.name}+shift_one",
-            require_connected=False,
+            mixing, name=f"{self.base.name}+shift_one", require_connected=False
         )
 
     def active_mask_at(self, round_index: int) -> np.ndarray:

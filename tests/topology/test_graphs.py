@@ -1,9 +1,9 @@
 """Tests for the topology constructors."""
 
-import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from repro.topology.graphs import (
     TOPOLOGY_NAMES,
@@ -29,6 +29,11 @@ from repro.topology.schedule import (
 )
 
 
+def is_connected(topology):
+    """Whether ``W``'s positive entries connect every agent."""
+    return connected_components(topology.mixing_matrix > 0.0)[0] == 1
+
+
 ALL_BUILDERS = [
     lambda: fully_connected_graph(8),
     lambda: ring_graph(8),
@@ -49,7 +54,7 @@ def test_every_topology_has_valid_mixing_matrix(builder):
 @pytest.mark.parametrize("builder", ALL_BUILDERS)
 def test_every_topology_is_connected_with_positive_gap(builder):
     topo = builder()
-    assert nx.is_connected(topo.graph)
+    assert is_connected(topo)
     assert topo.spectral_gap > 0.0
     assert 0.0 <= topo.rho < 1.0
 
@@ -159,7 +164,7 @@ class TestStarGridErdosRenyi:
 
     def test_erdos_renyi_connected(self):
         topo = erdos_renyi_graph(12, 0.3, seed=1)
-        assert nx.is_connected(topo.graph)
+        assert is_connected(topo)
 
     def test_erdos_renyi_rejects_bad_probability(self):
         with pytest.raises(ValueError):
@@ -176,16 +181,11 @@ class TestTopologyValidation:
             assert builder().min_weight() > 0.0
 
     def test_mismatched_matrix_rejected(self):
-        graph = nx.complete_graph(4)
-        bad = np.full((3, 3), 1.0 / 3)
+        bad = np.full((3, 4), 1.0 / 4)
         with pytest.raises(ValueError):
-            Topology(graph=graph, mixing_matrix=bad)
+            Topology(bad)
 
     def test_disconnected_graph_rejected(self):
-        graph = nx.Graph()
-        graph.add_nodes_from(range(4))
-        graph.add_edge(0, 1)
-        graph.add_edge(2, 3)
         mixing = np.array(
             [
                 [0.5, 0.5, 0.0, 0.0],
@@ -194,8 +194,13 @@ class TestTopologyValidation:
                 [0.0, 0.0, 0.5, 0.5],
             ]
         )
-        with pytest.raises(ValueError):
-            Topology(graph=graph, mixing_matrix=mixing)
+        with pytest.raises(ValueError, match="connected"):
+            Topology(mixing)
+        # A schedule snapshot may split the fleet for a round.
+        split = Topology(mixing, require_connected=False)
+        assert split.num_agents == 4
+        assert split.edges().tolist() == [[0, 1], [2, 3]]
+        assert [split.degree(agent) for agent in range(4)] == [1, 1, 1, 1]
 
 
 def _accessor_cases():
@@ -248,9 +253,8 @@ def test_csr_accessors_agree_with_the_dense_matrix(case):
 
 
 def test_ndarray_mixing_matrix_is_stored_as_identical_csr():
-    graph = nx.cycle_graph(6)
-    mixing = metropolis_hastings_weights(graph).toarray()
-    topology = Topology(graph=graph, mixing_matrix=mixing)
+    mixing = metropolis_hastings_weights(6, [(i, (i + 1) % 6) for i in range(6)]).toarray()
+    topology = Topology(mixing)
     assert isinstance(topology.mixing_matrix, sp.csr_array)
     assert topology.mixing_matrix.has_canonical_format
     np.testing.assert_array_equal(topology.mixing_matrix.toarray(), mixing)

@@ -1,6 +1,5 @@
 """Hierarchical (two-level) gossip: clusters, the blown-up mixing matrix, traffic tags."""
 
-import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +9,8 @@ from repro.topology.hierarchical import (
     default_cluster_size,
     hierarchical_graph,
 )
-from repro.topology.mixing import metropolis_hastings_weights, validate_mixing_matrix
+from repro.topology.graphs import ring_graph
+from repro.topology.mixing import validate_mixing_matrix
 
 
 class TestDefaultClusterSize:
@@ -66,7 +66,7 @@ class TestHierarchicalGraph:
         # W_eff[i, j] = W_K[cluster(i), cluster(j)] / c, entry for entry.
         c, k = 4, 6
         topology = hierarchical_graph(c * k, cluster_size=c)
-        cluster_w = metropolis_hastings_weights(nx.cycle_graph(k)).toarray()
+        cluster_w = ring_graph(k).mixing_matrix.toarray()
         members = np.arange(c * k) // c
         expected = cluster_w[np.ix_(members, members)] * (1.0 / c)
         np.testing.assert_array_equal(topology.mixing_matrix.toarray(), expected)
@@ -102,7 +102,7 @@ class TestHierarchicalGossip:
         mixed = operator.apply(state).reshape(6, 4, 7)
         np.testing.assert_allclose(mixed, mixed[:, :1, :].repeat(4, axis=1), atol=1e-12)
         means = state.reshape(6, 4, 7).mean(axis=1)
-        cluster_w = metropolis_hastings_weights(nx.cycle_graph(6)).toarray()
+        cluster_w = ring_graph(6).mixing_matrix.toarray()
         np.testing.assert_allclose(mixed[:, 0, :], cluster_w @ means, atol=1e-12)
 
 

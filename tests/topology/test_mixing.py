@@ -28,23 +28,28 @@ GRAPHS = [
 ]
 
 
+def _layout(graph):
+    """``graph`` (nodes ``0..M-1``) as the weight builders' ``(num_agents, edges)``."""
+    return graph.number_of_nodes(), list(graph.edges())
+
+
 @pytest.mark.parametrize("graph", GRAPHS)
 def test_metropolis_hastings_is_symmetric_doubly_stochastic(graph):
-    w = metropolis_hastings_weights(graph)
+    w = metropolis_hastings_weights(*_layout(graph))
     assert is_symmetric(w)
     assert is_doubly_stochastic(w)
 
 
 @pytest.mark.parametrize("graph", GRAPHS)
 def test_uniform_neighbor_is_symmetric_doubly_stochastic(graph):
-    w = uniform_neighbor_weights(graph)
+    w = uniform_neighbor_weights(*_layout(graph))
     assert is_symmetric(w)
     assert is_doubly_stochastic(w)
 
 
 @pytest.mark.parametrize("graph", GRAPHS)
 def test_zero_weight_exactly_on_non_edges(graph):
-    w = metropolis_hastings_weights(graph)
+    w = metropolis_hastings_weights(*_layout(graph))
     nodes = sorted(graph.nodes())
     for i, u in enumerate(nodes):
         for j, v in enumerate(nodes):
@@ -56,7 +61,7 @@ def test_zero_weight_exactly_on_non_edges(graph):
 
 def test_metropolis_weights_formula():
     graph = nx.path_graph(3)  # degrees 1, 2, 1
-    w = metropolis_hastings_weights(graph)
+    w = metropolis_hastings_weights(*_layout(graph))
     np.testing.assert_allclose(w[0, 1], 1.0 / 3.0)
     np.testing.assert_allclose(w[1, 2], 1.0 / 3.0)
     np.testing.assert_allclose(w[0, 0], 2.0 / 3.0)
@@ -65,7 +70,7 @@ def test_metropolis_weights_formula():
 
 def test_positive_diagonal_for_connected_graphs():
     for graph in GRAPHS:
-        w = metropolis_hastings_weights(graph)
+        w = metropolis_hastings_weights(*_layout(graph))
         assert np.all(w.diagonal() > 0)
 
 
@@ -81,13 +86,13 @@ class TestSpectralDiagnostics:
 
     def test_largest_eigenvalue_is_one(self):
         for graph in GRAPHS:
-            w = metropolis_hastings_weights(graph)
+            w = metropolis_hastings_weights(*_layout(graph))
             eigenvalues = np.linalg.eigvalsh(w.toarray())
             np.testing.assert_allclose(eigenvalues.max(), 1.0, atol=1e-10)
 
     def test_connected_graphs_have_positive_gap(self):
         for graph in GRAPHS:
-            w = metropolis_hastings_weights(graph)
+            w = metropolis_hastings_weights(*_layout(graph))
             assert spectral_gap(w) > 0.0
 
     def test_single_node(self):
@@ -96,7 +101,7 @@ class TestSpectralDiagnostics:
 
 class TestValidation:
     def test_accepts_valid_matrix(self):
-        w = metropolis_hastings_weights(nx.cycle_graph(5))
+        w = metropolis_hastings_weights(*_layout(nx.cycle_graph(5)))
         validate_mixing_matrix(w, require_contraction=True)
 
     def test_rejects_non_square(self):

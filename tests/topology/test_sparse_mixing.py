@@ -12,6 +12,7 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from repro.topology.graphs import (
     Topology,
@@ -36,11 +37,18 @@ from repro.topology.mixing import (
 
 GRAPHS = [
     nx.cycle_graph(12),
-    nx.grid_2d_graph(4, 4, periodic=True),
+    nx.convert_node_labels_to_integers(
+        nx.grid_2d_graph(4, 4, periodic=True), ordering="sorted"
+    ),
     nx.star_graph(9),
     nx.path_graph(7),
     nx.erdos_renyi_graph(20, 0.3, seed=0),
 ]
+
+
+def _layout(graph):
+    """``graph`` (nodes ``0..M-1``) as the weight builders' ``(num_agents, edges)``."""
+    return graph.number_of_nodes(), list(graph.edges())
 
 
 def dense_weights(graph, edge_weight):
@@ -75,18 +83,18 @@ def dense_uniform(graph):
 )
 class TestCsrBuilders:
     def test_matches_dense_construction(self, builder, reference, graph):
-        sparse = builder(graph)
+        sparse = builder(*_layout(graph))
         assert isinstance(sparse, sp.csr_array)
         np.testing.assert_allclose(sparse.toarray(), reference(graph), atol=1e-12)
 
     def test_csr_satisfies_assumption3(self, builder, reference, graph):
-        sparse = builder(graph)
+        sparse = builder(*_layout(graph))
         assert is_symmetric(sparse)
         assert is_doubly_stochastic(sparse)
         validate_mixing_matrix(sparse)
 
     def test_zero_weight_exactly_on_non_edges(self, builder, reference, graph):
-        dense = builder(graph).toarray()
+        dense = builder(*_layout(graph)).toarray()
         nodes = sorted(graph.nodes())
         index = {node: k for k, node in enumerate(nodes)}
         for u in nodes:
@@ -123,12 +131,12 @@ class TestCsrValidation:
         # A 100k-agent ring: the dense matrix would be 10^10 entries (~80 GB),
         # so merely finishing proves the checks stay on the sparse structure.
         graph = nx.cycle_graph(100_000)
-        w = metropolis_hastings_weights(graph)
+        w = metropolis_hastings_weights(*_layout(graph))
         validate_mixing_matrix(w)
         assert w.nnz == 3 * 100_000
 
     def test_contraction_check_on_csr(self):
-        w = metropolis_hastings_weights(nx.cycle_graph(11))
+        w = metropolis_hastings_weights(*_layout(nx.cycle_graph(11)))
         validate_mixing_matrix(w, require_contraction=True)
         disconnected = sp.csr_array(sp.eye(5).tocsr())
         with pytest.raises(ValueError, match="spectral gap"):
@@ -141,7 +149,7 @@ class TestSpectralDiagnostics:
         # threshold, Lanczos above it (forced by a graph larger than
         # DENSE_EIG_MAX_AGENTS).
         n = DENSE_EIG_MAX_AGENTS + 64
-        w = metropolis_hastings_weights(nx.cycle_graph(n))
+        w = metropolis_hastings_weights(*_layout(nx.cycle_graph(n)))
         lanczos = second_largest_eigenvalue(w)
         dense = np.linalg.eigvalsh(w.toarray())
         expected = float(np.sort(np.abs(dense))[::-1][1])
@@ -149,7 +157,7 @@ class TestSpectralDiagnostics:
 
     def test_eigsh_matches_analytic_ring_value(self):
         n = 2048
-        w = metropolis_hastings_weights(nx.cycle_graph(n))
+        w = metropolis_hastings_weights(*_layout(nx.cycle_graph(n)))
         # Ring MH weights are (1 + 2 cos(2 pi k / n)) / 3; the second-largest
         # magnitude is attained at k = 1.
         analytic = (1.0 + 2.0 * np.cos(2.0 * np.pi / n)) / 3.0
@@ -158,7 +166,7 @@ class TestSpectralDiagnostics:
 
     def test_eigsh_accepts_ndarray_above_threshold(self):
         n = DENSE_EIG_MAX_AGENTS + 32
-        w = metropolis_hastings_weights(nx.cycle_graph(n))
+        w = metropolis_hastings_weights(*_layout(nx.cycle_graph(n)))
         assert spectral_gap(w.toarray()) == pytest.approx(spectral_gap(w), abs=1e-10)
 
 
@@ -170,7 +178,7 @@ def einsum_reference(w, rows):
 class TestMixingOperator:
     @pytest.mark.parametrize("graph", GRAPHS)
     def test_apply_matches_einsum_reference_bitwise(self, graph):
-        w = metropolis_hastings_weights(graph)
+        w = metropolis_hastings_weights(*_layout(graph))
         rows = np.random.default_rng(0).normal(size=(w.shape[0], 23))
         operator = MixingOperator(w)
         expected = einsum_reference(w.toarray(), rows)
@@ -181,7 +189,7 @@ class TestMixingOperator:
             )
 
     def test_float32_apply_matches_einsum_reference_bitwise(self):
-        w = metropolis_hastings_weights(nx.erdos_renyi_graph(20, 0.3, seed=0))
+        w = metropolis_hastings_weights(*_layout(nx.erdos_renyi_graph(20, 0.3, seed=0)))
         rows = np.random.default_rng(2).normal(size=(20, 9)).astype(np.float32)
         out = MixingOperator(w).apply(rows)
         assert out.dtype == np.float32
@@ -190,26 +198,26 @@ class TestMixingOperator:
         )
 
     def test_apply_matches_matmul_semantics(self):
-        w = metropolis_hastings_weights(nx.cycle_graph(9))
+        w = metropolis_hastings_weights(*_layout(nx.cycle_graph(9)))
         rows = np.random.default_rng(1).normal(size=(9, 5))
         np.testing.assert_allclose(
             MixingOperator(w).apply(rows), w.toarray() @ rows, atol=1e-12
         )
 
     def test_ndarray_input_becomes_canonical_csr(self):
-        w = metropolis_hastings_weights(nx.cycle_graph(7))
+        w = metropolis_hastings_weights(*_layout(nx.cycle_graph(7)))
         operator = MixingOperator(w.toarray())
         assert isinstance(operator.matrix, sp.csr_array)
         assert operator.matrix.has_canonical_format
         np.testing.assert_array_equal(operator.toarray(), w.toarray())
 
     def test_shape_mismatch_rejected(self):
-        op = MixingOperator(metropolis_hastings_weights(nx.cycle_graph(6)))
+        op = MixingOperator(metropolis_hastings_weights(*_layout(nx.cycle_graph(6))))
         with pytest.raises(ValueError, match="stack of agent rows"):
             op.apply(np.zeros((5, 3)))
 
     def test_metadata(self):
-        op = MixingOperator(metropolis_hastings_weights(nx.cycle_graph(10)))
+        op = MixingOperator(metropolis_hastings_weights(*_layout(nx.cycle_graph(10))))
         assert op.num_agents == 10
         assert op.nnz == 30
         assert op.density == pytest.approx(0.3)
@@ -217,20 +225,17 @@ class TestMixingOperator:
 
 class TestSparseTopology:
     def test_spectral_properties_match_dense_eigensolve(self):
-        graph = nx.convert_node_labels_to_integers(
-            nx.erdos_renyi_graph(30, 0.2, seed=3), ordering="sorted"
-        )
-        topology = Topology(graph, metropolis_hastings_weights(graph))
+        graph = nx.erdos_renyi_graph(30, 0.2, seed=3)
+        topology = Topology(metropolis_hastings_weights(*_layout(graph)))
         eigenvalues = np.linalg.eigvalsh(topology.mixing_matrix.toarray())
         expected = float(np.sort(np.abs(eigenvalues))[::-1][1])
         assert topology.rho == pytest.approx(expected**2, abs=1e-10)
         assert topology.spectral_gap == pytest.approx(1.0 - expected, abs=1e-10)
 
     def test_invalid_sparse_matrix_rejected(self):
-        graph = nx.cycle_graph(5)
         bad = sp.csr_array(np.eye(5) * 0.9)
         with pytest.raises(ValueError, match="stochastic"):
-            Topology(graph, bad)
+            Topology(bad)
 
 
 class TestLargeGraphConstructors:
@@ -266,7 +271,7 @@ class TestLargeGraphConstructors:
         assert topology.num_agents == 64
         assert topology.name == "hypercube"
         assert all(topology.degree(a) == 6 for a in range(64))
-        for i, j in topology.graph.edges():
+        for i, j in topology.edges():
             assert bin(i ^ j).count("1") == 1
 
     def test_exponential_degree_is_logarithmic(self):
@@ -286,4 +291,4 @@ class TestLargeGraphConstructors:
             exponential_graph(16),
         ]:
             validate_mixing_matrix(topology.mixing_matrix)
-            assert nx.is_connected(topology.graph)
+            assert connected_components(topology.mixing_matrix > 0.0)[0] == 1
